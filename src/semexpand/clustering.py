@@ -11,6 +11,14 @@ The implementation keeps a matrix of cross-cluster similarity *sums* and adds
 the two merged rows on every merge. For average linkage this reproduces the
 mean-of-all-pairs definition exactly (the sum over the union is the sum of
 the sums), unlike shortcuts that average centroid distances.
+
+The search for the next merge is the "generic" algorithm of Müllner (Modern
+hierarchical, agglomerative clustering algorithms, arXiv:1109.2378): every
+active cluster caches its best partner, and a merge rescans only the rows
+whose cached partner it removed (see build_dendrogram). This takes about
+O(n^2) time, where a full rescan per merge takes O(n^3), and gives the same
+merges bit for bit. Memory is one n x n float64 matrix: about 8 MB at
+n = 1000 and 200 MB at n = 5000.
 """
 
 from __future__ import annotations
@@ -129,51 +137,98 @@ def compute_centroids(assign, vectors, k: int | None = None) -> np.ndarray:
     return centroids
 
 
-def build_dendrogram(vectors, similarity_fn=None, linkage: str = "average") -> Dendrogram:
-    """Agglomerate n vectors all the way to one cluster.
+# Rows per block of a best-partner scan: a block holds about this many
+# linkage values, so the scan's temporaries stay small next to the n x n sums.
+_SCAN_VALUES = 1 << 16
 
-    ``similarity_fn(u, v)`` may replace the euclidean-based pair similarity;
-    only average linkage is shipped.
+
+def _best_partners(pair_sums, counts, ids, active, rows):
+    """Best linkage of each slot in ``rows`` to any other active slot.
+
+    Returns (values, partner ids); among tied partners the smallest id wins.
     """
-    if linkage != "average":
-        raise ValueError(f"only 'average' linkage is shipped, got {linkage!r}")
+    n = pair_sums.shape[0]
+    block = max(1, _SCAN_VALUES // n)
+    values = np.empty(rows.size)
+    partners = np.empty(rows.size, dtype=ids.dtype)
+    inactive = ~active
+    for start in range(0, rows.size, block):
+        chunk = rows[start : start + block]
+        links = pair_sums[chunk] / (counts[chunk, None] * counts)
+        links[:, inactive] = -np.inf
+        links[np.arange(chunk.size), chunk] = -np.inf
+        best = links.max(axis=1)
+        tied = links == best[:, None]
+        values[start : start + chunk.size] = best
+        # every id is below 2n - 1, so the fill value never wins
+        partners[start : start + chunk.size] = np.where(tied, ids, 2 * n).min(axis=1)
+    return values, partners
+
+
+def build_dendrogram(vectors) -> Dendrogram:
+    """Agglomerate n vectors all the way to one cluster under average linkage.
+
+    Invariant: every active slot caches its exact best linkage to any other
+    active slot and the smallest partner id among the ties. The global merge
+    is the largest cached value; among tied rows the smallest (min id, max id)
+    pair wins. The two rows of that pair cache each other (a smaller tied
+    partner of either would make a smaller pair), so the caches alone decide
+    the tie rule.
+
+    After a merge into ``slot_a`` only ``slot_a`` and the rows whose cached
+    partner was one of the two merged ids are rescanned. Every other row keeps
+    its partner, whose linkage is unchanged, and compares it with its one new
+    candidate, the merged cluster, by a strict ``>``: the new id is larger
+    than every existing id, so on an exact tie the old partner keeps the win.
+    The linkage arithmetic and the sum updates are those of a full rescan, so
+    the merges are the same bit for bit.
+
+    A step costs O(n) plus O(n) per rescanned row, about O(n^2) overall. The
+    memory is one n x n float64 matrix of similarity sums (about 8 MB at
+    n = 1000 and 200 MB at n = 5000) plus scan blocks of ``_SCAN_VALUES``
+    values. Non-finite vectors raise ValueError.
+    """
     vectors = np.asarray(vectors, dtype=float)
     n = vectors.shape[0]
     if n < 1:
         raise ValueError("need at least one vector")
-    if similarity_fn is None:
-        sims = similarity_matrix(vectors)
-    else:
-        sims = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                sims[i, j] = similarity_fn(vectors[i], vectors[j])
+    if not np.isfinite(vectors).all():
+        raise ValueError("vectors contain non-finite values")
 
     # slot arrays: a merge reuses the first operand's slot
-    pair_sums = sims.copy()
+    pair_sums = similarity_matrix(vectors)
     counts = np.ones(n)
     ids = np.arange(n)
+    slot_of = np.arange(2 * n - 1)
     active = np.ones(n, dtype=bool)
+    best, partner = _best_partners(pair_sums, counts, ids, active, np.arange(n))
     merges = []
     for step in range(n - 1):
-        act = np.flatnonzero(active)
-        sub = pair_sums[np.ix_(act, act)] / np.outer(counts[act], counts[act])
-        upper = np.triu(np.ones(sub.shape, dtype=bool), 1)
-        best = sub[upper].max()
-        cand_i, cand_j = np.nonzero(upper & (sub == best))
-        # ids, not slots, drive the tie rule
-        keyed = []
-        for i, j in zip(cand_i, cand_j):
-            ia, ib = int(ids[act[i]]), int(ids[act[j]])
-            keyed.append(((min(ia, ib), max(ia, ib)), act[i], act[j]))
-        (id_a, id_b), slot_a, slot_b = min(keyed)
+        value = best.max()
+        rows = np.flatnonzero(best == value)
+        lo = np.minimum(ids[rows], partner[rows])
+        hi = np.maximum(ids[rows], partner[rows])
+        pick = np.lexsort((hi, lo))[0]
+        id_a, id_b = int(lo[pick]), int(hi[pick])
+        slot_a, slot_b = sorted((int(slot_of[id_a]), int(slot_of[id_b])))
         new_id = n + step
-        merges.append((id_a, id_b, float(best), new_id))
+        merges.append((id_a, id_b, float(value), new_id))
         pair_sums[slot_a, :] += pair_sums[slot_b, :]
         pair_sums[:, slot_a] += pair_sums[:, slot_b]
         counts[slot_a] += counts[slot_b]
         ids[slot_a] = new_id
+        slot_of[new_id] = slot_a
         active[slot_b] = False
+        best[slot_b] = -np.inf
+        # the merged pair cached each other, so this includes slot_a
+        rescan = np.flatnonzero(active & ((partner == id_a) | (partner == id_b)))
+        links = pair_sums[slot_a] / (counts[slot_a] * counts)
+        gains = active & (links > best)
+        best[gains] = links[gains]
+        partner[gains] = new_id
+        best[rescan], partner[rescan] = _best_partners(
+            pair_sums, counts, ids, active, rescan
+        )
     return Dendrogram(merges, n)
 
 
@@ -212,7 +267,7 @@ def assignment_from_cut(clusters, vectors, words=None) -> ClusterAssignment:
     return ClusterAssignment(len(clusters), assign, centroids, counts, words=words)
 
 
-def hac_cluster(vectors, k: int, words=None, similarity_fn=None):
+def hac_cluster(vectors, k: int, words=None):
     """Cluster vectors into k groups; returns the full dendrogram too.
 
     The dendrogram covers the complete agglomeration so it can be re-cut at
@@ -222,7 +277,7 @@ def hac_cluster(vectors, k: int, words=None, similarity_fn=None):
     n = vectors.shape[0]
     if not (1 <= k <= n):
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    dendrogram = build_dendrogram(vectors, similarity_fn=similarity_fn)
+    dendrogram = build_dendrogram(vectors)
     clusters = cut_dendrogram(dendrogram, k)
     return dendrogram, assignment_from_cut(clusters, vectors, words=words)
 
@@ -253,6 +308,7 @@ def load_assignment(path, vocabulary=None) -> ClusterAssignment:
     ``cluster_<id>`` row for every id.
     """
     words: list[str] = []
+    seen: set[str] = set()
     cids: list[int] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -268,8 +324,9 @@ def load_assignment(path, vocabulary=None) -> ClusterAssignment:
                 raise DataFormatError(f"{path}:{lineno}: cluster id must be an integer") from None
             if cid < 0:
                 raise DataFormatError(f"{path}:{lineno}: negative cluster id")
-            if parts[0] in words:
+            if parts[0] in seen:
                 raise DataFormatError(f"{path}:{lineno}: duplicate word {parts[0]!r}")
+            seen.add(parts[0])
             if vocabulary is not None and parts[0] not in vocabulary:
                 raise DataFormatError(f"{path}:{lineno}: unknown word {parts[0]!r}")
             words.append(parts[0])

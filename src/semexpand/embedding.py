@@ -288,7 +288,8 @@ def read_vector_file(path) -> tuple[list[str], np.ndarray]:
     """Parse an embedding-format file into (words, matrix).
 
     Raises DataFormatError with a line number for malformed headers, rows with
-    the wrong number of values, non-numeric values and duplicate words.
+    the wrong number of values, non-numeric or non-finite values and duplicate
+    words.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
@@ -323,6 +324,8 @@ def read_vector_file(path) -> tuple[list[str], np.ndarray]:
                 matrix[row] = [float(x) for x in fields[1:]]
             except ValueError:
                 raise DataFormatError(f"{path}:{lineno}: non-numeric value") from None
+            if not np.isfinite(matrix[row]).all():
+                raise DataFormatError(f"{path}:{lineno}: non-finite value")
             words.append(word)
             row += 1
     if row != count:

@@ -4,11 +4,16 @@ naive_hac is an independent O(n^3) agglomerative clusterer: it caches
 pairwise-cluster linkages, recomputes only the merged cluster's row after each
 merge with literal ascending-id double loops, and snapshots the assignment at
 every cluster count during a single agglomeration.
+
+slot_scan_hac is the O(n^3) full-rescan loop that build_dendrogram replaced.
+It shares build_dendrogram's similarity sums, sum updates and linkage
+arithmetic, so it is the bit-exact reference for merge order under exact
+ties, where naive_hac's different summation order can differ in the last ulp.
 """
 
 import numpy as np
 
-from semexpand.clustering import pair_similarity
+from semexpand.clustering import pair_similarity, similarity_matrix
 
 
 def _snapshot(clusters) -> list:
@@ -76,3 +81,41 @@ def naive_hac(vectors):
         clusters[new_id] = merged
         assignments[n - step - 1] = _snapshot(clusters)
     return merges, assignments
+
+
+def slot_scan_hac(vectors):
+    """Merges of a full agglomeration, rescanning every active pair per step.
+
+    Returns build_dendrogram's merge list: (id_a, id_b, linkage, new_id)
+    tuples with id_a < id_b, ties going to the smallest (id_a, id_b).
+    """
+    vectors = np.asarray(vectors, dtype=float)
+    n = vectors.shape[0]
+    sims = similarity_matrix(vectors)
+
+    # slot arrays: a merge reuses the first operand's slot
+    pair_sums = sims.copy()
+    counts = np.ones(n)
+    ids = np.arange(n)
+    active = np.ones(n, dtype=bool)
+    merges = []
+    for step in range(n - 1):
+        act = np.flatnonzero(active)
+        sub = pair_sums[np.ix_(act, act)] / np.outer(counts[act], counts[act])
+        upper = np.triu(np.ones(sub.shape, dtype=bool), 1)
+        best = sub[upper].max()
+        cand_i, cand_j = np.nonzero(upper & (sub == best))
+        # ids, not slots, drive the tie rule
+        keyed = []
+        for i, j in zip(cand_i, cand_j):
+            ia, ib = int(ids[act[i]]), int(ids[act[j]])
+            keyed.append(((min(ia, ib), max(ia, ib)), act[i], act[j]))
+        (id_a, id_b), slot_a, slot_b = min(keyed)
+        new_id = n + step
+        merges.append((id_a, id_b, float(best), new_id))
+        pair_sums[slot_a, :] += pair_sums[slot_b, :]
+        pair_sums[:, slot_a] += pair_sums[:, slot_b]
+        counts[slot_a] += counts[slot_b]
+        ids[slot_a] = new_id
+        active[slot_b] = False
+    return merges

@@ -214,6 +214,15 @@ class TestExitCodes:
         assert run_cli("cluster", bad, "--k", 2, "--output", tmp_path / "c.tsv") == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_vectors_are_two(self, tmp_path, capsys):
+        for value in ("nan", "inf"):
+            vectors = tmp_path / f"{value}-vectors.txt"
+            vectors.write_text(f"3 2\na 1 2\nb {value} 4\nc 5 6\n")
+            out = tmp_path / f"{value}-clusters.tsv"
+            assert run_cli("cluster", vectors, "--k", 1, "--output", out) == 2
+            assert "non-finite" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_numeric_failure_is_three(self, tiny, tmp_path, capsys):
         with np.errstate(all="ignore"):
             code = run_cli(

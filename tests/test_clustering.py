@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import naive_hac
+from oracles import naive_hac, slot_scan_hac
 from semexpand import clustering
 from semexpand.clustering import (
     ClusterAssignment,
@@ -213,6 +213,53 @@ class TestHacCluster:
             assert len(merged_away) == 2
             (new,) = created
             assert set(new) == set().union(*merged_away)
+
+
+class TestSlotScanParity:
+    """build_dendrogram's merges equal the full-rescan loop's, floats included."""
+
+    @staticmethod
+    def _assert_parity(vectors):
+        assert build_dendrogram(vectors).merges == slot_scan_hac(vectors)
+
+    def test_one_and_two_vectors(self):
+        rng = np.random.default_rng(20)
+        for n in (1, 2):
+            for d in (1, 3):
+                self._assert_parity(rng.normal(size=(n, d)))
+                self._assert_parity(rng.integers(0, 3, size=(n, d)).astype(float))
+
+    def test_tie_heavy_integer_grids(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n = int(np.exp(rng.uniform(0.0, np.log(151))))
+            d = int(rng.integers(1, 5))
+            self._assert_parity(rng.integers(0, 3, size=(n, d)).astype(float))
+
+    def test_normal_data(self):
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            n = int(np.exp(rng.uniform(0.0, np.log(151))))
+            d = int(rng.integers(1, 9))
+            self._assert_parity(rng.normal(size=(n, d)))
+
+    def test_large_integer_grid(self):
+        # 600 points on 243 grid sites: duplicates and exact ties at most steps
+        rng = np.random.default_rng(23)
+        self._assert_parity(rng.integers(0, 3, size=(600, 5)).astype(float))
+
+
+class TestBuildDendrogramInput:
+    def test_non_finite_vectors_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            vectors = np.zeros((4, 2))
+            vectors[2, 1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                build_dendrogram(vectors)
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError):
+            build_dendrogram(np.zeros((0, 2)))
 
 
 class TestAssignmentFiles:

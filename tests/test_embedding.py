@@ -343,6 +343,13 @@ class TestVectorFiles:
         with pytest.raises(DataFormatError, match=r":3: non-numeric"):
             read_vector_file(path)
 
+    def test_non_finite_value_names_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        for value in ("nan", "inf", "-inf", "1e400"):
+            path.write_text(f"2 2\na 1.0 2.0\nb 1.0 {value}\n")
+            with pytest.raises(DataFormatError, match=r":3: non-finite"):
+                read_vector_file(path)
+
     def test_duplicate_word_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 2\na 1 2\na 3 4\n")
