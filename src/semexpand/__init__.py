@@ -46,7 +46,7 @@ from .errors import (
     NumericError,
     SemexpandError,
 )
-from .expansion import WordClusterMatrix, embed_dataset, embed_sequence, expand
+from .expansion import WordClusterMatrix, embed_dataset, expand
 from .pipeline import (
     ExperimentReport,
     compare_runs,
@@ -84,7 +84,6 @@ __all__ = [
     "corpus_objective",
     "cut_dendrogram",
     "embed_dataset",
-    "embed_sequence",
     "encode_corpus",
     "encode_dataset",
     "expand",

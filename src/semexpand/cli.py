@@ -15,15 +15,7 @@ from pathlib import Path
 from . import clustering, corpus, embedding, expansion, pipeline
 from .config import ExperimentConfig, coerce_value, load_config
 from .errors import ConfigError, DataFormatError, NumericError
-from .nn import (
-    CnnClassifier,
-    LstmClassifier,
-    TrainConfig,
-    evaluate,
-    load_model,
-    save_model,
-    train_classifier,
-)
+from .nn import TrainConfig, build_model, evaluate, load_model, save_model, train_classifier
 
 logger = logging.getLogger(__name__)
 
@@ -47,17 +39,13 @@ def _load_dictionary(args):
     return corpus.load_dictionary_file(args.dictionary) if args.dictionary else None
 
 
-def _display_token(token: str) -> str:
-    return token.replace(" ", "_")
-
-
 def cmd_tokenize(args) -> int:
     user_dict = _load_dictionary(args)
     lines = []
     with open(args.corpus, encoding="utf-8") as fh:
         for line in fh:
             tokens = corpus.tokenize(line, user_dict)
-            lines.append(" ".join(_display_token(t) for t in tokens))
+            lines.append(" ".join(embedding.escape_word(t) for t in tokens))
     _write_or_print(lines, args.output)
     return 0
 
@@ -118,22 +106,6 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def _build_model_from_args(args, input_width: int, num_classes: int):
-    if args.model == "cnn":
-        return CnnClassifier(
-            input_width=input_width,
-            num_classes=num_classes,
-            max_len=args.max_len,
-            kernels=args.kernels,
-            kernel_width=args.kernel_width,
-            pool_width=args.pool_width,
-            seed=args.seed,
-        )
-    return LstmClassifier(
-        input_width=input_width, num_classes=num_classes, hidden=args.hidden, seed=args.seed
-    )
-
-
 def _embedded_dataset(args, vectors_path):
     emb = embedding.load_embeddings(vectors_path)
     user_dict = _load_dictionary(args)
@@ -145,7 +117,8 @@ def _embedded_dataset(args, vectors_path):
 
 def cmd_train(args) -> int:
     dataset, x, mask, y = _embedded_dataset(args, args.vectors)
-    model = _build_model_from_args(args, x.shape[2], dataset.num_classes)
+    arch = {"kind": args.model, "input_width": x.shape[2], "num_classes": dataset.num_classes}
+    model = build_model(vars(args) | arch, args.seed)
     config = TrainConfig(
         batch_size=args.batch_size,
         epochs=args.epochs,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import read_vector_file, write_vector_file
+from .embedding import escape_word, read_vector_file, write_vector_file
 from .errors import DataFormatError
 
 logger = logging.getLogger(__name__)
@@ -344,7 +344,7 @@ def load_assignment(path, vocabulary=None) -> ClusterAssignment:
     rows = {}
     for i, label in enumerate(labels):
         # undo the reader's space unescaping: match the on-disk token
-        m = _CLUSTER_TOKEN_RE.match(label.replace(" ", "_"))
+        m = _CLUSTER_TOKEN_RE.match(escape_word(label))
         if not m:
             raise DataFormatError(f"{cpath}: unexpected centroid token {label!r}")
         rows[int(m.group(1))] = i

@@ -266,11 +266,13 @@ def train_skipgram(
     return emb
 
 
-def _escape_word(word: str) -> str:
+def escape_word(word: str) -> str:
+    """On-disk form of a token: internal spaces become ``_``."""
     return word.replace(" ", "_")
 
 
-def _unescape_word(word: str) -> str:
+def unescape_word(word: str) -> str:
+    """Inverse of escape_word; lossy for a token with its own ``_``."""
     return word.replace("_", " ")
 
 
@@ -281,7 +283,7 @@ def write_vector_file(path, words, matrix) -> None:
         fh.write(f"{len(words)} {matrix.shape[1]}\n")
         for word, row in zip(words, matrix):
             vals = " ".join(f"{x:.8g}" for x in row)
-            fh.write(f"{_escape_word(word)} {vals}\n")
+            fh.write(f"{escape_word(word)} {vals}\n")
 
 
 def read_vector_file(path) -> tuple[list[str], np.ndarray]:
@@ -316,7 +318,7 @@ def read_vector_file(path) -> tuple[list[str], np.ndarray]:
                 raise DataFormatError(
                     f"{path}:{lineno}: expected 1 word + {dim} values, got {len(fields)} fields"
                 )
-            word = _unescape_word(fields[0])
+            word = unescape_word(fields[0])
             if word in seen:
                 raise DataFormatError(f"{path}:{lineno}: duplicate word {word!r}")
             seen.add(word)

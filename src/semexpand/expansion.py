@@ -59,39 +59,33 @@ def _lookup_table(source) -> np.ndarray:
     return np.asarray(source, dtype=float)
 
 
-def embed_sequence(token_ids, source, max_len: int, oov_marker: int | None = None):
-    """Token ids -> (max_len x width matrix, validity mask).
+def embed_dataset(dataset, source, max_len: int):
+    """Embed a LabeledDataset into (B x L x width inputs, B x L mask, labels).
 
     ``source`` is a WordClusterMatrix, an EmbeddingMatrix or a plain lookup
-    table. The OOV marker (default: table row count) maps to a zero row but
-    still counts as a valid position. Sequences are tail-truncated to
-    ``max_len`` and tail-padded with zero rows; the mask is 1 on real
-    positions, 0 on padding.
+    table. Each example is tail-truncated to ``max_len`` and tail-padded; the
+    mask is 1 on real positions and 0 on padding. The dataset's OOV marker
+    maps to a zero row but still counts as a valid position. Any other id
+    outside the table raises ValueError.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     table = _lookup_table(source)
-    if oov_marker is None:
-        oov_marker = table.shape[0]
-    out = np.zeros((max_len, table.shape[1]))
-    mask = np.zeros(max_len)
-    for t, tok in enumerate(token_ids[:max_len]):
-        if tok != oov_marker:
-            out[t] = table[tok]
-        mask[t] = 1.0
-    return out, mask
-
-
-def embed_dataset(dataset, source, max_len: int):
-    """Embed a whole LabeledDataset into (B x L x width, B x L mask, labels)."""
-    table = _lookup_table(source)
-    batch = np.zeros((len(dataset.examples), max_len, table.shape[1]))
-    masks = np.zeros((len(dataset.examples), max_len))
-    labels = np.zeros(len(dataset.examples), dtype=int)
-    for i, (ids, label) in enumerate(dataset.examples):
-        batch[i], masks[i] = embed_sequence(ids, table, max_len, dataset.oov_marker)
-        labels[i] = label
-    return batch, masks, labels
+    vocab_size = table.shape[0]
+    # row vocab_size is the zero row shared by OOV tokens and padding
+    padded = np.vstack([table, np.zeros(table.shape[1])])
+    examples = dataset.examples
+    flat = np.array([tok for ids, _ in examples for tok in ids[:max_len]], dtype=np.intp)
+    bad = flat[(flat != dataset.oov_marker) & ((flat < 0) | (flat >= vocab_size))]
+    if bad.size:
+        raise ValueError(f"token id {bad[0]} outside 0..{vocab_size - 1}")
+    flat[flat == dataset.oov_marker] = vocab_size
+    lengths = np.array([min(len(ids), max_len) for ids, _ in examples], dtype=np.intp)
+    valid = np.arange(max_len) < lengths[:, None]
+    ids = np.full(valid.shape, vocab_size, dtype=np.intp)
+    ids[valid] = flat
+    labels = np.array([label for _, label in examples], dtype=int)
+    return padded[ids], valid.astype(float), labels
 
 
 def save_expanded(wc: WordClusterMatrix, path) -> None:

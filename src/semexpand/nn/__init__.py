@@ -7,8 +7,6 @@ from .models import (
     LstmClassifier,
     build_model,
     cnn_output_lengths,
-    forward_cnn,
-    forward_lstm,
     load_model,
     save_model,
 )
@@ -21,8 +19,6 @@ __all__ = [
     "LstmClassifier",
     "build_model",
     "cnn_output_lengths",
-    "forward_cnn",
-    "forward_lstm",
     "load_model",
     "save_model",
     "EvalResult",

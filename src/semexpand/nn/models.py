@@ -241,22 +241,12 @@ class LstmClassifier(_Classifier):
         return loss, grads, probs
 
 
-def forward_cnn(model: CnnClassifier, batch, mask=None):
-    """Class probabilities for a batch; the mask is unused (zero padding)."""
-    if model.kind != "cnn":
-        raise ValueError("forward_cnn needs a CnnClassifier")
-    return model.forward(batch, mask)
-
-
-def forward_lstm(model: LstmClassifier, batch, mask=None):
-    """Class probabilities for a batch, mean-pooled over valid positions."""
-    if model.kind != "lstm":
-        raise ValueError("forward_lstm needs an LstmClassifier")
-    return model.forward(batch, mask)
-
-
 def build_model(arch: dict, seed: int = 0) -> _Classifier:
-    """Instantiate a classifier from an architecture descriptor."""
+    """Instantiate a classifier from an architecture descriptor.
+
+    ``arch`` maps ``kind``, ``input_width``, ``num_classes`` and the kind's
+    hyperparameters (see ``arch()``); other keys are ignored.
+    """
     kind = arch.get("kind")
     if kind == "cnn":
         return CnnClassifier(
@@ -303,11 +293,13 @@ def load_model(path) -> _Classifier:
         if len(fields) != 2:
             raise DataFormatError(f"{path}:{i + 1}: expected 'key value'")
         key, value = fields
+        if key != "kind" and not value.isdecimal():
+            raise DataFormatError(f"{path}:{i + 1}: {key} must be a whole number, got {value!r}")
         arch[key] = value if key == "kind" else int(value)
         i += 1
     while i < len(lines):
         header = lines[i].split()
-        if len(header) != 3 or header[0] != "param":
+        if len(header) != 3 or header[0] != "param" or not header[2].isdecimal():
             raise DataFormatError(f"{path}:{i + 1}: expected 'param <name> <size>'")
         name, size = header[1], int(header[2])
         if i + 1 >= len(lines):
@@ -322,7 +314,12 @@ def load_model(path) -> _Classifier:
             )
         raw_params[name] = values
         i += 2
-    model = build_model(arch, seed=0)
+    try:
+        model = build_model(arch, seed=0)
+    except KeyError as exc:
+        raise DataFormatError(f"{path}: missing architecture key {exc.args[0]!r}") from None
+    except ConfigError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
     for name, p in model.params.items():
         if name not in raw_params:
             raise DataFormatError(f"{path}: missing param {name!r}")

@@ -11,6 +11,8 @@ from ..errors import ConfigError, NumericError
 
 logger = logging.getLogger(__name__)
 
+EVAL_BATCH_SIZE = 128
+
 
 @dataclass
 class TrainConfig:
@@ -18,7 +20,6 @@ class TrainConfig:
     epochs: int = 10
     learning_rate: float = 0.01
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -56,8 +57,7 @@ def train_classifier(model, x, mask, y, config: TrainConfig) -> TrainLog:
     log = TrainLog()
     for epoch in range(config.epochs):
         order = np.arange(count)
-        if config.shuffle:
-            rng.shuffle(order)
+        rng.shuffle(order)
         loss_sum = 0.0
         correct = 0
         for batch_index, batch in enumerate(_batches(count, config.batch_size, order)):
@@ -102,7 +102,7 @@ class EvalResult:
         return lines
 
 
-def evaluate(model, x, mask, y, batch_size: int = 128) -> EvalResult:
+def evaluate(model, x, mask, y) -> EvalResult:
     """Accuracy, per-class precision/recall and a true-by-predicted confusion matrix.
 
     Precision and recall are 0.0 when their denominator is zero.
@@ -114,7 +114,7 @@ def evaluate(model, x, mask, y, batch_size: int = 128) -> EvalResult:
     k = model.num_classes
     confusion = np.zeros((k, k), dtype=int)
     order = np.arange(len(x))
-    for batch in _batches(len(x), batch_size, order):
+    for batch in _batches(len(x), EVAL_BATCH_SIZE, order):
         bmask = mask[batch] if mask is not None else None
         probs = model.forward(x[batch], bmask)
         predicted = probs.argmax(axis=1)

@@ -21,7 +21,7 @@ import numpy as np
 from . import clustering, corpus, embedding, expansion
 from .config import ExperimentConfig
 from .errors import ConfigError, DataFormatError, SemexpandError
-from .nn import CnnClassifier, LstmClassifier, TrainConfig, evaluate, save_model, train_classifier
+from .nn import TrainConfig, build_model, evaluate, save_model, train_classifier
 
 logger = logging.getLogger(__name__)
 
@@ -166,26 +166,11 @@ def _stage(name: str, timings: dict):
         timings[name] = timings.get(name, 0.0) + (time.perf_counter() - start)
 
 
-def _build_classifier(cfg: ExperimentConfig, input_width: int, num_classes: int, seed: int):
-    if cfg.model == "cnn":
-        return CnnClassifier(
-            input_width=input_width,
-            num_classes=num_classes,
-            max_len=cfg.max_len,
-            kernels=cfg.kernels,
-            kernel_width=cfg.kernel_width,
-            pool_width=cfg.pool_width,
-            seed=seed,
-        )
-    return LstmClassifier(
-        input_width=input_width, num_classes=num_classes, hidden=cfg.hidden, seed=seed
-    )
-
-
 def _fit(cfg, source, train_ds, seed):
     """Train a fresh classifier on train_ds; returns (model, train log)."""
     x, m, y = expansion.embed_dataset(train_ds, source, cfg.max_len)
-    model = _build_classifier(cfg, x.shape[2], train_ds.num_classes, seed)
+    arch = {"kind": cfg.model, "input_width": x.shape[2], "num_classes": train_ds.num_classes}
+    model = build_model(dataclasses.asdict(cfg) | arch, seed)
     log = train_classifier(
         model,
         x,
@@ -223,15 +208,18 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
         raw_examples = corpus.load_labeled_file(cfg.dataset)
         sentences = corpus.load_sentence_file(cfg.corpus, user_dict) if cfg.corpus else []
 
+    if not cfg.embeddings:
+        if not cfg.corpus:
+            raise ConfigError(
+                "embeddings: either a corpus to train on or an embeddings file is required"
+            )
+        with _stage("vocabulary", timings):
+            vocab = corpus.build_vocabulary(sentences, cfg.min_count)
+            encoded_corpus = corpus.encode_corpus(sentences, vocab)
     with _stage("embeddings", timings):
         if cfg.embeddings:
             emb = embedding.load_embeddings(cfg.embeddings)
         else:
-            if not cfg.corpus:
-                raise ConfigError("either a corpus to train on or an embeddings file is required")
-            with _stage("vocabulary", timings):
-                vocab = corpus.build_vocabulary(sentences, cfg.min_count)
-                encoded_corpus = corpus.encode_corpus(sentences, vocab)
             emb = embedding.train_skipgram(encoded_corpus, cfg.skipgram_config())
         embedding.save_embeddings(emb, paths["embeddings"])
     vocab = emb.vocabulary

@@ -9,11 +9,15 @@ slot_scan_hac is the O(n^3) full-rescan loop that build_dendrogram replaced.
 It shares build_dendrogram's similarity sums, sum updates and linkage
 arithmetic, so it is the bit-exact reference for merge order under exact
 ties, where naive_hac's different summation order can differ in the last ulp.
+
+loop_embed_dataset is the per-example, per-token loop that the single gather in
+embed_dataset replaced, kept as the reference for its arrays and dtypes.
 """
 
 import numpy as np
 
 from semexpand.clustering import pair_similarity, similarity_matrix
+from semexpand.expansion import _lookup_table
 
 
 def _snapshot(clusters) -> list:
@@ -119,3 +123,38 @@ def slot_scan_hac(vectors):
         ids[slot_a] = new_id
         active[slot_b] = False
     return merges
+
+
+def _loop_embed_sequence(token_ids, source, max_len: int, oov_marker: int | None = None):
+    """Token ids -> (max_len x width matrix, validity mask).
+
+    ``source`` is a WordClusterMatrix, an EmbeddingMatrix or a plain lookup
+    table. The OOV marker (default: table row count) maps to a zero row but
+    still counts as a valid position. Sequences are tail-truncated to
+    ``max_len`` and tail-padded with zero rows; the mask is 1 on real
+    positions, 0 on padding.
+    """
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    table = _lookup_table(source)
+    if oov_marker is None:
+        oov_marker = table.shape[0]
+    out = np.zeros((max_len, table.shape[1]))
+    mask = np.zeros(max_len)
+    for t, tok in enumerate(token_ids[:max_len]):
+        if tok != oov_marker:
+            out[t] = table[tok]
+        mask[t] = 1.0
+    return out, mask
+
+
+def loop_embed_dataset(dataset, source, max_len: int):
+    """Embed a whole LabeledDataset into (B x L x width, B x L mask, labels)."""
+    table = _lookup_table(source)
+    batch = np.zeros((len(dataset.examples), max_len, table.shape[1]))
+    masks = np.zeros((len(dataset.examples), max_len))
+    labels = np.zeros(len(dataset.examples), dtype=int)
+    for i, (ids, label) in enumerate(dataset.examples):
+        batch[i], masks[i] = _loop_embed_sequence(ids, table, max_len, dataset.oov_marker)
+        labels[i] = label
+    return batch, masks, labels

@@ -223,6 +223,36 @@ class TestExitCodes:
             assert "non-finite" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_malformed_checkpoint_is_two(self, tiny, tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        assert run_cli(
+            "train-embeddings", tiny["corpus"], "--output", vectors, "--dim", 4, "--epochs", 1
+        ) == 0
+        model = tmp_path / "model.txt"
+        assert run_cli(
+            "train", tiny["dataset"], "--vectors", vectors, "--output", model,
+            "--hidden", 3, "--epochs", 1,
+        ) == 0
+        lines = model.read_text().splitlines()
+        hidden = lines.index("hidden 3")
+        fc_b = lines.index("param fc_b 2")
+        cases = [
+            (hidden, "hidden three", f"model.txt:{hidden + 1}: hidden"),
+            (hidden, None, "missing architecture key 'hidden'"),
+            (fc_b, "param fc_b two", f"model.txt:{fc_b + 1}:"),
+        ]
+        capsys.readouterr()
+        for index, replacement, message in cases:
+            bad = list(lines)
+            if replacement is None:
+                del bad[index]
+            else:
+                bad[index] = replacement
+            model.write_text("\n".join(bad) + "\n")
+            code = run_cli("evaluate", tiny["dataset"], "--vectors", vectors, "--model-file", model)
+            assert code == 2
+            assert message in capsys.readouterr().err
+
     def test_numeric_failure_is_three(self, tiny, tmp_path, capsys):
         with np.errstate(all="ignore"):
             code = run_cli(

@@ -4,10 +4,10 @@ import pytest
 from semexpand.clustering import ClusterAssignment, hac_cluster
 from semexpand.corpus import LabeledDataset, Vocabulary
 from semexpand.embedding import EmbeddingMatrix, read_vector_file
+from oracles import loop_embed_dataset
 from semexpand.expansion import (
     WordClusterMatrix,
     embed_dataset,
-    embed_sequence,
     expand,
     save_expanded,
 )
@@ -86,31 +86,38 @@ class TestExpand:
             expand(emb, assignment)
 
 
+def embed_one(token_ids, source, max_len, oov_marker=3):
+    """embed_dataset on a one-example dataset; rows and mask of that example."""
+    dataset = LabeledDataset(examples=[(token_ids, 0)], num_classes=2, oov_marker=oov_marker)
+    batch, masks, _ = embed_dataset(dataset, source, max_len)
+    return batch[0], masks[0]
+
+
 class TestEmbedSequence:
     table = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
 
     def test_pads_tail_with_zero_rows(self):
-        out, mask = embed_sequence([0, 1], self.table, max_len=4)
+        out, mask = embed_one([0, 1], self.table, max_len=4)
         assert np.array_equal(out, [[1, 2], [3, 4], [0, 0], [0, 0]])
         assert mask.tolist() == [1.0, 1.0, 0.0, 0.0]
 
     def test_truncates_tail_beyond_max_len(self):
-        out, mask = embed_sequence([0, 1, 2, 0, 1], self.table, max_len=3)
+        out, mask = embed_one([0, 1, 2, 0, 1], self.table, max_len=3)
         assert np.array_equal(out, [[1, 2], [3, 4], [5, 6]])
         assert mask.tolist() == [1.0, 1.0, 1.0]
 
     def test_oov_marker_is_zero_row_but_valid(self):
-        out, mask = embed_sequence([0, 3, 1], self.table, max_len=3)
+        out, mask = embed_one([0, 3, 1], self.table, max_len=3)
         assert np.array_equal(out[1], [0.0, 0.0])
         assert mask.tolist() == [1.0, 1.0, 1.0]
 
     def test_explicit_oov_marker(self):
-        out, _ = embed_sequence([0, 7], self.table, max_len=2, oov_marker=7)
+        out, _ = embed_one([0, 7], self.table, max_len=2, oov_marker=7)
         assert np.array_equal(out, [[1, 2], [0, 0]])
 
     def test_embedding_matrix_source(self):
         emb = make_embedding(["a", "b", "c"], self.table)
-        out, _ = embed_sequence([2, 0], emb, max_len=2)
+        out, _ = embed_one([2, 0], emb, max_len=2)
         assert np.array_equal(out, [[5, 6], [1, 2]])
 
     def test_expanded_source(self):
@@ -120,12 +127,17 @@ class TestEmbedSequence:
             member_counts=[2], words=["a", "b"],
         )
         wc = expand(emb, assignment)
-        out, _ = embed_sequence([1], wc, max_len=1)
+        out, _ = embed_one([1], wc, max_len=1)
         assert np.array_equal(out, [[0.0, 1.0, 0.5, 0.5]])
 
     def test_rejects_nonpositive_max_len(self):
         with pytest.raises(ValueError):
-            embed_sequence([0], self.table, max_len=0)
+            embed_one([0], self.table, max_len=0)
+
+    def test_rejects_ids_outside_table(self):
+        for bad in (3, -1):
+            with pytest.raises(ValueError, match=f"token id {bad} outside 0..2"):
+                embed_one([0, bad], self.table, max_len=2, oov_marker=7)
 
 
 class TestEmbedDataset:
@@ -151,6 +163,64 @@ class TestEmbedDataset:
         batch, masks, _ = embed_dataset(dataset, table, max_len=3)
         assert np.array_equal(batch[0, 1], [0.0, 0.0])
         assert masks[0].tolist() == [1.0, 1.0, 1.0]
+
+
+class TestLoopParity:
+    """The gather against the per-token loop it replaced: equal arrays, equal dtypes."""
+
+    @staticmethod
+    def assert_same(dataset, source, max_len):
+        for got, want in zip(
+            embed_dataset(dataset, source, max_len), loop_embed_dataset(dataset, source, max_len)
+        ):
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_random_datasets(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            vocab_size = int(rng.integers(1, 40))
+            table = rng.normal(size=(vocab_size, int(rng.integers(1, 6))))
+            oov = vocab_size if rng.random() < 0.5 else int(rng.integers(vocab_size + 1, 99))
+            examples = []
+            for _ in range(int(rng.integers(0, 12))):
+                ids = rng.integers(0, vocab_size, size=int(rng.integers(0, 15))).tolist()
+                ids = [oov if rng.random() < 0.2 else tok for tok in ids]
+                examples.append((ids, int(rng.integers(0, 3))))
+            dataset = LabeledDataset(examples=examples, num_classes=3, oov_marker=oov)
+            self.assert_same(dataset, table, int(rng.integers(1, 12)))
+
+    def test_wide_vocabulary(self):
+        rng = np.random.default_rng(23)
+        table = rng.normal(size=(1000, 16))
+        examples = [
+            (rng.integers(0, 1001, size=int(rng.integers(0, 30))).tolist(), int(rng.integers(0, 2)))
+            for _ in range(1500)
+        ]
+        dataset = LabeledDataset(examples=examples, num_classes=2, oov_marker=1000)
+        self.assert_same(dataset, table, 20)
+
+    def test_edge_cases(self):
+        table = np.arange(12, dtype=float).reshape(4, 3)
+        dataset = LabeledDataset(
+            examples=[([], 1), ([4, 4, 4], 0), ([0, 1, 2, 3, 0, 1], 1), ([4], 0), ([3], 1)],
+            num_classes=2,
+            oov_marker=4,
+        )
+        for max_len in (1, 2, 6, 9):
+            self.assert_same(dataset, table, max_len)
+
+    def test_sources(self):
+        rng = np.random.default_rng(22)
+        words = [f"w{i}" for i in range(8)]
+        emb = make_embedding(words, rng.normal(size=(8, 3)))
+        _, assignment = hac_cluster(emb.input_vectors, k=3, words=words)
+        dataset = LabeledDataset(
+            examples=[([0, 8, 7, 1], 0), ([5, 5], 1), ([], 0)], num_classes=2, oov_marker=8
+        )
+        for source in (emb, expand(emb, assignment), emb.input_vectors.tolist()):
+            self.assert_same(dataset, source, 3)
 
 
 class TestSaveExpanded:

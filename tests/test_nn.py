@@ -12,8 +12,6 @@ from semexpand.nn import (
     build_model,
     cnn_output_lengths,
     evaluate,
-    forward_cnn,
-    forward_lstm,
     gradient_check,
     layers,
     load_model,
@@ -177,7 +175,7 @@ class TestCnnModel:
         model = CnnClassifier(
             input_width=4, num_classes=3, max_len=20, kernels=6, kernel_width=5, pool_width=2
         )
-        probs = forward_cnn(model, rng.normal(size=(5, 20, 4)))
+        probs = model.forward(rng.normal(size=(5, 20, 4)))
         assert probs.shape == (5, 3)
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
 
@@ -288,7 +286,7 @@ class TestTrainClassifier:
         with pytest.raises(NumericError, match="epoch 1, batch 1"):
             train_classifier(
                 model, x, mask, y,
-                TrainConfig(batch_size=4, epochs=1, learning_rate=0.1, shuffle=False),
+                TrainConfig(batch_size=4, epochs=1, learning_rate=0.1),
             )
 
     def test_empty_dataset_rejected(self):
@@ -426,6 +424,24 @@ class TestCheckpoints:
         with pytest.raises(DataFormatError, match="fc_b"):
             load_model(path)
 
+        hidden_line = lines.index("hidden 2")
+        fc_b_line = lines.index("param fc_b 2")
+        for index, replacement, message in [
+            (hidden_line, "hidden three", f":{hidden_line + 1}: hidden"),
+            (hidden_line, None, "missing architecture key 'hidden'"),
+            (fc_b_line, "param fc_b two", f":{fc_b_line + 1}:"),
+            (hidden_line, "hidden 0", "hidden must be >= 1"),
+            (lines.index("kind lstm"), "kind transformer", "transformer"),
+        ]:
+            bad = list(lines)
+            if replacement is None:
+                del bad[index]
+            else:
+                bad[index] = replacement
+            path.write_text("\n".join(bad) + "\n")
+            with pytest.raises(DataFormatError, match=message):
+                load_model(path)
+
     def test_tag_constant_is_versioned(self):
         assert CHECKPOINT_TAG.endswith("v1")
 
@@ -437,11 +453,3 @@ class TestCheckpoints:
         model = LstmClassifier(input_width=2, num_classes=2, hidden=2)
         with pytest.raises(ValueError):
             model.set_flat(np.zeros(3))
-
-    def test_forward_helpers_check_kind(self):
-        cnn = CnnClassifier(input_width=2, num_classes=2, max_len=20, kernels=2)
-        lstm = LstmClassifier(input_width=2, num_classes=2, hidden=2)
-        with pytest.raises(ValueError):
-            forward_cnn(lstm, np.zeros((1, 3, 2)))
-        with pytest.raises(ValueError):
-            forward_lstm(cnn, np.zeros((1, 20, 2)))

@@ -1,9 +1,10 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from semexpand import synthetic
+from semexpand import corpus, synthetic
 from semexpand.config import ExperimentConfig, load_config, parse_config_lines
 from semexpand.corpus import LabeledDataset
 from semexpand.errors import ConfigError, DataFormatError
@@ -234,6 +235,24 @@ class TestRunPipeline:
         assert len(report.train_log["epoch_losses"]) == cfg.train_epochs
         assert 0.0 <= report.test_accuracy <= 1.0
         assert set(report.timings) >= {"tokenize", "embeddings", "cluster", "train", "total"}
+
+    def test_stage_timings_do_not_overlap(self, tmp_path, monkeypatch):
+        build_vocabulary = corpus.build_vocabulary
+
+        def slow_build_vocabulary(*args, **kwargs):
+            time.sleep(0.2)
+            return build_vocabulary(*args, **kwargs)
+
+        monkeypatch.setattr(corpus, "build_vocabulary", slow_build_vocabulary)
+        timings = run_pipeline(fast_config(tmp_path / "run")).timings
+        assert list(timings) == [
+            "tokenize", "vocabulary", "embeddings", "cluster", "grid_search",
+            "expand", "train", "evaluate", "total",
+        ]
+        assert timings["vocabulary"] >= 0.2
+        stages = sum(seconds for name, seconds in timings.items() if name != "total")
+        # each value is rounded to 1e-6 s
+        assert stages <= timings["total"] + 1e-5
 
     def test_saved_report_round_trips(self, base_run):
         cfg, report = base_run
