@@ -139,6 +139,11 @@ def cmd_evaluate(args) -> int:
     if hasattr(model, "max_len"):
         args.max_len = model.max_len
     dataset, x, mask, y = _embedded_dataset(args, args.vectors)
+    if x.shape[2] != model.input_width:
+        raise DataFormatError(
+            f"{args.vectors}: vectors have width {x.shape[2]}, "
+            f"but {args.model_file} expects {model.input_width}"
+        )
     if dataset.num_classes != model.num_classes:
         raise ConfigError(
             f"dataset has {dataset.num_classes} classes, model expects {model.num_classes}"

@@ -7,6 +7,8 @@ difference checks resolve below 1e-4 relative error.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -107,67 +109,141 @@ def softmax_cross_entropy_grad(probs, labels):
     return grad / len(labels)
 
 
-def _sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+class LstmWorkspace:
+    """Time-major LSTM activations, kept so that successive steps reuse memory.
+
+    ``lstm_forward`` writes into views of one flat array that grows only when
+    a call needs more room than any call before it. The next call overwrites
+    those views, so a cache built on a workspace is valid only until then.
+    """
+
+    def __init__(self):
+        self._store = np.empty(0)
+
+    def take(self, *shapes):
+        """Contiguous views of the given shapes, laid end to end in the store."""
+        sizes = [math.prod(shape) for shape in shapes]
+        if sum(sizes) > self._store.size:
+            self._store = np.empty(sum(sizes))
+        views = []
+        offset = 0
+        for shape, size in zip(shapes, sizes):
+            views.append(self._store[offset : offset + size].reshape(shape))
+            offset += size
+        return views
 
 
-def lstm_forward(x, w, b, hidden: int):
+def _gate_blocks(z, hidden: int):
+    """Input, forget, cell and output blocks along the last axis of z."""
+    return (
+        z[..., :hidden],
+        z[..., hidden : 2 * hidden],
+        z[..., 2 * hidden : 3 * hidden],
+        z[..., 3 * hidden :],
+    )
+
+
+def _gate_affine(hidden: int):
+    """Per-column (scale, shift) that turn tanh into the four gate activations.
+
+    sigmoid(z) = 0.5 * tanh(0.5 * z) + 0.5, which rounds to the same float as
+    0.5 * (1 + tanh(0.5 * z)) because halving is exact; the cell block keeps
+    tanh(z) (times 1, plus -0.0, which leaves every float as it is).
+    """
+    scale = np.full(4 * hidden, 0.5)
+    shift = np.full(4 * hidden, 0.5)
+    scale[2 * hidden : 3 * hidden] = 1.0
+    shift[2 * hidden : 3 * hidden] = -0.0
+    return scale, shift
+
+
+def lstm_forward(x, w, b, hidden: int, workspace=None):
     """Single-layer LSTM over (B, L, C) input.
 
     w: (C + hidden, 4*hidden) with gate blocks ordered input, forget, cell,
-    output; b likewise. Returns the full hidden sequence (B, L, hidden).
+    output; b likewise. Returns the hidden sequence as a (B, L, hidden) view
+    of the time-major activations in ``workspace`` (a fresh one when None),
+    and the cache for ``lstm_backward``.
+
+    The input projection is one GEMM over all steps, so a step multiplies only
+    h by w[C:]. The sigmoid columns of w and b are halved first (exactly, as a
+    power of two), so one tanh per step covers all four gates.
     """
-    batch, length, _ = x.shape
-    h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
-    h_seq = np.zeros((batch, length, hidden))
-    caches = []
+    batch, length, channels = x.shape
+    if workspace is None:
+        workspace = LstmWorkspace()
+    xs, gates, cells, hs, tanh_cs, dtanh_cs, dz = workspace.take(
+        (length, batch, channels),
+        (length, batch, 4 * hidden),
+        (length + 1, batch, hidden),
+        (length + 1, batch, hidden),
+        (length, batch, hidden),
+        (length, batch, hidden),
+        (length, batch, 4 * hidden),
+    )
+    scale, shift = _gate_affine(hidden)
+    w_scaled = w * scale
+    np.copyto(xs, x.transpose(1, 0, 2))
+    np.matmul(xs.reshape(-1, channels), w_scaled[:channels], out=gates.reshape(-1, 4 * hidden))
+    gates += b * scale
+    w_h = w_scaled[channels:]
+    cells[0] = 0.0
+    hs[0] = 0.0
     for t in range(length):
-        xh = np.concatenate([x[:, t, :], h], axis=1)
-        z = xh @ w + b
-        i = _sigmoid(z[:, :hidden])
-        f = _sigmoid(z[:, hidden : 2 * hidden])
-        g = np.tanh(z[:, 2 * hidden : 3 * hidden])
-        o = _sigmoid(z[:, 3 * hidden :])
-        c_prev = c
-        c = f * c_prev + i * g
-        tanh_c = np.tanh(c)
-        h = o * tanh_c
-        h_seq[:, t, :] = h
-        caches.append((xh, i, f, g, o, c_prev, tanh_c))
-    return h_seq, caches
+        z = gates[t]
+        z += hs[t] @ w_h
+        np.tanh(z, out=z)
+        z *= scale
+        z += shift
+        i, f, g, o = _gate_blocks(z, hidden)
+        np.multiply(f, cells[t], out=cells[t + 1])
+        cells[t + 1] += i * g
+        np.tanh(cells[t + 1], out=tanh_cs[t])
+        np.multiply(o, tanh_cs[t], out=hs[t + 1])
+    return hs[1:].transpose(1, 0, 2), (xs, gates, cells, hs, tanh_cs, dtanh_cs, dz)
 
 
-def lstm_backward(dh_seq, caches, w, hidden: int):
-    """Backpropagation through time; returns (dw, db)."""
-    batch, length, _ = dh_seq.shape
-    dw = np.zeros_like(w)
-    db = np.zeros(w.shape[1])
+def lstm_backward(dh_seq, cache, w, hidden: int):
+    """Backpropagation through time over lstm_forward's cache; returns (dw, db).
+
+    dh_seq is (B, L, hidden). The activations' derivatives are formed for all
+    steps at once; each step then writes its gate gradient into the time-major
+    dz buffer and carries dh back through w[C:] only. dw is one GEMM for the
+    input rows and one for the recurrent rows.
+    """
+    xs, gates, cells, hs, tanh_cs, dtanh_cs, dz = cache
+    length, batch, channels = xs.shape
+    # dz starts as d(gate)/dz: s * (1 - s) for the sigmoid blocks, 1 - g**2 for the cell block
+    np.subtract(1.0, gates, out=dz)
+    dz *= gates
+    dz_g = _gate_blocks(dz, hidden)[2]
+    np.square(_gate_blocks(gates, hidden)[2], out=dz_g)
+    np.subtract(1.0, dz_g, out=dz_g)
+    np.square(tanh_cs, out=dtanh_cs)
+    np.subtract(1.0, dtanh_cs, out=dtanh_cs)
+    w_h_t = w[channels:].T
+    upstream = np.empty((batch, 4 * hidden))
+    u_i, u_f, u_g, u_o = _gate_blocks(upstream, hidden)
     dh_next = np.zeros((batch, hidden))
     dc_next = np.zeros((batch, hidden))
     for t in reversed(range(length)):
-        xh, i, f, g, o, c_prev, tanh_c = caches[t]
+        i, f, g, o = _gate_blocks(gates[t], hidden)
         dh = dh_seq[:, t, :] + dh_next
-        do = dh * tanh_c
-        dc = dh * o * (1.0 - tanh_c**2) + dc_next
-        di = dc * g
-        df = dc * c_prev
-        dg = dc * i
-        dz = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g**2),
-                do * o * (1.0 - o),
-            ],
-            axis=1,
-        )
-        dw += xh.T @ dz
-        db += dz.sum(axis=0)
-        dxh = dz @ w.T
-        dh_next = dxh[:, -hidden:]
+        dc = dh * o
+        dc *= dtanh_cs[t]
+        dc += dc_next
+        np.multiply(dc, g, out=u_i)
+        np.multiply(dc, cells[t], out=u_f)
+        np.multiply(dc, i, out=u_g)
+        np.multiply(dh, tanh_cs[t], out=u_o)
+        dz[t] *= upstream
+        dh_next = dz[t] @ w_h_t
         dc_next = dc * f
-    return dw, db
+    dz_rows = dz.reshape(-1, 4 * hidden)
+    dw = np.empty_like(w)
+    np.matmul(xs.reshape(-1, channels).T, dz_rows, out=dw[:channels])
+    np.matmul(hs[:-1].reshape(-1, hidden).T, dz_rows, out=dw[channels:])
+    return dw, dz_rows.sum(axis=0)
 
 
 def masked_mean_forward(h_seq, mask):
@@ -183,7 +259,7 @@ def masked_mean_forward(h_seq, mask):
     return pooled, (mask, safe, valid_rows)
 
 
-def masked_mean_backward(dpooled, cache, length: int):
+def masked_mean_backward(dpooled, cache):
     mask, safe, valid_rows = cache
     dprm = dpooled * valid_rows[:, None] / safe[:, None]
     return mask[:, :, None] * dprm[:, None, :]

@@ -191,6 +191,7 @@ class LstmClassifier(_Classifier):
             "fc_w": layers.glorot_uniform(rng, hidden, num_classes, (hidden, num_classes)),
             "fc_b": np.zeros(num_classes),
         }
+        self._workspace = layers.LstmWorkspace()
 
     def arch(self) -> dict:
         return {
@@ -200,9 +201,25 @@ class LstmClassifier(_Classifier):
             "hidden": self.hidden,
         }
 
+    def _valid_prefix(self, x, mask):
+        """x and mask cut after the last column that any row's mask marks valid.
+
+        The recurrence is causal, so later columns never reach the pooled
+        state. A None mask marks every position valid.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.shape[2] != self.input_width:
+            raise ValueError(f"input width {x.shape[2]} != model width {self.input_width}")
+        mask = np.ones(x.shape[:2]) if mask is None else np.asarray(mask, dtype=float)
+        used = np.flatnonzero(mask.any(axis=0))
+        length = used[-1] + 1 if used.size else 0
+        return x[:, :length], mask[:, :length]
+
     def _forward_cache(self, x, mask):
         p = self.params
-        h_seq, lstm_cache = layers.lstm_forward(x, p["gate_w"], p["gate_b"], self.hidden)
+        h_seq, lstm_cache = layers.lstm_forward(
+            x, p["gate_w"], p["gate_b"], self.hidden, self._workspace
+        )
         pooled, pool_cache = layers.masked_mean_forward(h_seq, mask)
         logits, fc_cache = layers.dense_forward(pooled, p["fc_w"], p["fc_b"])
         probs = layers.softmax(logits)
@@ -213,29 +230,22 @@ class LstmClassifier(_Classifier):
                 int((~valid_rows).sum()),
             )
             probs[~valid_rows] = 1.0 / self.num_classes
-        return probs, (lstm_cache, pool_cache, fc_cache, x.shape[1], valid_rows)
+        return probs, (lstm_cache, pool_cache, fc_cache, valid_rows)
 
     def forward(self, x, mask=None):
-        x = np.asarray(x, dtype=float)
-        if x.shape[2] != self.input_width:
-            raise ValueError(f"input width {x.shape[2]} != model width {self.input_width}")
-        if mask is None:
-            mask = np.ones(x.shape[:2])
-        probs, _ = self._forward_cache(x, np.asarray(mask, dtype=float))
+        probs, _ = self._forward_cache(*self._valid_prefix(x, mask))
         return probs
 
     def loss_and_grads(self, x, mask, y):
-        x = np.asarray(x, dtype=float)
-        mask = np.asarray(mask, dtype=float)
         y = np.asarray(y, dtype=int)
-        probs, cache = self._forward_cache(x, mask)
-        lstm_cache, pool_cache, fc_cache, length, valid_rows = cache
+        probs, cache = self._forward_cache(*self._valid_prefix(x, mask))
+        lstm_cache, pool_cache, fc_cache, valid_rows = cache
         loss = layers.cross_entropy(probs, y)
         p = self.params
         dlogits = layers.softmax_cross_entropy_grad(probs, y)
         dlogits[~valid_rows] = 0.0  # uniform override is constant wrt params
         dpooled, dfc_w, dfc_b = layers.dense_backward(dlogits, fc_cache, p["fc_w"])
-        dh_seq = layers.masked_mean_backward(dpooled, pool_cache, length)
+        dh_seq = layers.masked_mean_backward(dpooled, pool_cache)
         dgate_w, dgate_b = layers.lstm_backward(dh_seq, lstm_cache, p["gate_w"], self.hidden)
         grads = {"gate_w": dgate_w, "gate_b": dgate_b, "fc_w": dfc_w, "fc_b": dfc_b}
         return loss, grads, probs

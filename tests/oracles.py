@@ -12,6 +12,11 @@ ties, where naive_hac's different summation order can differ in the last ulp.
 
 loop_embed_dataset is the per-example, per-token loop that the single gather in
 embed_dataset replaced, kept as the reference for its arrays and dtypes.
+
+step_lstm_forward and step_lstm_backward are the per-step LSTM that the
+time-major layers.lstm_forward/lstm_backward replaced: every step concatenates
+[x_t, h], multiplies by the whole gate matrix, and keeps its own cache tuple.
+They are the reference for the hidden sequence and the gate gradients.
 """
 
 import numpy as np
@@ -158,3 +163,66 @@ def loop_embed_dataset(dataset, source, max_len: int):
         batch[i], masks[i] = _loop_embed_sequence(ids, table, max_len, dataset.oov_marker)
         labels[i] = label
     return batch, masks, labels
+
+
+def _sigmoid(x):
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def step_lstm_forward(x, w, b, hidden: int):
+    """Single-layer LSTM over (B, L, C) input.
+
+    w: (C + hidden, 4*hidden) with gate blocks ordered input, forget, cell,
+    output; b likewise. Returns the full hidden sequence (B, L, hidden).
+    """
+    batch, length, _ = x.shape
+    h = np.zeros((batch, hidden))
+    c = np.zeros((batch, hidden))
+    h_seq = np.zeros((batch, length, hidden))
+    caches = []
+    for t in range(length):
+        xh = np.concatenate([x[:, t, :], h], axis=1)
+        z = xh @ w + b
+        i = _sigmoid(z[:, :hidden])
+        f = _sigmoid(z[:, hidden : 2 * hidden])
+        g = np.tanh(z[:, 2 * hidden : 3 * hidden])
+        o = _sigmoid(z[:, 3 * hidden :])
+        c_prev = c
+        c = f * c_prev + i * g
+        tanh_c = np.tanh(c)
+        h = o * tanh_c
+        h_seq[:, t, :] = h
+        caches.append((xh, i, f, g, o, c_prev, tanh_c))
+    return h_seq, caches
+
+
+def step_lstm_backward(dh_seq, caches, w, hidden: int):
+    """Backpropagation through time; returns (dw, db)."""
+    batch, length, _ = dh_seq.shape
+    dw = np.zeros_like(w)
+    db = np.zeros(w.shape[1])
+    dh_next = np.zeros((batch, hidden))
+    dc_next = np.zeros((batch, hidden))
+    for t in reversed(range(length)):
+        xh, i, f, g, o, c_prev, tanh_c = caches[t]
+        dh = dh_seq[:, t, :] + dh_next
+        do = dh * tanh_c
+        dc = dh * o * (1.0 - tanh_c**2) + dc_next
+        di = dc * g
+        df = dc * c_prev
+        dg = dc * i
+        dz = np.concatenate(
+            [
+                di * i * (1.0 - i),
+                df * f * (1.0 - f),
+                dg * (1.0 - g**2),
+                do * o * (1.0 - o),
+            ],
+            axis=1,
+        )
+        dw += xh.T @ dz
+        db += dz.sum(axis=0)
+        dxh = dz @ w.T
+        dh_next = dxh[:, -hidden:]
+        dc_next = dc * f
+    return dw, db

@@ -253,6 +253,25 @@ class TestExitCodes:
             assert code == 2
             assert message in capsys.readouterr().err
 
+    def test_vectors_of_wrong_width_are_two(self, tiny, tmp_path, capsys):
+        wide = tmp_path / "wide.txt"
+        narrow = tmp_path / "narrow.txt"
+        for path, dim in ((wide, 4), (narrow, 3)):
+            assert run_cli(
+                "train-embeddings", tiny["corpus"], "--output", path, "--dim", dim,
+                "--epochs", 1,
+            ) == 0
+        model = tmp_path / "model.txt"
+        assert run_cli(
+            "train", tiny["dataset"], "--vectors", wide, "--output", model,
+            "--hidden", 3, "--epochs", 1,
+        ) == 0
+        capsys.readouterr()
+        code = run_cli("evaluate", tiny["dataset"], "--vectors", narrow, "--model-file", model)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "narrow.txt" in err and "width 3" in err and "expects 4" in err
+
     def test_numeric_failure_is_three(self, tiny, tmp_path, capsys):
         with np.errstate(all="ignore"):
             code = run_cli(

@@ -20,6 +20,8 @@ from semexpand.nn import (
 )
 from semexpand.synthetic import make_separable_toyset
 
+from oracles import step_lstm_backward, step_lstm_forward
+
 
 class TestConvAndPool:
     def test_conv_hand_values(self):
@@ -160,6 +162,124 @@ class TestLstmRecurrence:
         assert np.abs(probs[0] - 0.25).max() > 0.0  # real row is not forced uniform
 
 
+    def test_padding_length_does_not_change_a_step(self):
+        rng = np.random.default_rng(42)
+        model = LstmClassifier(input_width=4, num_classes=3, hidden=6, seed=7)
+        lengths = np.array([3, 8, 1, 5, 0, 6])
+        y = np.array([0, 1, 2, 1, 0, 2])
+        x8 = rng.normal(size=(6, 8, 4))
+        mask8 = (np.arange(8)[None, :] < lengths[:, None]).astype(float)
+        mask8[3, 2] = 0.0  # interior hole
+        results = []
+        for length in (8, 20):
+            x = np.concatenate([x8, rng.normal(size=(6, length - 8, 4))], axis=1)
+            mask = np.concatenate([mask8, np.zeros((6, length - 8))], axis=1)
+            results.append(model.loss_and_grads(x, mask, y))
+        (loss8, grads8, probs8), (loss20, grads20, probs20) = results
+        assert loss8 == loss20
+        assert np.array_equal(probs8, probs20)
+        for name in model.params:
+            assert np.array_equal(grads8[name], grads20[name])
+
+    def test_all_padding_batch_is_uniform_with_zero_gate_grads(self):
+        model = LstmClassifier(input_width=2, num_classes=4, hidden=3, seed=0)
+        loss, grads, probs = model.loss_and_grads(np.ones((3, 5, 2)), np.zeros((3, 5)), [0, 1, 2])
+        assert np.array_equal(probs, np.full((3, 4), 0.25))
+        assert abs(loss - math.log(4)) < 1e-12
+        for name, grad in grads.items():
+            assert grad.shape == model.params[name].shape
+            assert not grad.any()
+
+    def test_results_outlive_later_steps(self):
+        rng = np.random.default_rng(43)
+        model = LstmClassifier(input_width=3, num_classes=2, hidden=4, seed=0)
+        small = (rng.normal(size=(2, 3, 3)), np.ones((2, 3)), np.array([0, 1]))
+        large = (rng.normal(size=(9, 7, 3)), np.ones((9, 7)), rng.integers(0, 2, size=9))
+        loss, grads, probs = model.loss_and_grads(*small)
+        kept = {name: grad.copy() for name, grad in grads.items()}
+        kept_probs = probs.copy()
+        model.loss_and_grads(*large)  # grows the reused activations
+        again = model.loss_and_grads(*small)  # and reuses them at the smaller size
+        assert again[0] == loss
+        assert np.array_equal(probs, kept_probs) and np.array_equal(again[2], kept_probs)
+        for name in kept:
+            assert np.array_equal(grads[name], kept[name])
+            assert np.array_equal(again[1][name], kept[name])
+
+
+def _random_mask(rng, batch, length):
+    """Validity mask with interior holes and some rows that are all padding."""
+    mask = (rng.random((batch, length)) < 0.7).astype(float)
+    mask[rng.random(batch) < 0.2] = 0.0
+    return mask
+
+
+def _step_loss_and_grads(model, x, mask, y):
+    """LstmClassifier.loss_and_grads over the full length, with the per-step LSTM."""
+    p = model.params
+    h_seq, caches = step_lstm_forward(x, p["gate_w"], p["gate_b"], model.hidden)
+    pooled, pool_cache = layers.masked_mean_forward(h_seq, mask)
+    probs = layers.softmax(pooled @ p["fc_w"] + p["fc_b"])
+    valid_rows = pool_cache[2]
+    probs[~valid_rows] = 1.0 / model.num_classes
+    dlogits = layers.softmax_cross_entropy_grad(probs, y)
+    dlogits[~valid_rows] = 0.0
+    dh_seq = layers.masked_mean_backward(dlogits @ p["fc_w"].T, pool_cache)
+    dgate_w, dgate_b = step_lstm_backward(dh_seq, caches, p["gate_w"], model.hidden)
+    grads = {
+        "gate_w": dgate_w,
+        "gate_b": dgate_b,
+        "fc_w": pooled.T @ dlogits,
+        "fc_b": dlogits.sum(axis=0),
+    }
+    return layers.cross_entropy(probs, y), grads, probs
+
+
+class TestStepLstmParity:
+    """The time-major LSTM against the per-step loop it replaced, within 1e-12."""
+
+    def test_layers_match_step_reference(self):
+        rng = np.random.default_rng(44)
+        workspace = layers.LstmWorkspace()  # shared, so cases both grow and reuse it
+        for _ in range(150):
+            batch = int(rng.choice([1, 2, 5, 16]))
+            length = int(rng.choice([1, 2, 7, 12]))
+            hidden = int(rng.choice([1, 3, 8]))
+            channels = int(rng.choice([1, 16, 32]))
+            x = rng.normal(size=(batch, length, channels))
+            w = rng.normal(scale=0.5, size=(channels + hidden, 4 * hidden))
+            b = rng.normal(size=4 * hidden)
+            h_seq, cache = layers.lstm_forward(x, w, b, hidden, workspace)
+            ref_h_seq, ref_caches = step_lstm_forward(x, w, b, hidden)
+            assert np.abs(h_seq - ref_h_seq).max() <= 1e-12
+            _, pool_cache = layers.masked_mean_forward(ref_h_seq, _random_mask(rng, batch, length))
+            dh_seq = layers.masked_mean_backward(rng.normal(size=(batch, hidden)), pool_cache)
+            dw, db = layers.lstm_backward(dh_seq, cache, w, hidden)
+            ref_dw, ref_db = step_lstm_backward(dh_seq, ref_caches, w, hidden)
+            assert np.abs(dw - ref_dw).max() <= 1e-12
+            assert np.abs(db - ref_db).max() <= 1e-12
+
+    def test_classifier_matches_step_reference(self):
+        rng = np.random.default_rng(45)
+        for case in range(40):
+            batch = int(rng.choice([1, 4, 9]))
+            length = int(rng.choice([1, 5, 12]))
+            hidden = int(rng.choice([1, 6]))
+            channels = int(rng.choice([1, 16, 32]))
+            model = LstmClassifier(input_width=channels, num_classes=3, hidden=hidden, seed=case)
+            x = rng.normal(size=(batch, length, channels))
+            mask = _random_mask(rng, batch, length)
+            # about half the cases end in columns that are padding in every row
+            mask[:, length // 2 :] *= rng.random() < 0.5
+            y = rng.integers(0, 3, size=batch)
+            loss, grads, probs = model.loss_and_grads(x, mask, y)
+            ref_loss, ref_grads, ref_probs = _step_loss_and_grads(model, x, mask, y)
+            assert abs(loss - ref_loss) <= 1e-12
+            assert np.abs(probs - ref_probs).max() <= 1e-12
+            for name in model.params:
+                assert np.abs(grads[name] - ref_grads[name]).max() <= 1e-12
+
+
 class TestCnnModel:
     def test_rejects_too_short_max_len(self):
         with pytest.raises(ConfigError, match="max_len"):
@@ -276,6 +396,21 @@ class TestTrainClassifier:
             flats.append(model.get_flat())
         assert np.array_equal(flats[0], flats[1])
         assert logs[0].epoch_losses == logs[1].epoch_losses
+
+    def test_lstm_trains_without_mask(self):
+        rng = np.random.default_rng(46)
+        x = rng.normal(size=(6, 4, 3))
+        y = np.array([0, 1, 0, 1, 1, 0])
+        model = LstmClassifier(input_width=3, num_classes=2, hidden=4, seed=0)
+        unmasked = model.loss_and_grads(x, None, y)
+        masked = model.loss_and_grads(x, np.ones((6, 4)), y)
+        assert unmasked[0] == masked[0]
+        for name in model.params:
+            assert np.array_equal(unmasked[1][name], masked[1][name])
+        log = train_classifier(
+            model, x, None, y, TrainConfig(batch_size=3, epochs=2, learning_rate=0.1)
+        )
+        assert np.isfinite(log.epoch_losses).all()
 
     def test_non_finite_loss_raises_with_location(self):
         x = np.zeros((4, 5, 3))
