@@ -63,20 +63,23 @@ def cmd_augment(args) -> int:
 
 
 def cmd_train_embeddings(args) -> int:
+    try:
+        cfg = embedding.SkipGramConfig(
+            window=args.window,
+            dim=args.dim,
+            epochs=args.epochs,
+            learning_rate=args.learning_rate,
+            final_learning_rate=args.final_learning_rate,
+            seed=args.seed,
+            mode=args.mode,
+            negative_samples=args.negative_samples,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     user_dict = _load_dictionary(args)
     sentences = corpus.load_sentence_file(args.corpus, user_dict)
     vocab = corpus.build_vocabulary(sentences, args.min_count)
     encoded = corpus.encode_corpus(sentences, vocab)
-    cfg = embedding.SkipGramConfig(
-        window=args.window,
-        dim=args.dim,
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        final_learning_rate=args.final_learning_rate,
-        seed=args.seed,
-        mode=args.mode,
-        negative_samples=args.negative_samples,
-    )
     emb = embedding.train_skipgram(encoded, cfg, track_objective=args.track_objective)
     if args.track_objective:
         for epoch, value in enumerate(emb.objective_history):

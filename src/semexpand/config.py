@@ -94,6 +94,11 @@ class ExperimentConfig:
         for name in ("embed_learning_rate", "learning_rate"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if not 0 <= self.embed_final_learning_rate <= self.embed_learning_rate:
+            raise ConfigError(
+                "embed_final_learning_rate must lie in [0, embed_learning_rate], "
+                f"got {self.embed_final_learning_rate!r}"
+            )
 
     def uses_grid(self) -> bool:
         return self.k == 0

@@ -17,11 +17,27 @@ step_lstm_forward and step_lstm_backward are the per-step LSTM that the
 time-major layers.lstm_forward/lstm_backward replaced: every step concatenates
 [x_t, h], multiplies by the whole gate matrix, and keeps its own cache tuple.
 They are the reference for the hidden sequence and the gate gradients.
+
+loop_train_skipgram is the skip-gram loop that the blocked train_skipgram
+replaced: it walks the window pairs of every sentence again in every epoch,
+computes each learning rate in Python and draws each pair's negatives with its
+own rng.random(K) call, then updates the output rows one at a time from a dict
+of row gradients. It is the reference for the trained parameters.
 """
 
 import numpy as np
 
 from semexpand.clustering import pair_similarity, similarity_matrix
+from semexpand.embedding import (
+    MODE_EXACT,
+    MODE_NEGATIVE,
+    EmbeddingMatrix,
+    _log_sigmoid,
+    corpus_objective,
+    softmax_pair_gradients,
+)
+from semexpand.embedding import _sigmoid as _embedding_sigmoid
+from semexpand.errors import DataFormatError, NumericError
 from semexpand.expansion import _lookup_table
 
 
@@ -226,3 +242,108 @@ def step_lstm_backward(dh_seq, caches, w, hidden: int):
         dh_next = dxh[:, -hidden:]
         dc_next = dc * f
     return dw, db
+
+
+def dict_negative_sampling_pair_gradients(
+    input_vectors, output_vectors, center: int, context: int, negatives
+):
+    """Negative-sampling pair loss and ascent gradients.
+
+    ``negatives`` must not contain ``context``. Returns
+    ``(loss, grad_center_input, {row_id: grad_output_row})``.
+    """
+    v = input_vectors[center]
+    s_pos = _embedding_sigmoid(output_vectors[context] @ v)
+    loss = float(_log_sigmoid(output_vectors[context] @ v))
+    grad_v = (1.0 - s_pos) * output_vectors[context]
+    grad_rows = {context: (1.0 - s_pos) * v}
+    for n in negatives:
+        if n == context:
+            raise ValueError("negative sample equals the context word")
+        x = output_vectors[n] @ v
+        loss += float(_log_sigmoid(-x))
+        s_n = _embedding_sigmoid(x)
+        grad_v = grad_v - s_n * output_vectors[n]
+        grad_rows[n] = grad_rows.get(n, 0.0) - s_n * v
+    return loss, grad_v, grad_rows
+
+
+def window_pairs(sentence: list[int], window: int):
+    """(center, context) pairs, clipped at sentence boundaries."""
+    n = len(sentence)
+    for t in range(n):
+        lo = max(0, t - window)
+        hi = min(n, t + window + 1)
+        for j in range(lo, hi):
+            if j != t:
+                yield sentence[t], sentence[j]
+
+
+def loop_noise_distribution(corpus) -> np.ndarray:
+    """Unigram^(3/4) noise distribution for negative sampling."""
+    counts = np.zeros(len(corpus.vocabulary))
+    for sent in corpus.sentences:
+        for t in sent:
+            counts[t] += 1
+    weights = counts**0.75
+    return weights / weights.sum()
+
+
+def loop_train_skipgram(corpus, config, track_objective: bool = False):
+    """Train skip-gram embeddings by per-pair stochastic gradient ascent."""
+    vocab = corpus.vocabulary
+    n = len(vocab)
+    if n < 2:
+        raise DataFormatError("skip-gram needs a vocabulary of at least 2 words")
+    rng = np.random.default_rng(config.seed)
+    bound = 0.5 / config.dim
+    inp = rng.uniform(-bound, bound, size=(n, config.dim))
+    out = rng.uniform(-bound, bound, size=(n, config.dim))
+    emb = EmbeddingMatrix(vocab, inp, out)
+
+    pairs_per_epoch = sum(1 for s in corpus.sentences for _ in window_pairs(s, config.window))
+    if pairs_per_epoch == 0:
+        if track_objective:
+            emb.objective_history = [0.0]
+        return emb
+    total_updates = config.epochs * pairs_per_epoch
+
+    cumulative = None
+    if config.mode == MODE_NEGATIVE:
+        cumulative = np.cumsum(loop_noise_distribution(corpus))
+
+    history = []
+    if track_objective:
+        history.append(corpus_objective(corpus, emb, config.window))
+
+    lr0 = config.learning_rate
+    lr1 = config.final_learning_rate
+    done = 0
+    for epoch in range(1, config.epochs + 1):
+        for sent in corpus.sentences:
+            for center, context in window_pairs(sent, config.window):
+                frac = done / total_updates
+                lr = lr0 + (lr1 - lr0) * frac
+                if config.mode == MODE_EXACT:
+                    _, grad_v, grad_out = softmax_pair_gradients(inp, out, center, context)
+                    inp[center] += lr * grad_v
+                    out += lr * grad_out
+                else:
+                    draws = np.searchsorted(
+                        cumulative, rng.random(config.negative_samples)
+                    )
+                    negatives = [int(d) for d in draws if d != context]
+                    _, grad_v, grad_rows = dict_negative_sampling_pair_gradients(
+                        inp, out, center, context, negatives
+                    )
+                    inp[center] += lr * grad_v
+                    for row, g in grad_rows.items():
+                        out[row] += lr * g
+                done += 1
+        if not (np.isfinite(inp).all() and np.isfinite(out).all()):
+            raise NumericError(f"skip-gram training diverged at epoch {epoch}")
+        if track_objective:
+            history.append(corpus_objective(corpus, emb, config.window))
+    if track_objective:
+        emb.objective_history = history
+    return emb

@@ -223,6 +223,35 @@ class TestExitCodes:
             assert "non-finite" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_overstated_vector_header_is_two(self, tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("2000000000 2\na 1 2\nb 3 4\n")
+        out = tmp_path / "clusters.tsv"
+        assert run_cli("cluster", vectors, "--k", 1, "--output", out) == 2
+        assert "header declares 2000000000 rows, found 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_invalid_skipgram_flags_are_one(self, tiny, tmp_path, capsys):
+        output = tmp_path / "v.txt"
+        for flags, message in (
+            (["--dim", 0], "dim"),
+            (["--mode", "negative-sampling", "--negative-samples", 0], "negative_samples"),
+            (["--final-learning-rate", -5], "final_learning_rate"),
+            (["--final-learning-rate", "-0.000001"], "final_learning_rate"),
+        ):
+            assert run_cli("train-embeddings", tiny["corpus"], "--output", output, *flags) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and message in err
+            assert not output.exists()
+
+    def test_negative_final_embedding_rate_in_run_is_one(self, tiny, capsys):
+        code = run_cli(
+            "run", "--dataset", tiny["dataset"], "--corpus", tiny["corpus"], "--k", 2,
+            "--embed-final-learning-rate", -5,
+        )
+        assert code == 1
+        assert "error: embed_final_learning_rate" in capsys.readouterr().err
+
     def test_malformed_checkpoint_is_two(self, tiny, tmp_path, capsys):
         vectors = tmp_path / "vectors.txt"
         assert run_cli(

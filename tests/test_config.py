@@ -67,6 +67,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="embed_learning_rate"):
             make_config(embed_learning_rate=-1.0)
 
+    def test_final_embedding_learning_rate_range(self):
+        for value in (-1e-6, -5.0, 0.5, float("nan")):
+            with pytest.raises(ConfigError, match="embed_final_learning_rate"):
+                make_config(embed_learning_rate=0.1, embed_final_learning_rate=value)
+        for value in (0.0, 0.1):
+            cfg = make_config(embed_learning_rate=0.1, embed_final_learning_rate=value)
+            assert cfg.skipgram_config().final_learning_rate == value
+
 
 class TestGridValues:
     def test_single_k(self):

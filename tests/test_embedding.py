@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from semexpand.corpus import TokenizedCorpus, Vocabulary, build_vocabulary, encode_corpus
+from oracles import loop_noise_distribution, loop_train_skipgram, window_pairs
 from semexpand.embedding import (
     MODE_EXACT,
     MODE_NEGATIVE,
+    PAIR_BLOCK,
     EmbeddingMatrix,
     SkipGramConfig,
     corpus_objective,
@@ -17,6 +19,8 @@ from semexpand.embedding import (
     save_embeddings,
     softmax_pair_gradients,
     softmax_probability,
+    _noise_distribution,
+    _pair_arrays,
     train_skipgram,
     write_vector_file,
 )
@@ -168,7 +172,12 @@ class TestPairGradients:
         inp = rng.normal(scale=0.5, size=(5, 3))
         out = rng.normal(scale=0.5, size=(5, 3))
         center, context, negatives = 1, 3, [0, 4, 4]
-        _, grad_v, grad_rows = negative_sampling_pair_gradients(inp, out, center, context, negatives)
+        _, grad_v, rows, grad_rows = negative_sampling_pair_gradients(
+            inp, out, center, context, negatives
+        )
+        assert rows == [context, *negatives]
+        grad_out = np.zeros_like(out)
+        np.add.at(grad_out, rows, grad_rows)  # the repeated negative 4 sums its entries
         h = 1e-4
 
         def loss(inp_m, out_m):
@@ -188,8 +197,7 @@ class TestPairGradients:
                 dipped = out.copy()
                 dipped[i, j] -= h
                 numeric = (loss(inp, bumped) - loss(inp, dipped)) / (2 * h)
-                analytic = grad_rows.get(i, np.zeros(3))[j] if i in grad_rows else 0.0
-                assert abs(analytic - numeric) / max(abs(numeric), 1e-8) < 1e-4
+                assert abs(grad_out[i, j] - numeric) / max(abs(numeric), 1e-8) < 1e-4
 
     def test_negative_equal_to_context_rejected(self):
         inp = np.ones((3, 2))
@@ -267,6 +275,133 @@ class TestTrainSkipgram:
             train_skipgram(corpus, SkipGramConfig(window=1, dim=2, epochs=1))
 
 
+def corpus_with_pairs(rng, pairs: int, vocab_size: int):
+    """Random corpus with exactly ``pairs`` window-1 pairs, among length-1 sentences.
+
+    At window 1 a sentence of length L yields 2 (L - 1) pairs, so ``pairs`` must be
+    even. A small ``vocab_size`` makes center == context common.
+    """
+    assert pairs % 2 == 0
+    words = [f"w{i}" for i in range(vocab_size)]
+    if pairs == 0:
+        return make_corpus([[w] for w in words])
+    sentences = [[words[0]], words[1:]]  # every word occurs; the second adds 2 (V - 2)
+    left = pairs // 2 - (vocab_size - 2)
+    assert left >= 0
+    while left:
+        length = min(int(rng.integers(2, 9)), left + 1)
+        sentences.append([words[i] for i in rng.integers(0, vocab_size, size=length)])
+        left -= length - 1
+        if rng.random() < 0.3:
+            sentences.append([words[int(rng.integers(vocab_size))]])
+    return make_corpus(sentences)
+
+
+def per_pair_negatives(corpus, config) -> list:
+    """Each pair's negatives as the per-pair loop draws them, context removed."""
+    rng = np.random.default_rng(config.seed)
+    shape = (len(corpus.vocabulary), config.dim)
+    rng.uniform(size=shape), rng.uniform(size=shape)  # the initial parameters
+    cumulative = np.cumsum(loop_noise_distribution(corpus))
+    return [
+        [int(d) for d in np.searchsorted(cumulative, rng.random(config.negative_samples))
+         if d != context]
+        for _ in range(config.epochs)
+        for sent in corpus.sentences
+        for _, context in window_pairs(sent, config.window)
+    ]
+
+
+class TestBlockedTrainingParity:
+    """train_skipgram against the per-pair loop it replaced (oracles.loop_train_skipgram)."""
+
+    # none, below the block, equal to it, and above it but not a multiple of it
+    PAIR_COUNTS = (0, 100, PAIR_BLOCK, 2 * PAIR_BLOCK + 222)
+
+    def test_pair_counts_cover_the_block_boundaries(self):
+        assert 100 < PAIR_BLOCK and PAIR_BLOCK % 2 == 0 and 222 % PAIR_BLOCK != 0
+        for pairs in self.PAIR_COUNTS:
+            corpus = corpus_with_pairs(np.random.default_rng(pairs), pairs, 5)
+            assert _pair_arrays(corpus.sentences, 1)[0].size == pairs
+            assert min(len(s) for s in corpus.sentences) == 1
+
+    def test_block_draws_equal_per_pair_draws(self):
+        for pairs, k in ((100, 5), (PAIR_BLOCK, 3), (2 * PAIR_BLOCK + 222, 5)):
+            per_pair = np.random.default_rng(4)
+            blocked = np.random.default_rng(4)
+            expected = np.concatenate([per_pair.random(k) for _ in range(pairs)])
+            drawn = np.concatenate([
+                blocked.random((min(start + PAIR_BLOCK, pairs) - start) * k)
+                for start in range(0, pairs, PAIR_BLOCK)
+            ])
+            assert np.array_equal(drawn, expected)
+
+    def test_pair_arrays_match_window_pairs(self):
+        rng = np.random.default_rng(12)
+        for window in (1, 2, 3, 7):
+            sentences = [
+                rng.integers(0, 6, size=int(rng.integers(0, 12))).tolist() for _ in range(40)
+            ]
+            centers, contexts = _pair_arrays(sentences, window)
+            expected = [p for sent in sentences for p in window_pairs(sent, window)]
+            assert list(zip(centers.tolist(), contexts.tolist())) == expected
+        centers, contexts = _pair_arrays([], 2)
+        assert centers.size == contexts.size == 0
+
+    def test_noise_distribution_matches_counting_loop(self):
+        corpus = corpus_with_pairs(np.random.default_rng(2), 100, 9)
+        assert np.array_equal(_noise_distribution(corpus), loop_noise_distribution(corpus))
+
+    @pytest.mark.parametrize("pairs", PAIR_COUNTS)
+    def test_exact_mode_bit_for_bit(self, pairs):
+        corpus = corpus_with_pairs(np.random.default_rng(pairs + 1), pairs, 6)
+        cfg = SkipGramConfig(
+            window=1, dim=4, epochs=2, learning_rate=0.3, final_learning_rate=0.01, seed=pairs
+        )
+        fast = train_skipgram(corpus, cfg, track_objective=True)
+        slow = loop_train_skipgram(corpus, cfg, track_objective=True)
+        assert np.array_equal(fast.input_vectors, slow.input_vectors)
+        assert np.array_equal(fast.output_vectors, slow.output_vectors)
+        assert fast.objective_history == slow.objective_history
+
+    @pytest.mark.parametrize("pairs", PAIR_COUNTS)
+    def test_negative_sampling_within_tolerance(self, pairs):
+        corpus = corpus_with_pairs(np.random.default_rng(pairs + 2), pairs, 5)
+        cfg = SkipGramConfig(
+            window=1, dim=4, epochs=3, learning_rate=0.5, final_learning_rate=0.01,
+            seed=pairs, mode=MODE_NEGATIVE, negative_samples=5,
+        )
+        if pairs:
+            centers, contexts = _pair_arrays(corpus.sentences, cfg.window)
+            assert (centers == contexts).any()
+            negatives = per_pair_negatives(corpus, cfg)
+            assert any(len(set(n)) < len(n) for n in negatives)  # a repeated negative
+            assert any(len(n) < cfg.negative_samples for n in negatives)  # a dropped draw
+        fast = train_skipgram(corpus, cfg)
+        slow = loop_train_skipgram(corpus, cfg)
+        assert np.abs(fast.input_vectors - slow.input_vectors).max() <= 1e-12
+        assert np.abs(fast.output_vectors - slow.output_vectors).max() <= 1e-12
+
+    @pytest.mark.parametrize("window", [2, 3])
+    def test_negative_sampling_wider_windows(self, window):
+        rng = np.random.default_rng(window)
+        words = [f"w{i}" for i in range(30)]
+        sentences = [
+            [words[i] for i in rng.integers(0, 30, size=int(rng.integers(1, 10)))]
+            for _ in range(150)
+        ]
+        corpus = make_corpus(sentences)
+        cfg = SkipGramConfig(
+            window=window, dim=8, epochs=2, learning_rate=0.5, final_learning_rate=0.0,
+            seed=window, mode=MODE_NEGATIVE, negative_samples=4,
+        )
+        assert _pair_arrays(corpus.sentences, window)[0].size > PAIR_BLOCK
+        fast = train_skipgram(corpus, cfg)
+        slow = loop_train_skipgram(corpus, cfg)
+        assert np.abs(fast.input_vectors - slow.input_vectors).max() <= 1e-12
+        assert np.abs(fast.output_vectors - slow.output_vectors).max() <= 1e-12
+
+
 class TestSkipGramConfigValidation:
     def test_rejects_bad_sizes(self):
         for kwargs in ({"window": 0}, {"dim": 0}, {"epochs": 0}):
@@ -278,6 +413,10 @@ class TestSkipGramConfigValidation:
             SkipGramConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             SkipGramConfig(learning_rate=0.01, final_learning_rate=0.02)
+        for final in (-1e-6, -5.0):
+            with pytest.raises(ValueError, match="final_learning_rate"):
+                SkipGramConfig(learning_rate=0.01, final_learning_rate=final)
+        assert SkipGramConfig(learning_rate=0.01, final_learning_rate=0.0).final_learning_rate == 0
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -354,6 +493,15 @@ class TestVectorFiles:
         path = tmp_path / "bad.txt"
         path.write_text("2 2\na 1 2\na 3 4\n")
         with pytest.raises(DataFormatError, match=r":3: duplicate"):
+            read_vector_file(path)
+
+    def test_overstated_header_reported_without_preallocating(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2000000000 1000\na 1 2\n")
+        with pytest.raises(DataFormatError, match=r":2: expected 1 word \+ 1000 values"):
+            read_vector_file(path)
+        path.write_text("2000000000 2\na 1 2\nb 3 4\n")
+        with pytest.raises(DataFormatError, match="declares 2000000000 rows, found 2"):
             read_vector_file(path)
 
     def test_missing_rows_reported(self, tmp_path):
