@@ -8,14 +8,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import sys
 from pathlib import Path
 
 from . import clustering, corpus, embedding, expansion, pipeline
 from .config import ExperimentConfig, coerce_value, load_config
-from .errors import ConfigError, DataFormatError, NumericError
-from .nn import TrainConfig, build_model, evaluate, load_model, save_model, train_classifier
+from .errors import ConfigError, DataFormatError, NumericError, check_range
+from .nn import ClassifierConfig, TrainConfig, build_model, evaluate, load_model
+from .nn import save_model, train_classifier
 
 logger = logging.getLogger(__name__)
 
@@ -51,6 +53,7 @@ def cmd_tokenize(args) -> int:
 
 
 def cmd_augment(args) -> int:
+    check_range("--max-new", args.max_new, 0)
     user_dict = _load_dictionary(args)
     table = corpus.load_synonym_file(args.synonyms)
     raw = corpus.load_labeled_file(args.dataset)
@@ -63,22 +66,10 @@ def cmd_augment(args) -> int:
 
 
 def cmd_train_embeddings(args) -> int:
-    try:
-        cfg = embedding.SkipGramConfig(
-            window=args.window,
-            dim=args.dim,
-            epochs=args.epochs,
-            learning_rate=args.learning_rate,
-            final_learning_rate=args.final_learning_rate,
-            seed=args.seed,
-            mode=args.mode,
-            negative_samples=args.negative_samples,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    cfg = embedding.SkipGramConfig(**_given(args, embedding.SkipGramConfig))
     user_dict = _load_dictionary(args)
     sentences = corpus.load_sentence_file(args.corpus, user_dict)
-    vocab = corpus.build_vocabulary(sentences, args.min_count)
+    vocab = corpus.build_vocabulary(sentences, cfg.min_count)
     encoded = corpus.encode_corpus(sentences, vocab)
     emb = embedding.train_skipgram(encoded, cfg, track_objective=args.track_objective)
     if args.track_objective:
@@ -92,6 +83,7 @@ def cmd_train_embeddings(args) -> int:
 
 def cmd_cluster(args) -> int:
     emb = embedding.load_embeddings(args.embeddings)
+    check_range("--k", args.k, 1, len(emb.vocabulary))
     _, assignment = clustering.hac_cluster(
         emb.input_vectors, args.k, words=emb.vocabulary.words
     )
@@ -109,25 +101,21 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def _embedded_dataset(args, vectors_path):
-    emb = embedding.load_embeddings(vectors_path)
+def _embedded_dataset(args, max_len):
+    emb = embedding.load_embeddings(args.vectors)
     user_dict = _load_dictionary(args)
     raw = corpus.load_labeled_file(args.dataset)
     dataset = corpus.encode_dataset(raw, emb.vocabulary, user_dict)
-    x, mask, y = expansion.embed_dataset(dataset, emb, args.max_len)
+    x, mask, y = expansion.embed_dataset(dataset, emb, max_len)
     return dataset, x, mask, y
 
 
 def cmd_train(args) -> int:
-    dataset, x, mask, y = _embedded_dataset(args, args.vectors)
-    arch = {"kind": args.model, "input_width": x.shape[2], "num_classes": dataset.num_classes}
-    model = build_model(vars(args) | arch, args.seed)
-    config = TrainConfig(
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        seed=args.seed,
-    )
+    shape = ClassifierConfig(**_given(args, ClassifierConfig))
+    config = TrainConfig(**_given(args, TrainConfig))
+    dataset, x, mask, y = _embedded_dataset(args, shape.max_len)
+    arch = {"kind": shape.model, "input_width": x.shape[2], "num_classes": dataset.num_classes}
+    model = build_model(dataclasses.asdict(shape) | arch, config.seed)
     log = train_classifier(model, x, mask, y, config)
     save_model(model, args.output)
     print(
@@ -138,10 +126,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    max_len = ClassifierConfig(**_given(args, ClassifierConfig)).max_len
     model = load_model(args.model_file)
-    if hasattr(model, "max_len"):
-        args.max_len = model.max_len
-    dataset, x, mask, y = _embedded_dataset(args, args.vectors)
+    dataset, x, mask, y = _embedded_dataset(args, getattr(model, "max_len", max_len))
     if x.shape[2] != model.input_width:
         raise DataFormatError(
             f"{args.vectors}: vectors have width {x.shape[2]}, "
@@ -158,12 +145,7 @@ def cmd_evaluate(args) -> int:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    overrides = {}
-    for f in dataclasses.fields(ExperimentConfig):
-        raw = getattr(args, f.name, None)
-        if raw is not None:
-            overrides[f.name] = coerce_value(f.name, raw)
-    return load_config(args.config, overrides)
+    return load_config(args.config, _given(args, ExperimentConfig))
 
 
 def cmd_run(args) -> int:
@@ -192,15 +174,30 @@ def _add_dictionary_flag(parser) -> None:
     parser.add_argument("--dictionary", help="user dictionary file, one term per line")
 
 
+def _add_field_flags(parser, config, names=None) -> None:
+    """One --flag per field of dataclass ``config`` (or per field in ``names``),
+    typed like the field; an absent flag parses to None, so the default applies."""
+    for f in dataclasses.fields(config):
+        if names is not None and f.name not in names:
+            continue
+        convert = functools.partial(coerce_value, f.name, config=config)
+        extra = {"help": f"default: {f.default}"} if f.default != "" else {}
+        if isinstance(f.default, bool):
+            extra |= {"nargs": "?", "const": "true", "metavar": "BOOL"}
+        else:
+            extra["metavar"] = f.name.upper()
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=convert, **extra)
+
+
+def _given(args, config) -> dict:
+    """The fields of dataclass ``config`` that were set by a flag."""
+    values = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(config)}
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _add_config_overrides(parser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
-    group = parser.add_argument_group("config overrides")
-    for f in dataclasses.fields(ExperimentConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if f.type in (bool, "bool"):
-            group.add_argument(flag, nargs="?", const="true", metavar="BOOL", dest=f.name)
-        else:
-            group.add_argument(flag, metavar=f.name.upper(), dest=f.name)
+    _add_field_flags(parser.add_argument_group("config overrides"), ExperimentConfig)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,19 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("--output", required=True)
     _add_dictionary_flag(p)
-    p.add_argument("--min-count", type=int, default=1)
-    p.add_argument("--window", type=int, default=2)
-    p.add_argument("--dim", type=int, default=50)
-    p.add_argument("--epochs", type=int, default=15)
-    p.add_argument("--learning-rate", type=float, default=0.025)
-    p.add_argument("--final-learning-rate", type=float, default=0.0001)
-    p.add_argument(
-        "--mode",
-        choices=(embedding.MODE_EXACT, embedding.MODE_NEGATIVE),
-        default=embedding.MODE_EXACT,
-    )
-    p.add_argument("--negative-samples", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    _add_field_flags(p, embedding.SkipGramConfig)
     p.add_argument("--track-objective", action="store_true")
     p.set_defaults(func=cmd_train_embeddings)
 
@@ -266,19 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("dataset")
         p.add_argument("--vectors", required=True, help="word or expanded vector file")
         _add_dictionary_flag(p)
-        p.add_argument("--max-len", type=int, default=20)
         if name == "train":
             p.add_argument("--output", required=True)
-            p.add_argument("--model", choices=("cnn", "lstm"), default="lstm")
-            p.add_argument("--hidden", type=int, default=300)
-            p.add_argument("--kernels", type=int, default=64)
-            p.add_argument("--kernel-width", type=int, default=5)
-            p.add_argument("--pool-width", type=int, default=2)
-            p.add_argument("--batch-size", type=int, default=128)
-            p.add_argument("--epochs", type=int, default=10)
-            p.add_argument("--learning-rate", type=float, default=0.01)
-            p.add_argument("--seed", type=int, default=0)
+            _add_field_flags(p, ClassifierConfig)
+            _add_field_flags(p, TrainConfig)
         else:
+            _add_field_flags(p, ClassifierConfig, names=("max_len",))
             p.add_argument("--model-file", required=True)
         p.set_defaults(func=handler)
 

@@ -3,19 +3,41 @@
 Every field of ExperimentConfig is a scalar so the whole config can be read
 from and written back to `key = value` lines; the written snapshot reproduces
 the run exactly. Blank lines and `#` comments are ignored.
+
+The stage configs (SkipGramConfig, ClassifierConfig, TrainConfig) own each stage
+setting's default and range check; ExperimentConfig reuses both.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import embedding
-from .errors import ConfigError
+from .embedding import SkipGramConfig
+from .errors import ConfigError, check_range
+from .nn import ClassifierConfig, TrainConfig
 
-MODEL_KINDS = ("cnn", "lstm")
+logger = logging.getLogger(__name__)
+
+# Keys that config files and overrides may still name; they are skipped with a
+# warning, so snapshots written before their retirement still load.
+RETIRED_KEYS = ("synonyms",)
+
+# The ExperimentConfig key of each stage-config field whose name differs; the
+# same map builds the stage config and names the key in its errors.
+STAGE_KEYS = {
+    SkipGramConfig: {
+        "epochs": "embed_epochs",
+        "learning_rate": "embed_learning_rate",
+        "final_learning_rate": "embed_final_learning_rate",
+        "mode": "embed_mode",
+    },
+    ClassifierConfig: {},
+    TrainConfig: {"epochs": "train_epochs"},
+}
 
 
 @dataclass
@@ -24,19 +46,18 @@ class ExperimentConfig:
     corpus: str = ""
     dataset: str = ""
     dictionary: str = ""
-    synonyms: str = ""
     output_dir: str = "runs/out"
     embeddings: str = ""  # load pre-trained vectors instead of training
 
     # vocabulary and skip-gram settings
-    min_count: int = 1
-    window: int = 2
-    dim: int = 50
-    embed_epochs: int = 15
-    embed_learning_rate: float = 0.025
-    embed_final_learning_rate: float = 0.0001
-    embed_mode: str = embedding.MODE_EXACT
-    negative_samples: int = 5
+    min_count: int = SkipGramConfig.min_count
+    window: int = SkipGramConfig.window
+    dim: int = SkipGramConfig.dim
+    embed_epochs: int = SkipGramConfig.epochs
+    embed_learning_rate: float = SkipGramConfig.learning_rate
+    embed_final_learning_rate: float = SkipGramConfig.final_learning_rate
+    embed_mode: str = SkipGramConfig.mode
+    negative_samples: int = SkipGramConfig.negative_samples
 
     # cluster count: a single k, or a log-spaced grid of k_steps values
     k: int = 0
@@ -45,17 +66,17 @@ class ExperimentConfig:
     k_steps: int = 10
 
     # classifier architecture
-    model: str = "lstm"
-    hidden: int = 300
-    kernels: int = 64
-    kernel_width: int = 5
-    pool_width: int = 2
-    max_len: int = 20
+    model: str = ClassifierConfig.model
+    hidden: int = ClassifierConfig.hidden
+    kernels: int = ClassifierConfig.kernels
+    kernel_width: int = ClassifierConfig.kernel_width
+    pool_width: int = ClassifierConfig.pool_width
+    max_len: int = ClassifierConfig.max_len
 
     # classifier training
-    batch_size: int = 128
-    train_epochs: int = 10
-    learning_rate: float = 0.01
+    batch_size: int = TrainConfig.batch_size
+    train_epochs: int = TrainConfig.epochs
+    learning_rate: float = TrainConfig.learning_rate
 
     # split protocol
     train_fraction: float = 0.8
@@ -66,39 +87,22 @@ class ExperimentConfig:
     no_expansion: bool = False
 
     def __post_init__(self):
+        for name in ("train_fraction", "validation_fraction", "test_fraction"):
+            check_range(name, getattr(self, name), 0, 1, low_open=True)
         fractions = (self.train_fraction, self.validation_fraction, self.test_fraction)
-        if any(f <= 0 for f in fractions):
-            raise ConfigError(f"split fractions must all be positive, got {fractions}")
         if abs(sum(fractions) - 1.0) > 1e-9:
             raise ConfigError(f"split fractions must sum to 1, got {sum(fractions)!r}")
-        if self.model not in MODEL_KINDS:
-            raise ConfigError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
-        if self.embed_mode not in (embedding.MODE_EXACT, embedding.MODE_NEGATIVE):
-            raise ConfigError(f"unknown embed_mode {self.embed_mode!r}")
-        if self.k < 0 or self.k_min < 0 or self.k_max < 0:
-            raise ConfigError("cluster counts cannot be negative")
+        for name in ("k", "k_min", "k_max"):
+            check_range(name, getattr(self, name), 0)
         if self.k == 0:
             if self.k_min == 0 or self.k_max == 0:
                 raise ConfigError("set k, or both k_min and k_max for a grid")
-            if not 1 <= self.k_min <= self.k_max:
+            if self.k_min > self.k_max:
                 raise ConfigError(f"need 1 <= k_min <= k_max, got {self.k_min}..{self.k_max}")
-            if self.k_steps < 1:
-                raise ConfigError("k_steps must be >= 1")
-        for name in (
-            "min_count", "window", "dim", "embed_epochs", "negative_samples",
-            "hidden", "kernels", "kernel_width", "pool_width", "max_len",
-            "batch_size", "train_epochs",
-        ):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        for name in ("embed_learning_rate", "learning_rate"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if not 0 <= self.embed_final_learning_rate <= self.embed_learning_rate:
-            raise ConfigError(
-                "embed_final_learning_rate must lie in [0, embed_learning_rate], "
-                f"got {self.embed_final_learning_rate!r}"
-            )
+        check_range("k_steps", self.k_steps, 1)
+        self.skipgram_config()
+        self._stage_config(ClassifierConfig)
+        self.train_config(self.seed)
 
     def uses_grid(self) -> bool:
         return self.k == 0
@@ -115,58 +119,62 @@ class ExperimentConfig:
         grid = sorted({int(round(v)) for v in values})
         return [k for k in grid if self.k_min <= k <= self.k_max]
 
-    def skipgram_config(self) -> embedding.SkipGramConfig:
-        return embedding.SkipGramConfig(
-            window=self.window,
-            dim=self.dim,
-            epochs=self.embed_epochs,
-            learning_rate=self.embed_learning_rate,
-            final_learning_rate=self.embed_final_learning_rate,
-            seed=self.seed,
-            mode=self.embed_mode,
-            negative_samples=self.negative_samples,
-        )
+    def _stage_config(self, stage, **fixed):
+        keys = STAGE_KEYS[stage]
+        values = {f.name: getattr(self, keys.get(f.name, f.name)) for f in dataclasses.fields(stage)}
+        try:
+            return stage(**(values | fixed))
+        except ConfigError as exc:
+            raise ConfigError(exc.reason, keys.get(exc.key, exc.key)) from None
+
+    def skipgram_config(self) -> SkipGramConfig:
+        return self._stage_config(SkipGramConfig)
+
+    def train_config(self, seed: int) -> TrainConfig:
+        return self._stage_config(TrainConfig, seed=seed)
 
     def snapshot_lines(self) -> list:
         return [f"{f.name} = {getattr(self, f.name)}" for f in dataclasses.fields(self)]
 
 
-def _convert(name: str, kind, raw: str):
-    if kind is bool:
-        lowered = raw.strip().lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
-    try:
-        return kind(raw.strip())
-    except ValueError:
-        raise ConfigError(f"{name}: expected {kind.__name__}, got {raw!r}") from None
+def coerce_value(key: str, raw, config=ExperimentConfig):
+    """Convert a raw value to the type of field ``key`` of dataclass ``config``.
 
-
-def _field_types() -> dict:
-    return {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
-
-
-_PY_TYPES = {"int": int, "float": float, "str": str, "bool": bool}
-
-
-def coerce_value(key: str, raw: str):
-    """Convert one raw override string to the config field's type."""
-    types = _field_types()
-    if key not in types:
+    ``raw`` is a string, or a value whose ``str()`` reads back as one.
+    """
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(config)}
+    if key not in kinds:
         raise ConfigError(f"unknown config key {key!r}")
-    kind = types[key]
-    if isinstance(kind, str):
-        kind = _PY_TYPES[kind]
-    return _convert(key, kind, raw)
+    kind, text = kinds[key], str(raw).strip()
+    if kind is bool:
+        if text.lower() in ("true", "1", "yes"):
+            return True
+        if text.lower() in ("false", "0", "no"):
+            return False
+        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {raw!r}") from None
+
+
+def _coerce_all(items) -> dict:
+    """Coerce (key, raw, where) triples; a retired key is skipped with a warning."""
+    values: dict = {}
+    for key, raw, where in items:
+        if key in RETIRED_KEYS:
+            logger.warning("%s: ignoring retired config key %r", where, key)
+            continue
+        try:
+            values[key] = coerce_value(key, raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    return values
 
 
 def parse_config_lines(lines, source: str = "<config>") -> dict:
     """Parse `key = value` lines into a typed mapping."""
-    types = _field_types()
-    values: dict = {}
+    items = []
     for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -174,14 +182,8 @@ def parse_config_lines(lines, source: str = "<config>") -> dict:
         if "=" not in stripped:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in types:
-            raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
-        kind = types[key]
-        if isinstance(kind, str):
-            kind = _PY_TYPES[kind]
-        values[key] = _convert(key, kind, raw)
-    return values
+        items.append((key.strip(), raw, f"{source}:{lineno}"))
+    return _coerce_all(items)
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
@@ -194,9 +196,5 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
     if overrides:
-        types = _field_types()
-        for key, value in overrides.items():
-            if key not in types:
-                raise ConfigError(f"unknown config key {key!r}")
-            values[key] = value
+        values.update(_coerce_all((k, v, "override") for k, v in overrides.items()))
     return ExperimentConfig(**values)

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 from .errors import DataFormatError, EmptyVocabularyError
 
+MIN_COUNT = 1  # default vocabulary cutoff; SkipGramConfig.min_count holds its check
+
 logger = logging.getLogger(__name__)
 
 # Word characters clump together; every other non-space character stands alone.
@@ -175,10 +177,8 @@ def tokenize(text: str, user_dict: UserDictionary | None = None) -> list[str]:
     return out
 
 
-def build_vocabulary(sentences, min_count: int = 1) -> Vocabulary:
+def build_vocabulary(sentences, min_count: int = MIN_COUNT) -> Vocabulary:
     """Count tokens over sentences and keep those with count >= min_count."""
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
     counts = Counter()
     for sent in sentences:
         counts.update(sent)

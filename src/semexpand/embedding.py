@@ -19,8 +19,8 @@ from itertools import chain
 
 import numpy as np
 
-from .corpus import TokenizedCorpus, Vocabulary
-from .errors import DataFormatError, NumericError
+from .corpus import MIN_COUNT, TokenizedCorpus, Vocabulary
+from .errors import ConfigError, DataFormatError, NumericError, check_range
 
 logger = logging.getLogger(__name__)
 
@@ -35,6 +35,8 @@ PAIR_BLOCK = 256
 
 @dataclass
 class SkipGramConfig:
+    """Skip-gram settings; ``min_count`` applies when the vocabulary is built."""
+
     window: int = 2
     dim: int = 50
     epochs: int = 15
@@ -43,20 +45,16 @@ class SkipGramConfig:
     seed: int = 0
     mode: str = MODE_EXACT
     negative_samples: int = 5
+    min_count: int = MIN_COUNT
 
     def __post_init__(self):
-        if self.window < 1 or self.dim < 1 or self.epochs < 1:
-            raise ValueError("window, dim and epochs must all be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.final_learning_rate < 0:
-            raise ValueError("final_learning_rate must be >= 0")
-        if self.final_learning_rate > self.learning_rate:
-            raise ValueError("final_learning_rate must not exceed learning_rate")
+        for key in ("window", "dim", "epochs", "negative_samples", "min_count"):
+            check_range(key, getattr(self, key), 1)
+        check_range("learning_rate", self.learning_rate, 0, low_open=True)
+        check_range("final_learning_rate", self.final_learning_rate, 0, self.learning_rate)
+        check_range("seed", self.seed, 0)
         if self.mode not in (MODE_EXACT, MODE_NEGATIVE):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == MODE_NEGATIVE and self.negative_samples < 1:
-            raise ValueError("negative-sampling mode needs negative_samples >= 1")
+            raise ConfigError(f"must be {MODE_EXACT} or {MODE_NEGATIVE}, got {self.mode!r}", "mode")
 
 
 @dataclass

@@ -3,6 +3,7 @@
 from . import layers
 from .models import (
     CHECKPOINT_TAG,
+    ClassifierConfig,
     CnnClassifier,
     LstmClassifier,
     build_model,
@@ -14,6 +15,7 @@ from .training import EvalResult, TrainConfig, TrainLog, evaluate, gradient_chec
 
 __all__ = [
     "CHECKPOINT_TAG",
+    "ClassifierConfig",
     "CnnClassifier",
     "layers",
     "LstmClassifier",

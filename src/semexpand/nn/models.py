@@ -10,15 +10,50 @@ hidden states over valid positions and classifies the pooled state.
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DataFormatError
+from ..errors import ConfigError, DataFormatError, check_range
 from . import layers
 
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_TAG = "semexpand-model v1"
+MODEL_KINDS = ("cnn", "lstm")
+
+
+def cnn_output_lengths(max_len: int, kernel_width: int, pool_width: int):
+    """Sequence lengths after each conv/pool stage."""
+    conv1 = max_len - kernel_width + 1
+    pool1 = conv1 // pool_width
+    conv2 = pool1 - kernel_width + 1
+    pool2 = conv2 // pool_width if conv2 >= 1 else 0
+    return conv1, pool1, conv2, pool2
+
+
+@dataclass
+class ClassifierConfig:
+    """Classifier kind and sizes; ``max_len`` is the padded input length."""
+
+    model: str = "lstm"
+    hidden: int = 300
+    kernels: int = 64
+    kernel_width: int = 5
+    pool_width: int = 2
+    max_len: int = 20
+
+    def __post_init__(self):
+        if self.model not in MODEL_KINDS:
+            raise ConfigError(f"must be one of {MODEL_KINDS}, got {self.model!r}", "model")
+        for key in ("hidden", "kernels", "kernel_width", "pool_width", "max_len"):
+            check_range(key, getattr(self, key), 1)
+        lengths = cnn_output_lengths(self.max_len, self.kernel_width, self.pool_width)
+        if self.model == "cnn" and min(lengths) < 1:
+            raise ConfigError(
+                f"max_len={self.max_len} too short for kernel_width={self.kernel_width}, "
+                f"pool_width={self.pool_width}: stage lengths {lengths} must all be >= 1"
+            )
 
 
 class _Classifier:
@@ -26,11 +61,22 @@ class _Classifier:
 
     kind: str = ""
 
-    def __init__(self):
+    def __init__(self, input_width: int, num_classes: int, **sizes):
+        """Check the kind's sizes with ClassifierConfig and keep each as an attribute."""
+        ClassifierConfig(model=self.kind, **sizes)
+        if num_classes < 2:
+            raise ConfigError("num_classes must be >= 2")
+        self.input_width = input_width
+        self.num_classes = num_classes
+        self.sizes = sizes
+        for name, value in sizes.items():
+            setattr(self, name, value)
         self.params: dict[str, np.ndarray] = {}
 
     def arch(self) -> dict:
-        raise NotImplementedError
+        """The descriptor build_model takes, in checkpoint order."""
+        head = {"kind": self.kind, "input_width": self.input_width, "num_classes": self.num_classes}
+        return head | self.sizes
 
     def forward(self, x, mask=None):
         raise NotImplementedError
@@ -58,15 +104,6 @@ class _Classifier:
             self.params[name] -= learning_rate * g
 
 
-def cnn_output_lengths(max_len: int, kernel_width: int, pool_width: int):
-    """Sequence lengths after each conv/pool stage."""
-    conv1 = max_len - kernel_width + 1
-    pool1 = conv1 // pool_width
-    conv2 = pool1 - kernel_width + 1
-    pool2 = conv2 // pool_width if conv2 >= 1 else 0
-    return conv1, pool1, conv2, pool2
-
-
 class CnnClassifier(_Classifier):
     kind = "cnn"
 
@@ -74,28 +111,17 @@ class CnnClassifier(_Classifier):
         self,
         input_width: int,
         num_classes: int,
-        max_len: int = 20,
-        kernels: int = 64,
-        kernel_width: int = 5,
-        pool_width: int = 2,
+        max_len: int = ClassifierConfig.max_len,
+        kernels: int = ClassifierConfig.kernels,
+        kernel_width: int = ClassifierConfig.kernel_width,
+        pool_width: int = ClassifierConfig.pool_width,
         seed: int = 0,
     ):
-        super().__init__()
-        if num_classes < 2:
-            raise ConfigError("num_classes must be >= 2")
-        lengths = cnn_output_lengths(max_len, kernel_width, pool_width)
-        if min(lengths) < 1:
-            raise ConfigError(
-                f"max_len={max_len} too short for kernel_width={kernel_width}, "
-                f"pool_width={pool_width}: stage lengths {lengths} must all be >= 1"
-            )
-        self.input_width = input_width
-        self.num_classes = num_classes
-        self.max_len = max_len
-        self.kernels = kernels
-        self.kernel_width = kernel_width
-        self.pool_width = pool_width
-        self.flat_width = lengths[3] * kernels
+        super().__init__(
+            input_width, num_classes,
+            max_len=max_len, kernels=kernels, kernel_width=kernel_width, pool_width=pool_width,
+        )
+        self.flat_width = cnn_output_lengths(max_len, kernel_width, pool_width)[3] * kernels
         rng = np.random.default_rng(seed)
         kw = kernel_width
         self.params = {
@@ -105,17 +131,6 @@ class CnnClassifier(_Classifier):
             "conv2_b": np.zeros(kernels),
             "fc_w": layers.glorot_uniform(rng, self.flat_width, num_classes, (self.flat_width, num_classes)),
             "fc_b": np.zeros(num_classes),
-        }
-
-    def arch(self) -> dict:
-        return {
-            "kind": self.kind,
-            "input_width": self.input_width,
-            "num_classes": self.num_classes,
-            "max_len": self.max_len,
-            "kernels": self.kernels,
-            "kernel_width": self.kernel_width,
-            "pool_width": self.pool_width,
         }
 
     def _forward_cache(self, x):
@@ -171,15 +186,10 @@ class CnnClassifier(_Classifier):
 class LstmClassifier(_Classifier):
     kind = "lstm"
 
-    def __init__(self, input_width: int, num_classes: int, hidden: int = 300, seed: int = 0):
-        super().__init__()
-        if num_classes < 2:
-            raise ConfigError("num_classes must be >= 2")
-        if hidden < 1:
-            raise ConfigError("hidden must be >= 1")
-        self.input_width = input_width
-        self.num_classes = num_classes
-        self.hidden = hidden
+    def __init__(
+        self, input_width: int, num_classes: int, hidden: int = ClassifierConfig.hidden, seed: int = 0
+    ):
+        super().__init__(input_width, num_classes, hidden=hidden)
         rng = np.random.default_rng(seed)
         gate_b = np.zeros(4 * hidden)
         gate_b[hidden : 2 * hidden] = 1.0  # forget-gate bias
@@ -192,14 +202,6 @@ class LstmClassifier(_Classifier):
             "fc_b": np.zeros(num_classes),
         }
         self._workspace = layers.LstmWorkspace()
-
-    def arch(self) -> dict:
-        return {
-            "kind": self.kind,
-            "input_width": self.input_width,
-            "num_classes": self.num_classes,
-            "hidden": self.hidden,
-        }
 
     def _valid_prefix(self, x, mask):
         """x and mask cut after the last column that any row's mask marks valid.
@@ -322,6 +324,8 @@ def load_model(path) -> _Classifier:
             raise DataFormatError(
                 f"{path}:{i + 2}: param {name!r} has {values.size} values, expected {size}"
             )
+        if not np.isfinite(values).all():
+            raise DataFormatError(f"{path}:{i + 2}: param {name!r} has non-finite values")
         raw_params[name] = values
         i += 2
     try:

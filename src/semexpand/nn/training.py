@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, NumericError
+from ..errors import ConfigError, NumericError, check_range
 
 logger = logging.getLogger(__name__)
 
@@ -22,12 +22,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        check_range("batch_size", self.batch_size, 1)
+        check_range("epochs", self.epochs, 1)
+        check_range("learning_rate", self.learning_rate, 0, low_open=True)
+        check_range("seed", self.seed, 0)
 
 
 @dataclass

@@ -21,7 +21,7 @@ import numpy as np
 from . import clustering, corpus, embedding, expansion
 from .config import ExperimentConfig
 from .errors import ConfigError, DataFormatError, SemexpandError
-from .nn import TrainConfig, build_model, evaluate, save_model, train_classifier
+from .nn import build_model, evaluate, save_model, train_classifier
 
 logger = logging.getLogger(__name__)
 
@@ -171,18 +171,7 @@ def _fit(cfg, source, train_ds, seed):
     x, m, y = expansion.embed_dataset(train_ds, source, cfg.max_len)
     arch = {"kind": cfg.model, "input_width": x.shape[2], "num_classes": train_ds.num_classes}
     model = build_model(dataclasses.asdict(cfg) | arch, seed)
-    log = train_classifier(
-        model,
-        x,
-        m,
-        y,
-        TrainConfig(
-            batch_size=cfg.batch_size,
-            epochs=cfg.train_epochs,
-            learning_rate=cfg.learning_rate,
-            seed=seed,
-        ),
-    )
+    log = train_classifier(model, x, m, y, cfg.train_config(seed))
     return model, log
 
 

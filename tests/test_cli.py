@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import shutil
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from semexpand import cli
+from semexpand.config import ExperimentConfig
 from semexpand.embedding import read_vector_file
 from semexpand.pipeline import ARTIFACT_NAMES, load_report
 
@@ -301,6 +303,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "narrow.txt" in err and "width 3" in err and "expects 4" in err
 
+    def test_non_finite_checkpoint_is_two(self, tiny, tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        assert run_cli(
+            "train-embeddings", tiny["corpus"], "--output", vectors, "--dim", 4, "--epochs", 1
+        ) == 0
+        model = tmp_path / "model.txt"
+        assert run_cli(
+            "train", tiny["dataset"], "--vectors", vectors, "--output", model,
+            "--hidden", 3, "--epochs", 1,
+        ) == 0
+        lines = model.read_text().splitlines()
+        values = 1 + next(i for i, line in enumerate(lines) if line.startswith("param gate_w"))
+        lines[values] = " ".join(["nan"] + lines[values].split()[1:])
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run_cli("evaluate", tiny["dataset"], "--vectors", vectors, "--model-file", model)
+        assert code == 2
+        assert f"model.txt:{values + 1}: param 'gate_w' has non-finite values" in (
+            capsys.readouterr().err
+        )
+
     def test_numeric_failure_is_three(self, tiny, tmp_path, capsys):
         with np.errstate(all="ignore"):
             code = run_cli(
@@ -368,3 +391,101 @@ class TestInstalledEntryPoints:
         )
         assert result.returncode == 0
         assert result.stdout.strip()
+
+
+# Every numeric flag of every subcommand, with the values its range forbids.
+# run and grid-search read the toy config, which sets no grid, so --k 0 fails too.
+POSITIVE = ("0", "-1", "nan", "inf")
+NON_NEGATIVE = ("-1", "nan", "inf")
+_RUN_FLAGS = {
+    **dict.fromkeys(
+        (
+            "--min-count", "--window", "--dim", "--embed-epochs", "--embed-learning-rate",
+            "--negative-samples", "--k", "--k-steps", "--hidden", "--kernels",
+            "--kernel-width", "--pool-width", "--max-len", "--batch-size", "--train-epochs",
+            "--learning-rate", "--train-fraction", "--validation-fraction", "--test-fraction",
+        ),
+        POSITIVE,
+    ),
+    **dict.fromkeys(("--embed-final-learning-rate", "--k-min", "--k-max", "--seed"), NON_NEGATIVE),
+}
+NUMERIC_FLAGS = {
+    "augment": {"--max-new": NON_NEGATIVE},
+    "train-embeddings": {
+        **dict.fromkeys(
+            (
+                "--min-count", "--window", "--dim", "--epochs", "--learning-rate",
+                "--negative-samples",
+            ),
+            POSITIVE,
+        ),
+        **dict.fromkeys(("--final-learning-rate", "--seed"), NON_NEGATIVE),
+    },
+    "cluster": {"--k": POSITIVE + ("500",)},
+    "train": {
+        **dict.fromkeys(
+            (
+                "--max-len", "--hidden", "--kernels", "--kernel-width", "--pool-width",
+                "--batch-size", "--epochs", "--learning-rate",
+            ),
+            POSITIVE,
+        ),
+        "--seed": NON_NEGATIVE,
+    },
+    "evaluate": {"--max-len": POSITIVE},
+    "run": _RUN_FLAGS,
+    "grid-search": _RUN_FLAGS,
+}
+BAD_FLAG_CASES = [
+    (command, flag, value)
+    for command, flags in NUMERIC_FLAGS.items()
+    for flag, values in flags.items()
+    for value in values
+]
+
+
+def test_every_numeric_config_key_has_flag_cases():
+    numeric = {
+        "--" + f.name.replace("_", "-")
+        for f in dataclasses.fields(ExperimentConfig)
+        if isinstance(f.default, (int, float)) and not isinstance(f.default, bool)
+    }
+    assert set(_RUN_FLAGS) == numeric
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(tmp_path_factory):
+    """A vector file (129 toy words) and an LSTM checkpoint trained on it."""
+    base = tmp_path_factory.mktemp("stage-inputs")
+    vectors, model = base / "vectors.txt", base / "model.txt"
+    assert cli.main([
+        "train-embeddings", str(DATA / "corpus.txt"), "--output", str(vectors),
+        "--dim", "4", "--epochs", "1",
+    ]) == 0
+    assert cli.main([
+        "train", str(DATA / "dataset.tsv"), "--vectors", str(vectors), "--output", str(model),
+        "--hidden", "3", "--epochs", "1",
+    ]) == 0
+    return vectors, model
+
+
+@pytest.mark.parametrize(("command", "flag", "value"), BAD_FLAG_CASES)
+def test_out_of_range_flag_is_one(command, flag, value, stage_inputs, tmp_path, capsys):
+    vectors, model = stage_inputs
+    output = tmp_path / "output"
+    argv = {
+        "augment": [DATA / "dataset.tsv", DATA / "synonyms.tsv", "--output", output],
+        "train-embeddings": [DATA / "corpus.txt", "--output", output],
+        "cluster": [vectors, "--output", output],
+        "train": [DATA / "dataset.tsv", "--vectors", vectors, "--output", output],
+        "evaluate": [DATA / "dataset.tsv", "--vectors", vectors, "--model-file", model],
+        "run": ["--config", DATA / "config.txt", "--output-dir", output],
+        "grid-search": ["--config", DATA / "config.txt", "--output-dir", output],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(command, *argv, f"{flag}={value}") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:"), err
+    assert flag in err or flag[2:].replace("-", "_") in err, err
+    assert "Traceback" not in err
+    assert not output.exists()

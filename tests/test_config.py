@@ -1,6 +1,12 @@
+import dataclasses
+import logging
+import math
+
 import pytest
+from hypothesis import given, strategies as st
 
 from semexpand.config import (
+    STAGE_KEYS,
     ExperimentConfig,
     coerce_value,
     load_config,
@@ -8,6 +14,8 @@ from semexpand.config import (
 )
 from semexpand.embedding import MODE_NEGATIVE
 from semexpand.errors import ConfigError
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig) if f.type in (float, "float")]
 
 
 def make_config(**kwargs):
@@ -74,6 +82,45 @@ class TestValidation:
         for value in (0.0, 0.1):
             cfg = make_config(embed_learning_rate=0.1, embed_final_learning_rate=value)
             assert cfg.skipgram_config().final_learning_rate == value
+
+
+    def test_non_finite_values_rejected_naming_the_key(self):
+        names = FLOAT_FIELDS + ["window", "hidden", "k", "seed"]
+        for name in names:
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ConfigError, match=f"^{name} must be a finite number"):
+                    make_config(**{name: value})
+
+    def test_stage_errors_name_the_experiment_key(self):
+        for key, value in (("embed_epochs", 0), ("train_epochs", 0), ("embed_mode", "glove")):
+            with pytest.raises(ConfigError, match=f"^{key} "):
+                make_config(**{key: value})
+
+    def test_negative_samples_checked_in_every_mode(self):
+        with pytest.raises(ConfigError, match="negative_samples"):
+            make_config(negative_samples=0)
+
+    def test_cnn_stage_lengths_checked_before_any_stage(self):
+        with pytest.raises(ConfigError, match="too short"):
+            make_config(model="cnn", max_len=8, kernel_width=3, pool_width=2)
+
+    def test_defaults_come_from_the_stage_configs(self):
+        cfg = make_config()
+        for stage, renamed in STAGE_KEYS.items():
+            for f in dataclasses.fields(stage):
+                if f.name != "seed":
+                    assert getattr(cfg, renamed.get(f.name, f.name)) == f.default, f.name
+
+    @given(
+        name=st.sampled_from(FLOAT_FIELDS),
+        value=st.floats(allow_nan=True, allow_infinity=True),
+    )
+    def test_any_float_is_accepted_finite_or_rejected_as_config_error(self, name, value):
+        try:
+            cfg = make_config(**{name: value})
+        except ConfigError:
+            return
+        assert math.isfinite(value) and getattr(cfg, name) == value
 
 
 class TestGridValues:
@@ -155,6 +202,23 @@ class TestLoadConfig:
     def test_unknown_override_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             load_config(None, overrides={"k": 4, "mystery": 1})
+
+    def test_retired_synonyms_key_skipped_with_one_warning(self, tmp_path, caplog):
+        path = tmp_path / "config.txt"
+        path.write_text("k = 4\nsynonyms = data/toy/synonyms.tsv\n")
+        for source, overrides in ((path, None), (None, {"k": 4, "synonyms": "syn.tsv"})):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="semexpand.config"):
+                cfg = load_config(source, overrides)
+            assert cfg.k == 4 and not hasattr(cfg, "synonyms")
+            assert len(caplog.records) == 1
+            assert "retired config key 'synonyms'" in caplog.records[0].getMessage()
+
+    def test_override_values_are_converted_and_checked(self):
+        cfg = load_config(None, {"k": "4", "learning_rate": 1, "no_expansion": "yes"})
+        assert (cfg.k, cfg.learning_rate, cfg.no_expansion) == (4, 1.0, True)
+        with pytest.raises(ConfigError, match="k: expected int"):
+            load_config(None, {"k": 4.5})
 
     def test_snapshot_round_trip(self):
         cfg = make_config(model="cnn", dim=12, learning_rate=0.125, no_expansion=True, seed=3)

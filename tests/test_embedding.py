@@ -24,7 +24,7 @@ from semexpand.embedding import (
     train_skipgram,
     write_vector_file,
 )
-from semexpand.errors import DataFormatError, NumericError
+from semexpand.errors import ConfigError, DataFormatError, NumericError
 
 
 def make_embedding(words, inp, out):
@@ -405,25 +405,25 @@ class TestBlockedTrainingParity:
 class TestSkipGramConfigValidation:
     def test_rejects_bad_sizes(self):
         for kwargs in ({"window": 0}, {"dim": 0}, {"epochs": 0}):
-            with pytest.raises(ValueError):
+            with pytest.raises(ConfigError):
                 SkipGramConfig(**kwargs)
 
     def test_rejects_bad_learning_rates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SkipGramConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SkipGramConfig(learning_rate=0.01, final_learning_rate=0.02)
         for final in (-1e-6, -5.0):
-            with pytest.raises(ValueError, match="final_learning_rate"):
+            with pytest.raises(ConfigError, match="final_learning_rate"):
                 SkipGramConfig(learning_rate=0.01, final_learning_rate=final)
         assert SkipGramConfig(learning_rate=0.01, final_learning_rate=0.0).final_learning_rate == 0
 
     def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SkipGramConfig(mode="hierarchical")
 
     def test_rejects_bad_negative_sample_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             SkipGramConfig(mode=MODE_NEGATIVE, negative_samples=0)
 
 

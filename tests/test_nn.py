@@ -561,12 +561,21 @@ class TestCheckpoints:
 
         hidden_line = lines.index("hidden 2")
         fc_b_line = lines.index("param fc_b 2")
+        gate_w_values = lines[param_line + 1].split()
         for index, replacement, message in [
             (hidden_line, "hidden three", f":{hidden_line + 1}: hidden"),
             (hidden_line, None, "missing architecture key 'hidden'"),
             (fc_b_line, "param fc_b two", f":{fc_b_line + 1}:"),
             (hidden_line, "hidden 0", "hidden must be >= 1"),
             (lines.index("kind lstm"), "kind transformer", "transformer"),
+            *[
+                (
+                    param_line + 1,
+                    " ".join(gate_w_values[:-1] + [value]),
+                    f":{param_line + 2}: param 'gate_w' has non-finite values",
+                )
+                for value in ("nan", "inf", "-inf")
+            ],
         ]:
             bad = list(lines)
             if replacement is None:
