@@ -10,7 +10,6 @@ cluster count.
 from .clustering import (
     ClusterAssignment,
     Dendrogram,
-    average_linkage,
     build_dendrogram,
     compute_centroids,
     cut_dendrogram,
@@ -36,7 +35,6 @@ from .embedding import (
     corpus_objective,
     load_embeddings,
     save_embeddings,
-    softmax_probability,
     train_skipgram,
 )
 from .errors import (
@@ -46,7 +44,7 @@ from .errors import (
     NumericError,
     SemexpandError,
 )
-from .expansion import WordClusterMatrix, embed_dataset, expand
+from .expansion import embed_dataset, expand
 from .pipeline import (
     ExperimentReport,
     compare_runs,
@@ -74,9 +72,7 @@ __all__ = [
     "TokenizedCorpus",
     "UserDictionary",
     "Vocabulary",
-    "WordClusterMatrix",
     "augment_with_synonyms",
-    "average_linkage",
     "build_dendrogram",
     "build_vocabulary",
     "compare_runs",
@@ -94,7 +90,6 @@ __all__ = [
     "pair_similarity",
     "run_pipeline",
     "save_embeddings",
-    "softmax_probability",
     "split_dataset",
     "tokenize",
     "train_skipgram",

@@ -96,8 +96,8 @@ def cmd_expand(args) -> int:
     emb = embedding.load_embeddings(args.embeddings)
     assignment = clustering.load_assignment(args.assignment, vocabulary=emb.vocabulary)
     expanded = expansion.expand(emb, assignment)
-    expansion.save_expanded(expanded, args.output)
-    print(f"wrote {len(emb.vocabulary)} x {expanded.dim} expanded vectors -> {args.output}")
+    expansion.save_expanded(emb.vocabulary.words, expanded, args.output)
+    print(f"wrote {len(emb.vocabulary)} x {expanded.shape[1]} expanded vectors -> {args.output}")
     return 0
 
 
@@ -106,7 +106,7 @@ def _embedded_dataset(args, max_len):
     user_dict = _load_dictionary(args)
     raw = corpus.load_labeled_file(args.dataset)
     dataset = corpus.encode_dataset(raw, emb.vocabulary, user_dict)
-    x, mask, y = expansion.embed_dataset(dataset, emb, max_len)
+    x, mask, y = expansion.embed_dataset(dataset, emb.input_vectors, max_len)
     return dataset, x, mask, y
 
 
@@ -288,7 +288,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataFormatError, OSError) as exc:
+    except (DataFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

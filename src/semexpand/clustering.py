@@ -45,30 +45,19 @@ def pair_similarity(u, v) -> float:
 
 
 def similarity_matrix(vectors) -> np.ndarray:
-    """All pairwise similarities, row-vectorized with the pair formula."""
+    """All pairwise similarities with the pair formula, one row pass per vector.
+
+    Row i computes only columns j >= i and copies them into column i; this is
+    exact, because (a - b)^2 == (b - a)^2 in floating point.
+    """
     vectors = np.asarray(vectors, dtype=float)
     n = vectors.shape[0]
     out = np.empty((n, n))
     for i in range(n):
-        dist = np.sqrt(np.sum((vectors - vectors[i]) ** 2, axis=1))
-        out[i] = 1.0 / (1.0 + dist)
+        dist = np.sqrt(np.sum((vectors[i:] - vectors[i]) ** 2, axis=1))
+        out[i, i:] = 1.0 / (1.0 + dist)
+        out[i:, i] = out[i, i:]
     return out
-
-
-def average_linkage(a_members, b_members, vectors) -> float:
-    """Mean pair similarity between two disjoint clusters."""
-    a = sorted(a_members)
-    b = sorted(b_members)
-    if not a or not b:
-        raise ValueError("clusters must be non-empty")
-    if set(a) & set(b):
-        raise ValueError("clusters overlap")
-    vectors = np.asarray(vectors, dtype=float)
-    total = 0.0
-    for i in a:
-        for j in b:
-            total += pair_similarity(vectors[i], vectors[j])
-    return total / (len(a) * len(b))
 
 
 @dataclass
@@ -98,28 +87,18 @@ class ClusterAssignment:
     k: int
     assign: np.ndarray
     centroids: np.ndarray
-    member_counts: np.ndarray
     words: list[str] | None = None
 
     def __post_init__(self):
         self.assign = np.asarray(self.assign, dtype=int)
-        self.member_counts = np.asarray(self.member_counts, dtype=int)
         if self.assign.size and (self.assign.min() < 0 or self.assign.max() >= self.k):
             raise ValueError("cluster id outside 0..k-1")
-        if (self.member_counts < 1).any():
+        if (np.bincount(self.assign, minlength=self.k) < 1).any():
             raise ValueError("empty cluster in assignment")
         if self.centroids.shape[0] != self.k:
             raise ValueError("centroid row count != k")
         if self.words is not None and len(self.words) != len(self.assign):
             raise ValueError("words and assignment lengths differ")
-
-    def cluster_of(self, word: str) -> int:
-        if self.words is None:
-            raise ValueError("assignment carries no words")
-        try:
-            return int(self.assign[self.words.index(word)])
-        except ValueError:
-            raise KeyError(word) from None
 
 
 def compute_centroids(assign, vectors, k: int | None = None) -> np.ndarray:
@@ -263,8 +242,7 @@ def assignment_from_cut(clusters, vectors, words=None) -> ClusterAssignment:
     for cid, members in enumerate(clusters):
         assign[members] = cid
     centroids = compute_centroids(assign, vectors, k=len(clusters))
-    counts = np.array([len(m) for m in clusters])
-    return ClusterAssignment(len(clusters), assign, centroids, counts, words=words)
+    return ClusterAssignment(len(clusters), assign, centroids, words=words)
 
 
 def hac_cluster(vectors, k: int, words=None):
@@ -355,4 +333,4 @@ def load_assignment(path, vocabulary=None) -> ClusterAssignment:
     if extra:
         raise DataFormatError(f"{cpath}: centroid row for unknown cluster {min(extra)}")
     ordered = centroids[[rows[c] for c in range(k)]]
-    return ClusterAssignment(k, np.array(cids), ordered, counts, words=words)
+    return ClusterAssignment(k, np.array(cids), ordered, words=words)

@@ -25,21 +25,17 @@ _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
 
 class Vocabulary:
-    """Bidirectional word <-> contiguous-id map with occurrence counts.
+    """Bidirectional word <-> contiguous-id map; ids follow the order of ``words``.
 
-    Ids are assigned 0..|V|-1 by descending frequency, ties broken
+    build_vocabulary orders words by descending frequency, ties broken
     lexicographically, so construction is deterministic.
     """
 
-    def __init__(self, words: list[str], counts: dict[str, int]):
+    def __init__(self, words: list[str]):
         self.words = list(words)
         self._index = {w: i for i, w in enumerate(self.words)}
-        self.counts = dict(counts)
         if len(self._index) != len(self.words):
             raise DataFormatError("duplicate words in vocabulary")
-        for w in self.words:
-            if self.counts.get(w, 0) < 1:
-                raise DataFormatError(f"vocabulary word {w!r} has count < 1")
 
     def __len__(self) -> int:
         return len(self.words)
@@ -49,12 +45,6 @@ class Vocabulary:
 
     def index_of(self, token: str) -> int:
         return self._index[token]
-
-    def count_of(self, token: str) -> int:
-        return self.counts[token]
-
-    def decode(self, ids) -> list[str]:
-        return [self.words[i] for i in ids]
 
 
 @dataclass
@@ -106,25 +96,16 @@ class UserDictionary:
     """Multi-token terms kept whole during tokenization via greedy longest match."""
 
     def __init__(self, terms):
-        self.entries: list[tuple[str, ...]] = []
-        seen = set()
+        self._terms: set[tuple[str, ...]] = set()
         for term in terms:
             toks = tuple(_TOKEN_RE.findall(term.lower()))
             if not toks:
                 raise DataFormatError(f"empty dictionary entry {term!r}")
-            if toks not in seen:
-                seen.add(toks)
-                self.entries.append(toks)
-        # longest first so the greedy scan needs one ordered pass per position
-        self.entries.sort(key=lambda t: (-len(t), t))
-        self._entry_set = seen
-        self.max_len = max((len(t) for t in self.entries), default=0)
-
-    def __len__(self) -> int:
-        return len(self.entries)
+            self._terms.add(toks)
+        self.max_len = max(map(len, self._terms), default=0)
 
     def __contains__(self, toks: tuple[str, ...]) -> bool:
-        return toks in self._entry_set
+        return toks in self._terms
 
 
 class SynonymTable:
@@ -155,7 +136,7 @@ def tokenize(text: str, user_dict: UserDictionary | None = None) -> list[str]:
     term are merged back into a single space-joined token, longest match first.
     """
     base = _TOKEN_RE.findall(text.lower())
-    if user_dict is None or not user_dict.entries or not base:
+    if user_dict is None or user_dict.max_len < 2 or not base:
         return base
     out: list[str] = []
     i = 0
@@ -188,7 +169,7 @@ def build_vocabulary(sentences, min_count: int = MIN_COUNT) -> Vocabulary:
             f"no token reached min_count={min_count} ({len(counts)} distinct tokens seen)"
         )
     words = sorted(kept, key=lambda w: (-kept[w], w))
-    return Vocabulary(words, kept)
+    return Vocabulary(words)
 
 
 def encode_corpus(sentences, vocabulary: Vocabulary) -> TokenizedCorpus:

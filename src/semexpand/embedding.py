@@ -81,9 +81,6 @@ class EmbeddingMatrix:
     def dim(self) -> int:
         return self.input_vectors.shape[1]
 
-    def vector(self, word: str) -> np.ndarray:
-        return self.input_vectors[self.vocabulary.index_of(word)]
-
 
 def _sigmoid(x):
     # tanh form avoids overflow for large |x|
@@ -92,17 +89,6 @@ def _sigmoid(x):
 
 def _log_sigmoid(x):
     return -np.logaddexp(0.0, -x)
-
-
-def softmax_probability(center: int, context: int, emb: EmbeddingMatrix) -> float:
-    """Probability of ``context`` given ``center`` under the full softmax."""
-    n = len(emb.vocabulary)
-    if not (0 <= center < n and 0 <= context < n):
-        raise ValueError(f"word ids must be < {n}")
-    scores = emb.output_vectors @ emb.input_vectors[center]
-    scores -= scores.max()
-    e = np.exp(scores)
-    return float(e[context] / e.sum())
 
 
 def softmax_pair_gradients(input_vectors, output_vectors, center: int, context: int):
@@ -367,7 +353,6 @@ def save_embeddings(emb: EmbeddingMatrix, path) -> None:
 
 
 def load_embeddings(path) -> EmbeddingMatrix:
-    """Load a standalone embedding file; counts default to 1, output side to zero."""
+    """Load a standalone embedding file; the output side is zero."""
     words, matrix = read_vector_file(path)
-    vocab = Vocabulary(words, {w: 1 for w in words})
-    return EmbeddingMatrix(vocab, matrix, np.zeros_like(matrix))
+    return EmbeddingMatrix(Vocabulary(words), matrix, np.zeros_like(matrix))

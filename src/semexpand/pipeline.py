@@ -257,11 +257,11 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
 
     with _stage("expand", timings):
         if cfg.no_expansion:
-            source = emb
+            source = emb.input_vectors
         else:
             assignment, source = source_for(chosen_k)
             clustering.save_assignment(assignment, paths["assignment"])
-            expansion.save_expanded(source, paths["expanded"])
+            expansion.save_expanded(vocab.words, source, paths["expanded"])
 
     with _stage("train", timings):
         final_train = _subset(dataset, list(idx_train) + list(idx_val))

@@ -148,7 +148,7 @@ def run_benchmark(seed: int) -> BenchmarkResult:
     train_ds = corpus.encode_dataset(bench.train, vocab)
     test_ds = corpus.encode_dataset(bench.test, vocab)
     accuracies = {}
-    for arm, source in (("expanded", expanded), ("plain", emb)):
+    for arm, source in (("expanded", expanded), ("plain", emb.input_vectors)):
         x_train, m_train, y_train = expansion.embed_dataset(train_ds, source, BENCH_MAX_LEN)
         x_test, m_test, y_test = expansion.embed_dataset(test_ds, source, BENCH_MAX_LEN)
         model = LstmClassifier(

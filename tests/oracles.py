@@ -9,6 +9,12 @@ slot_scan_hac is the O(n^3) full-rescan loop that build_dendrogram replaced.
 It shares build_dendrogram's similarity sums, sum updates and linkage
 arithmetic, so it is the bit-exact reference for merge order under exact
 ties, where naive_hac's different summation order can differ in the last ulp.
+Its similarities come from loop_similarity_matrix, the full row-by-row pass
+that the mirrored similarity_matrix replaced.
+
+average_linkage and softmax_probability are the textbook formulas for the
+cluster linkage and the skip-gram pair probability; the pipeline computes both
+through other paths (the linkage sum matrix, corpus_objective).
 
 loop_embed_dataset is the per-example, per-token loop that the single gather in
 embed_dataset replaced, kept as the reference for its arrays and dtypes.
@@ -27,7 +33,7 @@ of row gradients. It is the reference for the trained parameters.
 
 import numpy as np
 
-from semexpand.clustering import pair_similarity, similarity_matrix
+from semexpand.clustering import pair_similarity
 from semexpand.embedding import (
     MODE_EXACT,
     MODE_NEGATIVE,
@@ -38,7 +44,6 @@ from semexpand.embedding import (
 )
 from semexpand.embedding import _sigmoid as _embedding_sigmoid
 from semexpand.errors import DataFormatError, NumericError
-from semexpand.expansion import _lookup_table
 
 
 def _snapshot(clusters) -> list:
@@ -50,6 +55,44 @@ def _snapshot(clusters) -> list:
         for leaf in members:
             assign[leaf] = index
     return assign
+
+
+def loop_similarity_matrix(vectors) -> np.ndarray:
+    """All pairwise similarities, every row computed in full with the pair formula."""
+    vectors = np.asarray(vectors, dtype=float)
+    n = vectors.shape[0]
+    out = np.empty((n, n))
+    for i in range(n):
+        dist = np.sqrt(np.sum((vectors - vectors[i]) ** 2, axis=1))
+        out[i] = 1.0 / (1.0 + dist)
+    return out
+
+
+def average_linkage(a_members, b_members, vectors) -> float:
+    """Mean pair similarity between two disjoint clusters."""
+    a = sorted(a_members)
+    b = sorted(b_members)
+    if not a or not b:
+        raise ValueError("clusters must be non-empty")
+    if set(a) & set(b):
+        raise ValueError("clusters overlap")
+    vectors = np.asarray(vectors, dtype=float)
+    total = 0.0
+    for i in a:
+        for j in b:
+            total += pair_similarity(vectors[i], vectors[j])
+    return total / (len(a) * len(b))
+
+
+def softmax_probability(center: int, context: int, emb: EmbeddingMatrix) -> float:
+    """Probability of ``context`` given ``center`` under the full softmax."""
+    n = len(emb.vocabulary)
+    if not (0 <= center < n and 0 <= context < n):
+        raise ValueError(f"word ids must be < {n}")
+    scores = emb.output_vectors @ emb.input_vectors[center]
+    scores -= scores.max()
+    e = np.exp(scores)
+    return float(e[context] / e.sum())
 
 
 def naive_hac(vectors):
@@ -116,7 +159,7 @@ def slot_scan_hac(vectors):
     """
     vectors = np.asarray(vectors, dtype=float)
     n = vectors.shape[0]
-    sims = similarity_matrix(vectors)
+    sims = loop_similarity_matrix(vectors)
 
     # slot arrays: a merge reuses the first operand's slot
     pair_sums = sims.copy()
@@ -146,18 +189,17 @@ def slot_scan_hac(vectors):
     return merges
 
 
-def _loop_embed_sequence(token_ids, source, max_len: int, oov_marker: int | None = None):
+def _loop_embed_sequence(token_ids, table, max_len: int, oov_marker: int | None = None):
     """Token ids -> (max_len x width matrix, validity mask).
 
-    ``source`` is a WordClusterMatrix, an EmbeddingMatrix or a plain lookup
-    table. The OOV marker (default: table row count) maps to a zero row but
-    still counts as a valid position. Sequences are tail-truncated to
-    ``max_len`` and tail-padded with zero rows; the mask is 1 on real
-    positions, 0 on padding.
+    ``table`` is a row-aligned lookup table. The OOV marker (default: table
+    row count) maps to a zero row but still counts as a valid position.
+    Sequences are tail-truncated to ``max_len`` and tail-padded with zero rows;
+    the mask is 1 on real positions, 0 on padding.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    table = _lookup_table(source)
+    table = np.asarray(table, dtype=float)
     if oov_marker is None:
         oov_marker = table.shape[0]
     out = np.zeros((max_len, table.shape[1]))
@@ -169,9 +211,9 @@ def _loop_embed_sequence(token_ids, source, max_len: int, oov_marker: int | None
     return out, mask
 
 
-def loop_embed_dataset(dataset, source, max_len: int):
+def loop_embed_dataset(dataset, table, max_len: int):
     """Embed a whole LabeledDataset into (B x L x width, B x L mask, labels)."""
-    table = _lookup_table(source)
+    table = np.asarray(table, dtype=float)
     batch = np.zeros((len(dataset.examples), max_len, table.shape[1]))
     masks = np.zeros((len(dataset.examples), max_len))
     labels = np.zeros(len(dataset.examples), dtype=int)

@@ -14,9 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import naive_hac
+from oracles import average_linkage, naive_hac
 from semexpand.clustering import (
-    average_linkage,
     assignment_from_cut,
     compute_centroids,
     cut_dendrogram,
@@ -231,7 +230,8 @@ def test_criterion_4_embeddings_separate_disjoint_topics():
                 for b in words_b:
                     if skip_same and a >= b:
                         continue
-                    values.append(pair_similarity(emb.vector(a), emb.vector(b)))
+                    u, v = (emb.input_vectors[vocab.index_of(w)] for w in (a, b))
+                    values.append(pair_similarity(u, v))
             return float(np.mean(values))
 
         intra = np.mean([mean_similarity(t, t, True) for t in topics])

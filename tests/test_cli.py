@@ -303,6 +303,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "narrow.txt" in err and "width 3" in err and "expects 4" in err
 
+    def test_centroids_of_wrong_width_are_two(self, tiny, tmp_path, capsys):
+        wide = tmp_path / "v4.txt"
+        narrow = tmp_path / "v3.txt"
+        for path, dim in ((wide, 4), (narrow, 3)):
+            assert run_cli(
+                "train-embeddings", tiny["corpus"], "--output", path, "--dim", dim,
+                "--epochs", 1,
+            ) == 0
+        clusters = tmp_path / "c3.tsv"
+        assert run_cli("cluster", narrow, "--k", 2, "--output", clusters) == 0
+        capsys.readouterr()
+        output = tmp_path / "e.txt"
+        assert run_cli("expand", wide, clusters, "--output", output) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "width 3" in err and "width 4" in err
+        assert not output.exists()
+
     def test_non_finite_checkpoint_is_two(self, tiny, tmp_path, capsys):
         vectors = tmp_path / "vectors.txt"
         assert run_cli(
@@ -333,6 +350,24 @@ class TestExitCodes:
             )
         assert code == 3
         assert "diverged" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["tokenize", "train-embeddings", "augment", "cluster", "run"])
+def test_non_utf8_input_is_two(command, tiny, tmp_path, capsys):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("caf\xe9\tcaf\xe9 au lait\n".encode("latin-1"))
+    output = tmp_path / "output"
+    argv = {
+        "tokenize": [latin1],
+        "train-embeddings": [latin1, "--output", output],
+        "augment": [latin1, tiny["synonyms"], "--output", output],
+        "cluster": [latin1, "--k", 1, "--output", output],
+        "run": ["--dataset", latin1, "--corpus", tiny["corpus"], "--k", 2, "--output-dir", output],
+    }[command]
+    assert run_cli(command, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "utf-8" in err, err
+    assert "Traceback" not in err
 
 
 def checkout_env():

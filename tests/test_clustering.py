@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import naive_hac, slot_scan_hac
+from oracles import average_linkage, loop_similarity_matrix, naive_hac, slot_scan_hac
 from semexpand import clustering
 from semexpand.clustering import (
     ClusterAssignment,
-    average_linkage,
     build_dendrogram,
     compute_centroids,
     cut_dendrogram,
@@ -13,6 +12,7 @@ from semexpand.clustering import (
     load_assignment,
     pair_similarity,
     save_assignment,
+    similarity_matrix,
 )
 from semexpand.errors import DataFormatError
 
@@ -45,6 +45,22 @@ class TestPairSimilarity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             pair_similarity([1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+class TestSimilarityMatrix:
+    """The mirrored matrix against the full row pass it replaced, bit for bit."""
+
+    def test_random_vectors(self):
+        rng = np.random.default_rng(31)
+        for n, d in ((1, 3), (2, 3), (7, 1), (60, 5), (200, 16)):
+            vectors = rng.normal(size=(n, d))
+            assert np.array_equal(similarity_matrix(vectors), loop_similarity_matrix(vectors))
+
+    def test_tie_heavy_integer_grids(self):
+        rng = np.random.default_rng(32)
+        for n, d in ((1, 2), (2, 2), (50, 2), (300, 3)):
+            vectors = rng.integers(-2, 3, size=(n, d)).astype(float)
+            assert np.array_equal(similarity_matrix(vectors), loop_similarity_matrix(vectors))
 
 
 class TestAverageLinkage:
@@ -309,7 +325,7 @@ class TestAssignmentFiles:
         assignment = self._sample_assignment()
         path = tmp_path / "clusters.tsv"
         save_assignment(assignment, path)
-        vocab = Vocabulary(["alpha", "beta"], {"alpha": 1, "beta": 1})
+        vocab = Vocabulary(["alpha", "beta"])
         with pytest.raises(DataFormatError, match="gamma"):
             load_assignment(path, vocabulary=vocab)
 
@@ -336,21 +352,6 @@ class TestAssignmentFiles:
 
 
 class TestClusterAssignmentType:
-    def test_cluster_of_lookup(self):
-        assignment = self._make()
-        assert assignment.cluster_of("b") == 1
-
-    def test_unknown_word_lookup(self):
-        assignment = self._make()
-        with pytest.raises(KeyError):
-            assignment.cluster_of("zzz")
-
-    @staticmethod
-    def _make():
-        return ClusterAssignment(
-            k=2,
-            assign=np.array([0, 1]),
-            centroids=np.array([[0.0], [1.0]]),
-            member_counts=np.array([1, 1]),
-            words=["a", "b"],
-        )
+    def test_empty_cluster_rejected(self):
+        with pytest.raises(ValueError, match="empty cluster"):
+            ClusterAssignment(k=3, assign=np.array([0, 2]), centroids=np.zeros((3, 1)))

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from semexpand.corpus import TokenizedCorpus, Vocabulary, build_vocabulary, encode_corpus
-from oracles import loop_noise_distribution, loop_train_skipgram, window_pairs
+from oracles import (
+    loop_noise_distribution,
+    loop_train_skipgram,
+    softmax_probability,
+    window_pairs,
+)
 from semexpand.embedding import (
     MODE_EXACT,
     MODE_NEGATIVE,
@@ -18,7 +23,6 @@ from semexpand.embedding import (
     read_vector_file,
     save_embeddings,
     softmax_pair_gradients,
-    softmax_probability,
     _noise_distribution,
     _pair_arrays,
     train_skipgram,
@@ -28,7 +32,7 @@ from semexpand.errors import ConfigError, DataFormatError, NumericError
 
 
 def make_embedding(words, inp, out):
-    vocab = Vocabulary(list(words), {w: 1 for w in words})
+    vocab = Vocabulary(words)
     return EmbeddingMatrix(vocab, np.asarray(inp, dtype=float), np.asarray(out, dtype=float))
 
 
@@ -125,7 +129,7 @@ class TestCorpusObjective:
         assert any("pairs" in rec.message for rec in caplog.records)
 
     def test_empty_corpus_rejected(self):
-        vocab = Vocabulary(["a"], {"a": 1})
+        vocab = Vocabulary(["a"])
         corpus = TokenizedCorpus([], vocab)
         emb = EmbeddingMatrix(vocab, np.zeros((1, 2)), np.zeros((1, 2)))
         with pytest.raises(DataFormatError):
@@ -461,7 +465,7 @@ class TestVectorFiles:
         path.write_text("3 2\nalpha 1 2\nextra 3 4\nomega 5 6\n")
         loaded = load_embeddings(path)
         assert loaded.vocabulary.words == ["alpha", "extra", "omega"]
-        assert loaded.vector("extra").tolist() == [3.0, 4.0]
+        assert loaded.input_vectors[loaded.vocabulary.index_of("extra")].tolist() == [3.0, 4.0]
 
     def test_wrong_arity_row_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -4,17 +4,13 @@ import pytest
 from semexpand.clustering import ClusterAssignment, hac_cluster
 from semexpand.corpus import LabeledDataset, Vocabulary
 from semexpand.embedding import EmbeddingMatrix, read_vector_file
+from semexpand.errors import DataFormatError
 from oracles import loop_embed_dataset
-from semexpand.expansion import (
-    WordClusterMatrix,
-    embed_dataset,
-    expand,
-    save_expanded,
-)
+from semexpand.expansion import embed_dataset, expand, save_expanded
 
 
 def make_embedding(words, vectors):
-    vocab = Vocabulary(list(words), {w: 1 for w in words})
+    vocab = Vocabulary(words)
     vectors = np.asarray(vectors, dtype=float)
     return EmbeddingMatrix(vocab, vectors, np.zeros_like(vectors))
 
@@ -28,14 +24,12 @@ class TestExpand:
             k=2,
             assign=[0, 0, 1, 1],
             centroids=np.array([[0.0, 0.5], [10.0, 0.5]]),
-            member_counts=[2, 2],
             words=words,
         )
-        wc = expand(emb, assignment)
-        assert wc.rows.shape == (4, 4)
-        assert wc.dim == 4
-        assert np.array_equal(wc.rows[0], [0.0, 0.0, 0.0, 0.5])
-        assert np.array_equal(wc.rows[3], [10.0, 1.0, 10.0, 0.5])
+        table = expand(emb, assignment)
+        assert table.shape == (4, 4)
+        assert np.array_equal(table[0], [0.0, 0.0, 0.0, 0.5])
+        assert np.array_equal(table[3], [10.0, 1.0, 10.0, 0.5])
 
     def test_matches_clustering_output(self):
         rng = np.random.default_rng(10)
@@ -43,46 +37,48 @@ class TestExpand:
         vectors = rng.normal(size=(6, 3))
         emb = make_embedding(words, vectors)
         _, assignment = hac_cluster(vectors, k=2, words=words)
-        wc = expand(emb, assignment)
-        for i, word in enumerate(words):
-            cid = assignment.cluster_of(word)
-            assert np.array_equal(wc.rows[i, :3], vectors[i])
-            assert np.array_equal(wc.rows[i, 3:], assignment.centroids[cid])
+        table = expand(emb, assignment)
+        for i, cid in enumerate(assignment.assign):
+            assert np.array_equal(table[i, :3], vectors[i])
+            assert np.array_equal(table[i, 3:], assignment.centroids[cid])
 
     def test_centroids_copied_not_recomputed(self):
         # a deliberately inconsistent centroid must pass through untouched
         emb = make_embedding(["a", "b"], [[1.0, 0.0], [3.0, 0.0]])
         assignment = ClusterAssignment(
-            k=1, assign=[0, 0], centroids=np.array([[9.0, 9.0]]),
-            member_counts=[2], words=["a", "b"],
+            k=1, assign=[0, 0], centroids=np.array([[9.0, 9.0]]), words=["a", "b"]
         )
-        wc = expand(emb, assignment)
-        assert np.array_equal(wc.rows[:, 2:], [[9.0, 9.0], [9.0, 9.0]])
+        table = expand(emb, assignment)
+        assert np.array_equal(table[:, 2:], [[9.0, 9.0], [9.0, 9.0]])
 
     def test_words_outside_assignment_get_zero_centroid(self):
         emb = make_embedding(["a", "b", "c"], np.ones((3, 2)))
         assignment = ClusterAssignment(
-            k=1, assign=[0, 0], centroids=np.array([[1.0, 1.0]]),
-            member_counts=[2], words=["a", "b"],
+            k=1, assign=[0, 0], centroids=np.array([[1.0, 1.0]]), words=["a", "b"]
         )
-        wc = expand(emb, assignment)
-        assert np.array_equal(wc.rows[2], [1.0, 1.0, 0.0, 0.0])
+        table = expand(emb, assignment)
+        assert np.array_equal(table[2], [1.0, 1.0, 0.0, 0.0])
 
     def test_clustered_word_missing_from_vocabulary_rejected(self):
         emb = make_embedding(["a", "b"], np.ones((2, 2)))
         assignment = ClusterAssignment(
-            k=1, assign=[0, 0], centroids=np.ones((1, 2)),
-            member_counts=[2], words=["a", "zzz"],
+            k=1, assign=[0, 0], centroids=np.ones((1, 2)), words=["a", "zzz"]
         )
         with pytest.raises(ValueError, match="zzz"):
             expand(emb, assignment)
 
     def test_assignment_without_words_rejected(self):
         emb = make_embedding(["a", "b"], np.ones((2, 2)))
-        assignment = ClusterAssignment(
-            k=1, assign=[0, 0], centroids=np.ones((1, 2)), member_counts=[2]
-        )
+        assignment = ClusterAssignment(k=1, assign=[0, 0], centroids=np.ones((1, 2)))
         with pytest.raises(ValueError):
+            expand(emb, assignment)
+
+    def test_centroids_of_another_width_rejected(self):
+        emb = make_embedding(["a", "b"], np.ones((2, 4)))
+        assignment = ClusterAssignment(
+            k=1, assign=[0, 0], centroids=np.ones((1, 3)), words=["a", "b"]
+        )
+        with pytest.raises(DataFormatError, match="width 3.*width 4"):
             expand(emb, assignment)
 
 
@@ -117,17 +113,15 @@ class TestEmbedSequence:
 
     def test_embedding_matrix_source(self):
         emb = make_embedding(["a", "b", "c"], self.table)
-        out, _ = embed_one([2, 0], emb, max_len=2)
+        out, _ = embed_one([2, 0], emb.input_vectors, max_len=2)
         assert np.array_equal(out, [[5, 6], [1, 2]])
 
     def test_expanded_source(self):
         emb = make_embedding(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
         assignment = ClusterAssignment(
-            k=1, assign=[0, 0], centroids=np.array([[0.5, 0.5]]),
-            member_counts=[2], words=["a", "b"],
+            k=1, assign=[0, 0], centroids=np.array([[0.5, 0.5]]), words=["a", "b"]
         )
-        wc = expand(emb, assignment)
-        out, _ = embed_one([1], wc, max_len=1)
+        out, _ = embed_one([1], expand(emb, assignment), max_len=1)
         assert np.array_equal(out, [[0.0, 1.0, 0.5, 0.5]])
 
     def test_rejects_nonpositive_max_len(self):
@@ -219,7 +213,7 @@ class TestLoopParity:
         dataset = LabeledDataset(
             examples=[([0, 8, 7, 1], 0), ([5, 5], 1), ([], 0)], num_classes=2, oov_marker=8
         )
-        for source in (emb, expand(emb, assignment), emb.input_vectors.tolist()):
+        for source in (emb.input_vectors, expand(emb, assignment), emb.input_vectors.tolist()):
             self.assert_same(dataset, source, 3)
 
 
@@ -230,11 +224,10 @@ class TestSaveExpanded:
         vectors = rng.normal(size=(3, 2))
         emb = make_embedding(words, vectors)
         _, assignment = hac_cluster(vectors, k=2, words=words)
-        wc = expand(emb, assignment)
+        table = expand(emb, assignment)
         path = tmp_path / "expanded.txt"
-        save_expanded(wc, path)
+        save_expanded(words, table, path)
         loaded_words, matrix = read_vector_file(path)
         assert loaded_words == words
         assert matrix.shape == (3, 4)
-        assert np.abs(matrix - wc.rows).max() < 1e-6
-        assert isinstance(wc, WordClusterMatrix)
+        assert np.abs(matrix - table).max() < 1e-6
