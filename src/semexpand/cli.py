@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import clustering, corpus, embedding, expansion, pipeline
 from .config import ExperimentConfig, coerce_value, load_config
-from .errors import ConfigError, DataFormatError, NumericError, check_range
+from .errors import ConfigError, DataFormatError, NumericError, check_range, open_text
 from .nn import ClassifierConfig, TrainConfig, build_model, evaluate, load_model
 from .nn import save_model, train_classifier
 
@@ -44,7 +44,7 @@ def _load_dictionary(args):
 def cmd_tokenize(args) -> int:
     user_dict = _load_dictionary(args)
     lines = []
-    with open(args.corpus, encoding="utf-8") as fh:
+    with open_text(args.corpus) as fh:
         for line in fh:
             tokens = corpus.tokenize(line, user_dict)
             lines.append(" ".join(embedding.escape_word(t) for t in tokens))
@@ -288,7 +288,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataFormatError, OSError, UnicodeDecodeError) as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

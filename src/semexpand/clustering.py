@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedding import escape_word, read_vector_file, write_vector_file
-from .errors import DataFormatError
+from .errors import DataFormatError, open_text
 
 logger = logging.getLogger(__name__)
 
@@ -288,7 +288,7 @@ def load_assignment(path, vocabulary=None) -> ClusterAssignment:
     words: list[str] = []
     seen: set[str] = set()
     cids: list[int] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import SkipGramConfig
-from .errors import ConfigError, check_range
+from .errors import ConfigError, check_range, open_text
 from .nn import ClassifierConfig, TrainConfig
 
 logger = logging.getLogger(__name__)
@@ -191,7 +191,7 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     values: dict = {}
     if path:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open_text(path) as fh:
                 values.update(parse_config_lines(fh, source=str(path)))
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None

@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import DataFormatError, EmptyVocabularyError
+from .errors import DataFormatError, EmptyVocabularyError, open_text
 
 MIN_COUNT = 1  # default vocabulary cutoff; SkipGramConfig.min_count holds its check
 
@@ -249,7 +249,7 @@ def augment_with_synonyms(dataset, table: SynonymTable, max_new_per_example: int
 def load_labeled_file(path) -> list[tuple[str, str]]:
     """Read ``label<TAB>text`` lines; ``#`` lines and blank lines are skipped."""
     pairs = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
@@ -266,7 +266,7 @@ def load_labeled_file(path) -> list[tuple[str, str]]:
 def load_dictionary_file(path) -> UserDictionary:
     """Read one dictionary term per line."""
     terms = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             term = line.strip()
             if term and not term.startswith("#"):
@@ -277,7 +277,7 @@ def load_dictionary_file(path) -> UserDictionary:
 def load_synonym_file(path) -> SynonymTable:
     """Read ``word<TAB>synonym`` pairs, one per line."""
     pairs: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
@@ -292,7 +292,7 @@ def load_synonym_file(path) -> SynonymTable:
 def load_sentence_file(path, user_dict: UserDictionary | None = None) -> list[list[str]]:
     """Tokenize a plain-text corpus, one sentence per line."""
     sentences = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             if line.startswith("#"):
                 continue

@@ -20,7 +20,7 @@ from itertools import chain
 import numpy as np
 
 from .corpus import MIN_COUNT, TokenizedCorpus, Vocabulary
-from .errors import ConfigError, DataFormatError, NumericError, check_range
+from .errors import ConfigError, DataFormatError, NumericError, check_range, open_text
 
 logger = logging.getLogger(__name__)
 
@@ -97,16 +97,24 @@ def softmax_pair_gradients(input_vectors, output_vectors, center: int, context: 
     Returns ``(logp, grad_center_input, grad_output_matrix)`` where the output
     gradient covers every vocabulary row (the exact-softmax normalizer touches
     them all).
+
+    Each value is rounded as in the textbook form ``p = e / z``, ``grad_v =
+    out[context] - p @ out``, ``grad_out = outer(-p, v)``: negating the divisor
+    or the GEMV input negates the rounded result exactly. The one difference is
+    the sign of an exact zero in ``grad_out``: the k = 1 matrix product starts
+    from +0, so a -0.0 product (an underflowed ``e``) comes out as +0.0, which
+    no update ``out + lr * grad_out`` can tell apart. The calls are chosen for
+    their per-call cost, which dominates at desk-scale V and d.
     """
     v = input_vectors[center]
     scores = output_vectors @ v
-    m = scores.max()
+    m = np.maximum.reduce(scores)
     e = np.exp(scores - m)
-    z = e.sum()
-    p = e / z
+    z = np.add.reduce(e)
+    negp = e / -z
     logp = float(scores[context] - m - np.log(z))
-    grad_v = output_vectors[context] - p @ output_vectors
-    grad_out = np.outer(-p, v)
+    grad_v = output_vectors[context] + negp @ output_vectors
+    grad_out = np.dot(negp[:, None], v[None, :])
     grad_out[context] += v
     return logp, grad_v, grad_out
 
@@ -123,7 +131,7 @@ def _negative_sampling_gradients(input_vectors, output_vectors, center: int, row
     # label minus sigmoid: 1 for the context row, 0 for each negative
     g = -_sigmoid(x)
     g[0] += 1.0
-    return x, g @ w, np.outer(g, v)
+    return x, g @ w, np.dot(g[:, None], v[None, :])
 
 
 def negative_sampling_pair_gradients(
@@ -254,17 +262,22 @@ def train_skipgram(
             if config.mode == MODE_EXACT:
                 for center, context, lr in block:
                     _, grad_v, grad_out = softmax_pair_gradients(inp, out, center, context)
-                    inp[center] += lr * grad_v
-                    out += lr * grad_out
+                    # in-place scaling rounds lr * g exactly as a temporary would
+                    grad_v *= lr
+                    inp[center] += grad_v
+                    grad_out *= lr
+                    out += grad_out
             else:
                 draws = np.searchsorted(cumulative, rng.random((stop - start) * k))
                 for (center, context, lr), drawn in zip(block, draws.reshape(-1, k).tolist()):
                     # negative_sampling_pair_gradients minus the loss, which is never read here
                     rows = [context, *(d for d in drawn if d != context)]
                     _, grad_v, grad_rows = _negative_sampling_gradients(inp, out, center, rows)
-                    inp[center] += lr * grad_v
+                    grad_v *= lr
+                    inp[center] += grad_v
                     # grad_rows was formed before this update; repeated rows add up
-                    np.add.at(out, rows, lr * grad_rows)
+                    grad_rows *= lr
+                    np.add.at(out, rows, grad_rows)
         if not (np.isfinite(inp).all() and np.isfinite(out).all()):
             raise NumericError(f"skip-gram training diverged at epoch {epoch}")
         if track_objective:
@@ -305,7 +318,7 @@ def read_vector_file(path) -> tuple[list[str], np.ndarray]:
     the wrong number of values, non-numeric or non-finite values and duplicate
     words.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline()
         parts = header.split()
         if len(parts) != 2:

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package, and the one range check.
+"""Exception hierarchy shared across the package, the one range check, and the
+one way to open a text input.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataFormatError -> 2,
 NumericError -> 3.
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from contextlib import contextmanager
 
 
 class SemexpandError(Exception):
@@ -47,3 +49,28 @@ def check_range(key: str, value, low, high=math.inf, low_open: bool = False) -> 
     rule = ("positive" if low == 0 else f"> {low}") if low_open else f">= {low}"
     rule += f" and at most {high}" if high < math.inf else ""
     raise ConfigError(f"must be {rule}, got {value!r}", key)
+
+
+@contextmanager
+def open_text(path):
+    """Open a UTF-8 text input for reading.
+
+    A decode error inside the ``with`` block becomes a DataFormatError naming
+    the file and the first line that is not valid UTF-8.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(_decode_error_message(path, exc)) from None
+
+
+def _decode_error_message(path, exc: UnicodeDecodeError) -> str:
+    # the text reader decodes in chunks, so its error knows no line: find it again
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as line_exc:
+                return f"{path}:{lineno}: {line_exc}"
+    return f"{path}: {exc}"

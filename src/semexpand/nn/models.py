@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DataFormatError, check_range
+from ..errors import ConfigError, DataFormatError, check_range, open_text
 from . import layers
 
 logger = logging.getLogger(__name__)
@@ -293,7 +293,7 @@ def save_model(model: _Classifier, path) -> None:
 
 def load_model(path) -> _Classifier:
     """Rebuild a classifier from a checkpoint file."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_TAG:
         raise DataFormatError(f"{path}:1: expected format tag {CHECKPOINT_TAG!r}")

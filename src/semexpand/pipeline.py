@@ -20,7 +20,7 @@ import numpy as np
 
 from . import clustering, corpus, embedding, expansion
 from .config import ExperimentConfig
-from .errors import ConfigError, DataFormatError, SemexpandError
+from .errors import ConfigError, DataFormatError, SemexpandError, open_text
 from .nn import build_model, evaluate, save_model, train_classifier
 
 logger = logging.getLogger(__name__)
@@ -139,7 +139,7 @@ def save_report(report: ExperimentReport, path) -> None:
 
 def load_report(path) -> ExperimentReport:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: not valid JSON: {exc}") from None

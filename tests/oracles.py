@@ -28,7 +28,10 @@ loop_train_skipgram is the skip-gram loop that the blocked train_skipgram
 replaced: it walks the window pairs of every sentence again in every epoch,
 computes each learning rate in Python and draws each pair's negatives with its
 own rng.random(K) call, then updates the output rows one at a time from a dict
-of row gradients. It is the reference for the trained parameters.
+of row gradients. It is the reference for the trained parameters. Its exact
+mode steps through loop_softmax_pair_gradients, the textbook form of the pair
+gradients (p = e / z, np.outer(-p, v)) that softmax_pair_gradients replaced
+with cheaper numpy calls rounding the same way.
 """
 
 import numpy as np
@@ -40,7 +43,6 @@ from semexpand.embedding import (
     EmbeddingMatrix,
     _log_sigmoid,
     corpus_objective,
-    softmax_pair_gradients,
 )
 from semexpand.embedding import _sigmoid as _embedding_sigmoid
 from semexpand.errors import DataFormatError, NumericError
@@ -310,6 +312,26 @@ def dict_negative_sampling_pair_gradients(
     return loss, grad_v, grad_rows
 
 
+def loop_softmax_pair_gradients(input_vectors, output_vectors, center: int, context: int):
+    """Log probability of one (center, context) pair and its ascent gradients.
+
+    Returns ``(logp, grad_center_input, grad_output_matrix)`` where the output
+    gradient covers every vocabulary row (the exact-softmax normalizer touches
+    them all).
+    """
+    v = input_vectors[center]
+    scores = output_vectors @ v
+    m = scores.max()
+    e = np.exp(scores - m)
+    z = e.sum()
+    p = e / z
+    logp = float(scores[context] - m - np.log(z))
+    grad_v = output_vectors[context] - p @ output_vectors
+    grad_out = np.outer(-p, v)
+    grad_out[context] += v
+    return logp, grad_v, grad_out
+
+
 def window_pairs(sentence: list[int], window: int):
     """(center, context) pairs, clipped at sentence boundaries."""
     n = len(sentence)
@@ -367,7 +389,9 @@ def loop_train_skipgram(corpus, config, track_objective: bool = False):
                 frac = done / total_updates
                 lr = lr0 + (lr1 - lr0) * frac
                 if config.mode == MODE_EXACT:
-                    _, grad_v, grad_out = softmax_pair_gradients(inp, out, center, context)
+                    _, grad_v, grad_out = loop_softmax_pair_gradients(
+                        inp, out, center, context
+                    )
                     inp[center] += lr * grad_v
                     out += lr * grad_out
                 else:

@@ -1,0 +1,117 @@
+"""scripts/bench_record.py on small fabricated perfbench record directories."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
+ENVIRONMENT = {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2}
+
+
+@pytest.fixture(scope="module")
+def bench_record():
+    spec = importlib.util.spec_from_file_location("bench_record", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_record(directory, workload, seed, run_s, trace=0, sha=None, accuracy=0.9, **extra):
+    rows = [{"seed": 1000 * seed + i, "accuracy": accuracy + i / 100} for i in range(2)]
+    record = {
+        "seconds": 30,
+        "environment": {**ENVIRONMENT, "git_sha": sha},
+        "metrics": {"run_s": run_s, "peak_rss_mb": 40.0, "test_accuracy": accuracy},
+        "unscaled": {"wall_run_s": run_s - 0.5},
+        "rows": rows,
+        **extra,
+    }
+    directory.mkdir(exist_ok=True)
+    path = directory / f"{workload}-seed{seed}-trace{trace}.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+
+
+@pytest.fixture()
+def dirs(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, (before, after) in enumerate([(4.0, 3.0), (5.0, 3.5), (4.5, 4.5), (4.2, 4.4)], 1):
+        write_record(parent, "toy", seed, before, sha="aaa")
+        write_record(change, "toy", seed, after)
+    write_record(parent, "planted", 1, 2.0, sha="aaa")
+    write_record(change, "planted", 1, 1.0, accuracy=0.8)
+    write_record(parent, "toy", 1, 0.0, trace=1, metrics={"embedding.train_s": 2.5})
+    write_record(change, "toy", 1, 0.0, trace=1, metrics={"embedding.train_s": 1.5})
+    write_record(change, "toy", 2, 0.0, trace=1, metrics={"embedding.train_s": 1.4})
+    return parent, change
+
+
+def test_writes_medians_quartiles_runs_and_pairs(bench_record, dirs, tmp_path, capsys):
+    output = tmp_path / "BENCH.json"
+    assert bench_record.main([*map(str, dirs), "--output", str(output)]) == 0
+    record = json.loads(output.read_text(encoding="utf-8"))
+    assert record["parent_sha"] == "aaa" and record["change_sha"] is None
+    assert record["environment"] == ENVIRONMENT
+    assert "--seconds 30 --trace 0" in record["benchmark"]["command"]
+
+    toy = record["workloads"]["toy"]
+    assert toy["seeds"] == [1, 2, 3, 4]
+    run_s = toy["metrics"]["run_s"]
+    assert run_s["parent_runs"] == [4.0, 5.0, 4.5, 4.2]
+    assert run_s["change_runs"] == [3.0, 3.5, 4.5, 4.4]
+    q1, median, q3 = np.percentile([4.0, 5.0, 4.5, 4.2], [25, 50, 75])
+    assert run_s["parent"] == {"median": median, "q1": q1, "q3": q3}
+    assert run_s["parent_iqr"] == pytest.approx(q3 - q1)
+    assert run_s["change"]["median"] == pytest.approx(3.95)
+    assert run_s["median_change"] == pytest.approx(3.95 - median)
+    # lower is better for run_s: two wins, one tie, one loss
+    assert (run_s["change_better_pairs"], run_s["tied_pairs"], run_s["pairs"]) == (2, 1, 4)
+    assert toy["metrics"]["wall_run_s"]["parent_runs"] == [3.5, 4.5, 4.0, 3.7]
+    assert toy["metrics"]["test_accuracy"]["tied_pairs"] == 4
+    assert "setup_s" not in toy["metrics"]  # absent from the records
+    assert toy["test_accuracy_identical_per_sub_seed"] is True
+    assert toy["failed_runs"] == {"parent": 0, "change": 0}
+    # only seed 1 was traced on both sides
+    assert toy["traced"] == {
+        "seed1": {"parent": {"embedding.train_s": 2.5}, "change": {"embedding.train_s": 1.5}}
+    }
+
+    planted = record["workloads"]["planted"]
+    assert planted["test_accuracy_identical_per_sub_seed"] is False
+    # higher is better for test_accuracy
+    assert planted["metrics"]["test_accuracy"]["change_better_pairs"] == 0
+    assert "toy" in capsys.readouterr().out
+
+
+def test_failed_rows_are_counted(bench_record, dirs):
+    parent, change = dirs
+    write_record(change, "planted", 1, 1.0, rows=[{"seed": 1000, "error": "boom"}])
+    record = bench_record.build_record(
+        bench_record.load_records(parent), bench_record.load_records(change),
+        bench_record.metric_directions(),
+    )
+    assert record["workloads"]["planted"]["failed_runs"] == {"parent": 0, "change": 1}
+
+
+@pytest.mark.parametrize("fault", ["unpaired", "environment", "seconds", "empty"])
+def test_records_that_cannot_be_paired_are_refused(bench_record, dirs, tmp_path, fault, capsys):
+    parent, change = dirs
+    if fault == "unpaired":
+        write_record(parent, "toy", 9, 4.0, sha="aaa")
+        expected = "without a pair"
+    elif fault == "environment":
+        write_record(change, "toy", 2, 3.5, environment={**ENVIRONMENT, "numpy": "1.24.4"})
+        expected = "environment"
+    elif fault == "seconds":
+        write_record(change, "toy", 2, 3.5, seconds=10)
+        expected = "--seconds"
+    else:
+        change = tmp_path / "nothing"
+        change.mkdir()
+        expected = "no perfbench records"
+    output = tmp_path / "BENCH.json"
+    assert bench_record.main([str(parent), str(change), "--output", str(output)]) == 1
+    assert expected in capsys.readouterr().err
+    assert not output.exists()

@@ -12,7 +12,7 @@ import pytest
 
 from semexpand import cli
 from semexpand.config import ExperimentConfig
-from semexpand.embedding import read_vector_file
+from semexpand.embedding import read_vector_file, write_vector_file
 from semexpand.pipeline import ARTIFACT_NAMES, load_report
 
 REPO = Path(__file__).resolve().parents[1]
@@ -367,7 +367,32 @@ def test_non_utf8_input_is_two(command, tiny, tmp_path, capsys):
     assert run_cli(command, *argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "utf-8" in err, err
+    assert f"{latin1}:1:" in err, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "reader", ["corpus", "dictionary", "synonyms", "config", "assignment", "model", "report"]
+)
+def test_non_utf8_input_names_file_and_line(reader, tiny, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"# a valid first line\n" + "caf\xe9\n".encode("latin-1"))
+    vectors = tmp_path / "vectors.txt"
+    write_vector_file(vectors, ["the", "pain"], np.ones((2, 3)))
+    output = tmp_path / "output"
+    run = ["run", "--dataset", tiny["dataset"], "--k", 2, "--output-dir", output]
+    argv = {
+        "corpus": [*run, "--corpus", bad],
+        "dictionary": [*run, "--corpus", tiny["corpus"], "--dictionary", bad],
+        "synonyms": ["augment", tiny["dataset"], bad, "--output", output],
+        "config": ["run", "--config", bad],
+        "assignment": ["expand", vectors, bad, "--output", output],
+        "model": ["evaluate", tiny["dataset"], "--vectors", vectors, "--model-file", bad],
+        "report": ["compare", bad, bad],
+    }[reader]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{bad}:2: " in err and "0xe9" in err, err
 
 
 def checkout_env():

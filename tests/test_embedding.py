@@ -1,12 +1,23 @@
+import dataclasses
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from semexpand.corpus import TokenizedCorpus, Vocabulary, build_vocabulary, encode_corpus
+from semexpand.config import load_config
+from semexpand.corpus import (
+    TokenizedCorpus,
+    Vocabulary,
+    build_vocabulary,
+    encode_corpus,
+    load_dictionary_file,
+    load_sentence_file,
+)
 from oracles import (
     loop_noise_distribution,
+    loop_softmax_pair_gradients,
     loop_train_skipgram,
     softmax_probability,
     window_pairs,
@@ -42,6 +53,7 @@ def make_corpus(sentences):
 
 
 TOY_SENTENCES = [[f"w{(i + j) % 8}" for j in range(5)] for i in range(10)]  # 50 tokens
+DATA = Path(__file__).resolve().parents[1] / "data" / "toy"
 
 
 class TestSoftmaxProbability:
@@ -170,6 +182,35 @@ class TestPairGradients:
                 numeric = (logp(inp, bumped) - logp(inp, dipped)) / (2 * h)
                 denom = max(abs(numeric), 1e-8)
                 assert abs(grad_out[i, j] - numeric) / denom < 1e-4
+
+    def test_exact_softmax_rounds_as_the_textbook_form(self):
+        # np.array_equal on grad_out: the k = 1 product may turn a -0.0 entry into
+        # +0.0 where exp underflows, the one bit pattern allowed to differ
+        rng = np.random.default_rng(8)
+        sizes = [2, 3, 127, 300, *rng.integers(4, 300, size=12).tolist()]
+        underflows = 0
+        for vocab_size in sizes:
+            for dim in (1, 3, 16, 50):
+                for context in (0, vocab_size - 1):
+                    for near_700 in (False, True):
+                        inp = rng.normal(scale=0.5, size=(vocab_size, dim))
+                        out = rng.normal(scale=0.5, size=(vocab_size, dim))
+                        center = int(rng.integers(vocab_size))
+                        if near_700:
+                            # scores of about +-700: exp overflows without the max
+                            # shift, and the -700 rows underflow after it
+                            v = inp[center]
+                            target = rng.choice([-700.0, 700.0], size=vocab_size)
+                            target += rng.normal(scale=3.0, size=vocab_size)
+                            out = np.outer(target, v) / (v @ v) + 1e-3 * out
+                        fast = softmax_pair_gradients(inp, out, center, context)
+                        slow = loop_softmax_pair_gradients(inp, out, center, context)
+                        assert math.isfinite(fast[0])
+                        assert fast[0] == slow[0]
+                        assert fast[1].tobytes() == slow[1].tobytes()
+                        assert np.array_equal(fast[2], slow[2])
+                        underflows += near_700 and bool((slow[2] == 0).any())
+        assert underflows > 0
 
     def test_negative_sampling_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -367,6 +408,19 @@ class TestBlockedTrainingParity:
         assert np.array_equal(fast.input_vectors, slow.input_vectors)
         assert np.array_equal(fast.output_vectors, slow.output_vectors)
         assert fast.objective_history == slow.objective_history
+
+    @pytest.mark.parametrize("dim", [16, 1, 3, 50])
+    def test_exact_mode_on_shipped_corpus(self, dim):
+        shipped = load_config(DATA / "config.txt")
+        sentences = load_sentence_file(DATA / "corpus.txt", load_dictionary_file(DATA / "dict.txt"))
+        corpus = encode_corpus(sentences, build_vocabulary(sentences, shipped.min_count))
+        cfg = dataclasses.replace(shipped.skipgram_config(), dim=dim, epochs=2)
+        assert len(corpus.vocabulary) == 127 and shipped.dim == 16
+        assert _pair_arrays(corpus.sentences, cfg.window)[0].size > 2 * PAIR_BLOCK
+        fast = train_skipgram(corpus, cfg)
+        slow = loop_train_skipgram(corpus, cfg)
+        assert np.array_equal(fast.input_vectors, slow.input_vectors)
+        assert np.array_equal(fast.output_vectors, slow.output_vectors)
 
     @pytest.mark.parametrize("pairs", PAIR_COUNTS)
     def test_negative_sampling_within_tolerance(self, pairs):
