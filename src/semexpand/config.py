@@ -190,11 +190,8 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     """Build a config from an optional file plus override values."""
     values: dict = {}
     if path:
-        try:
-            with open_text(path) as fh:
-                values.update(parse_config_lines(fh, source=str(path)))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        with open_text(path) as fh:
+            values.update(parse_config_lines(fh, source=str(path)))
     if overrides:
         values.update(_coerce_all((k, v, "override") for k, v in overrides.items()))
     return ExperimentConfig(**values)

@@ -7,8 +7,6 @@ difference checks resolve below 1e-4 relative error.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
@@ -109,30 +107,6 @@ def softmax_cross_entropy_grad(probs, labels):
     return grad / len(labels)
 
 
-class LstmWorkspace:
-    """Time-major LSTM activations, kept so that successive steps reuse memory.
-
-    ``lstm_forward`` writes into views of one flat array that grows only when
-    a call needs more room than any call before it. The next call overwrites
-    those views, so a cache built on a workspace is valid only until then.
-    """
-
-    def __init__(self):
-        self._store = np.empty(0)
-
-    def take(self, *shapes):
-        """Contiguous views of the given shapes, laid end to end in the store."""
-        sizes = [math.prod(shape) for shape in shapes]
-        if sum(sizes) > self._store.size:
-            self._store = np.empty(sum(sizes))
-        views = []
-        offset = 0
-        for shape, size in zip(shapes, sizes):
-            views.append(self._store[offset : offset + size].reshape(shape))
-            offset += size
-        return views
-
-
 def _gate_blocks(z, hidden: int):
     """Input, forget, cell and output blocks along the last axis of z."""
     return (
@@ -157,30 +131,23 @@ def _gate_affine(hidden: int):
     return scale, shift
 
 
-def lstm_forward(x, w, b, hidden: int, workspace=None):
+def lstm_forward(x, w, b, hidden: int):
     """Single-layer LSTM over (B, L, C) input.
 
     w: (C + hidden, 4*hidden) with gate blocks ordered input, forget, cell,
     output; b likewise. Returns the hidden sequence as a (B, L, hidden) view
-    of the time-major activations in ``workspace`` (a fresh one when None),
-    and the cache for ``lstm_backward``.
+    of the time-major hidden states, and the cache for ``lstm_backward``.
 
     The input projection is one GEMM over all steps, so a step multiplies only
     h by w[C:]. The sigmoid columns of w and b are halved first (exactly, as a
     power of two), so one tanh per step covers all four gates.
     """
     batch, length, channels = x.shape
-    if workspace is None:
-        workspace = LstmWorkspace()
-    xs, gates, cells, hs, tanh_cs, dtanh_cs, dz = workspace.take(
-        (length, batch, channels),
-        (length, batch, 4 * hidden),
-        (length + 1, batch, hidden),
-        (length + 1, batch, hidden),
-        (length, batch, hidden),
-        (length, batch, hidden),
-        (length, batch, 4 * hidden),
-    )
+    xs = np.empty((length, batch, channels))
+    gates = np.empty((length, batch, 4 * hidden))
+    cells = np.empty((length + 1, batch, hidden))
+    hs = np.empty((length + 1, batch, hidden))
+    tanh_cs = np.empty((length, batch, hidden))
     scale, shift = _gate_affine(hidden)
     w_scaled = w * scale
     np.copyto(xs, x.transpose(1, 0, 2))
@@ -200,7 +167,7 @@ def lstm_forward(x, w, b, hidden: int, workspace=None):
         cells[t + 1] += i * g
         np.tanh(cells[t + 1], out=tanh_cs[t])
         np.multiply(o, tanh_cs[t], out=hs[t + 1])
-    return hs[1:].transpose(1, 0, 2), (xs, gates, cells, hs, tanh_cs, dtanh_cs, dz)
+    return hs[1:].transpose(1, 0, 2), (xs, gates, cells, hs, tanh_cs)
 
 
 def lstm_backward(dh_seq, cache, w, hidden: int):
@@ -211,15 +178,15 @@ def lstm_backward(dh_seq, cache, w, hidden: int):
     dz buffer and carries dh back through w[C:] only. dw is one GEMM for the
     input rows and one for the recurrent rows.
     """
-    xs, gates, cells, hs, tanh_cs, dtanh_cs, dz = cache
+    xs, gates, cells, hs, tanh_cs = cache
     length, batch, channels = xs.shape
     # dz starts as d(gate)/dz: s * (1 - s) for the sigmoid blocks, 1 - g**2 for the cell block
-    np.subtract(1.0, gates, out=dz)
+    dz = np.subtract(1.0, gates)
     dz *= gates
     dz_g = _gate_blocks(dz, hidden)[2]
     np.square(_gate_blocks(gates, hidden)[2], out=dz_g)
     np.subtract(1.0, dz_g, out=dz_g)
-    np.square(tanh_cs, out=dtanh_cs)
+    dtanh_cs = np.square(tanh_cs)
     np.subtract(1.0, dtanh_cs, out=dtanh_cs)
     w_h_t = w[channels:].T
     upstream = np.empty((batch, 4 * hidden))

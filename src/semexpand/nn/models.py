@@ -201,7 +201,6 @@ class LstmClassifier(_Classifier):
             "fc_w": layers.glorot_uniform(rng, hidden, num_classes, (hidden, num_classes)),
             "fc_b": np.zeros(num_classes),
         }
-        self._workspace = layers.LstmWorkspace()
 
     def _valid_prefix(self, x, mask):
         """x and mask cut after the last column that any row's mask marks valid.
@@ -219,9 +218,7 @@ class LstmClassifier(_Classifier):
 
     def _forward_cache(self, x, mask):
         p = self.params
-        h_seq, lstm_cache = layers.lstm_forward(
-            x, p["gate_w"], p["gate_b"], self.hidden, self._workspace
-        )
+        h_seq, lstm_cache = layers.lstm_forward(x, p["gate_w"], p["gate_b"], self.hidden)
         pooled, pool_cache = layers.masked_mean_forward(h_seq, mask)
         logits, fc_cache = layers.dense_forward(pooled, p["fc_w"], p["fc_b"])
         probs = layers.softmax(logits)

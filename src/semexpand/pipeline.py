@@ -182,14 +182,18 @@ def _score(cfg, model, source, ds):
 
 def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute the full experiment and write all artifacts to cfg.output_dir."""
+    if not cfg.dataset:
+        raise ConfigError("dataset path is required")
+    if not (cfg.embeddings or cfg.corpus):
+        raise ConfigError(
+            "embeddings: either a corpus to train on or an embeddings file is required"
+        )
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / fname for name, fname in ARTIFACT_NAMES.items()}
     timings: dict = {}
     total_start = time.perf_counter()
 
-    if not cfg.dataset:
-        raise ConfigError("dataset path is required")
     user_dict = None
     with _stage("tokenize", timings):
         if cfg.dictionary:
@@ -198,10 +202,6 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
         sentences = corpus.load_sentence_file(cfg.corpus, user_dict) if cfg.corpus else []
 
     if not cfg.embeddings:
-        if not cfg.corpus:
-            raise ConfigError(
-                "embeddings: either a corpus to train on or an embeddings file is required"
-            )
         with _stage("vocabulary", timings):
             vocab = corpus.build_vocabulary(sentences, cfg.min_count)
             encoded_corpus = corpus.encode_corpus(sentences, vocab)

@@ -210,6 +210,11 @@ class TestExitCodes:
         assert run_cli("tokenize", tmp_path / "absent.txt") == 2
         capsys.readouterr()
 
+    def test_missing_config_file_is_two(self, tmp_path, capsys):
+        absent = tmp_path / "absent.txt"
+        assert run_cli("run", "--config", absent) == 2
+        assert str(absent) in capsys.readouterr().err
+
     def test_malformed_data_is_two(self, tmp_path, capsys):
         bad = tmp_path / "bad-vectors.txt"
         bad.write_text("not a header\n")

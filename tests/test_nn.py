@@ -198,8 +198,8 @@ class TestLstmRecurrence:
         loss, grads, probs = model.loss_and_grads(*small)
         kept = {name: grad.copy() for name, grad in grads.items()}
         kept_probs = probs.copy()
-        model.loss_and_grads(*large)  # grows the reused activations
-        again = model.loss_and_grads(*small)  # and reuses them at the smaller size
+        model.loss_and_grads(*large)  # a later step at a larger size
+        again = model.loss_and_grads(*small)  # and one at the first size again
         assert again[0] == loss
         assert np.array_equal(probs, kept_probs) and np.array_equal(again[2], kept_probs)
         for name in kept:
@@ -240,7 +240,6 @@ class TestStepLstmParity:
 
     def test_layers_match_step_reference(self):
         rng = np.random.default_rng(44)
-        workspace = layers.LstmWorkspace()  # shared, so cases both grow and reuse it
         for _ in range(150):
             batch = int(rng.choice([1, 2, 5, 16]))
             length = int(rng.choice([1, 2, 7, 12]))
@@ -249,7 +248,7 @@ class TestStepLstmParity:
             x = rng.normal(size=(batch, length, channels))
             w = rng.normal(scale=0.5, size=(channels + hidden, 4 * hidden))
             b = rng.normal(size=4 * hidden)
-            h_seq, cache = layers.lstm_forward(x, w, b, hidden, workspace)
+            h_seq, cache = layers.lstm_forward(x, w, b, hidden)
             ref_h_seq, ref_caches = step_lstm_forward(x, w, b, hidden)
             assert np.abs(h_seq - ref_h_seq).max() <= 1e-12
             _, pool_cache = layers.masked_mean_forward(ref_h_seq, _random_mask(rng, batch, length))

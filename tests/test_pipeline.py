@@ -360,6 +360,12 @@ class TestRunPipeline:
         with pytest.raises(ConfigError, match="embeddings: "):
             run_pipeline(fast_config(tmp_path / "x", corpus=""))
 
+    def test_rejected_inputs_create_no_output_dir(self, tmp_path):
+        for overrides in ({"dataset": ""}, {"corpus": ""}):
+            with pytest.raises(ConfigError):
+                run_pipeline(fast_config(tmp_path / "never", **overrides))
+            assert not (tmp_path / "never").exists()
+
     def test_grid_search_guards(self, tmp_path):
         with pytest.raises(ConfigError, match="grid"):
             grid_search_k(fast_config(tmp_path / "x", k=5))
