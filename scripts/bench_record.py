@@ -9,7 +9,8 @@ Every untraced (workload, seed) must be present on both sides; each is one
 pair. Per workload and end-to-end metric the output holds both sides' median
 and quartiles (``numpy.percentile``, linear interpolation), every run, how
 many pairs the change won or tied, the parent's interquartile range and the
-median change. Traced records present on both sides are copied per seed. The
+median change; the unscaled ``wall_run_s`` and ``burst_s`` are compared the
+same way. Traced records present on both sides are copied per seed. The
 git shas are the ones the records carry (``null`` for a checkout without
 ``.git``); the environment must be the same on both sides.
 """
@@ -26,8 +27,9 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 RECORD_NAME = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json")
-# the unscaled run time is kept beside the end-to-end metrics, as in BENCH_6.json
-UNSCALED = {"wall_run_s": "lower"}
+# the unscaled run time is kept beside the end-to-end metrics, as in BENCH_6.json, and
+# so is the reference burst that scales run_s, so drift in the host-scale factor shows
+UNSCALED = {"wall_run_s": "lower", "burst_s": "lower"}
 
 
 class RecordError(Exception):

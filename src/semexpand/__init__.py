@@ -50,7 +50,6 @@ from .pipeline import (
     compare_runs,
     grid_search_k,
     run_pipeline,
-    split_dataset,
 )
 
 __version__ = "0.1.0"
@@ -90,7 +89,6 @@ __all__ = [
     "pair_similarity",
     "run_pipeline",
     "save_embeddings",
-    "split_dataset",
     "tokenize",
     "train_skipgram",
     "__version__",

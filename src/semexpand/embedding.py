@@ -87,10 +87,6 @@ def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def _log_sigmoid(x):
-    return -np.logaddexp(0.0, -x)
-
-
 def softmax_pair_gradients(input_vectors, output_vectors, center: int, context: int):
     """Log probability of one (center, context) pair and its ascent gradients.
 
@@ -132,26 +128,6 @@ def _negative_sampling_gradients(input_vectors, output_vectors, center: int, row
     g = -_sigmoid(x)
     g[0] += 1.0
     return x, g @ w, np.dot(g[:, None], v[None, :])
-
-
-def negative_sampling_pair_gradients(
-    input_vectors, output_vectors, center: int, context: int, negatives
-):
-    """Negative-sampling pair loss and ascent gradients.
-
-    ``negatives`` must not contain ``context``. Returns
-    ``(loss, grad_center_input, rows, grad_rows)`` with ``rows`` the list
-    ``[context, *negatives]`` and ``grad_rows[i]`` the ascent gradient of output
-    row ``rows[i]``; a row listed more than once receives the sum of its entries.
-    """
-    if context in negatives:
-        raise ValueError("negative sample equals the context word")
-    rows = [context, *negatives]
-    x, grad_v, grad_rows = _negative_sampling_gradients(
-        input_vectors, output_vectors, center, rows
-    )
-    x[1:] *= -1.0
-    return float(_log_sigmoid(x).sum()), grad_v, rows, grad_rows
 
 
 def _pair_arrays(sentences, window: int):
@@ -270,7 +246,7 @@ def train_skipgram(
             else:
                 draws = np.searchsorted(cumulative, rng.random((stop - start) * k))
                 for (center, context, lr), drawn in zip(block, draws.reshape(-1, k).tolist()):
-                    # negative_sampling_pair_gradients minus the loss, which is never read here
+                    # the context row, then every draw that differs from it; scores unused
                     rows = [context, *(d for d in drawn if d != context)]
                     _, grad_v, grad_rows = _negative_sampling_gradients(inp, out, center, rows)
                     grad_v *= lr

@@ -11,7 +11,7 @@ from .models import (
     load_model,
     save_model,
 )
-from .training import EvalResult, TrainConfig, TrainLog, evaluate, gradient_check, train_classifier
+from .training import EvalResult, TrainConfig, TrainLog, evaluate, train_classifier
 
 __all__ = [
     "CHECKPOINT_TAG",
@@ -27,6 +27,5 @@ __all__ = [
     "TrainConfig",
     "TrainLog",
     "evaluate",
-    "gradient_check",
     "train_classifier",
 ]

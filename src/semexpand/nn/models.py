@@ -84,21 +84,6 @@ class _Classifier:
     def loss_and_grads(self, x, mask, y):
         raise NotImplementedError
 
-    def num_params(self) -> int:
-        return sum(p.size for p in self.params.values())
-
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.params.values()])
-
-    def set_flat(self, flat) -> None:
-        flat = np.asarray(flat, dtype=float)
-        if flat.size != self.num_params():
-            raise ValueError(f"expected {self.num_params()} values, got {flat.size}")
-        offset = 0
-        for name, p in self.params.items():
-            self.params[name] = flat[offset : offset + p.size].reshape(p.shape).copy()
-            offset += p.size
-
     def apply_grads(self, grads: dict, learning_rate: float) -> None:
         for name, g in grads.items():
             self.params[name] -= learning_rate * g

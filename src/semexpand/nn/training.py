@@ -1,4 +1,4 @@
-"""Mini-batch SGD training, evaluation metrics and finite-difference checks."""
+"""Mini-batch SGD training and evaluation metrics."""
 
 from __future__ import annotations
 
@@ -125,34 +125,3 @@ def evaluate(model, x, mask, y) -> EvalResult:
     precision = np.where(predicted_totals > 0, diag / np.maximum(predicted_totals, 1), 0.0)
     recall = np.where(true_totals > 0, diag / np.maximum(true_totals, 1), 0.0)
     return EvalResult(float(accuracy), precision, recall, confusion)
-
-
-def gradient_check(model, x, mask, y, step: float = 1e-4) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Near-zero pairs (both below 1e-10 in magnitude) are compared absolutely
-    against 1e-7 instead, since the relative error is meaningless there.
-    """
-    _, grads, _ = model.loss_and_grads(x, mask, y)
-    analytic = np.concatenate([grads[name].ravel() for name in model.params])
-    flat = model.get_flat()
-    numeric = np.empty_like(analytic)
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] = flat[i] + step
-        model.set_flat(bumped)
-        loss_plus, _, _ = model.loss_and_grads(x, mask, y)
-        bumped[i] = flat[i] - step
-        model.set_flat(bumped)
-        loss_minus, _, _ = model.loss_and_grads(x, mask, y)
-        numeric[i] = (loss_plus - loss_minus) / (2 * step)
-    model.set_flat(flat)
-    scale = np.maximum(np.abs(analytic), np.abs(numeric))
-    max_error = 0.0
-    for a, n, s in zip(analytic, numeric, scale):
-        if s < 1e-10:
-            if abs(a - n) >= 1e-7:
-                max_error = max(max_error, 1.0)
-            continue
-        max_error = max(max_error, abs(a - n) / s)
-    return float(max_error)

@@ -73,13 +73,6 @@ def _subset(dataset: corpus.LabeledDataset, indices) -> corpus.LabeledDataset:
     )
 
 
-def split_dataset(dataset: corpus.LabeledDataset, fractions, seed: int):
-    """Stratified (train, validation, test) split of a labeled dataset."""
-    labels = [label for _, label in dataset.examples]
-    parts = stratified_split_indices(labels, dataset.label_names, fractions, seed)
-    return tuple(_subset(dataset, indices) for indices in parts)
-
-
 def split_fingerprint(test_indices, total: int) -> str:
     """Hash identifying a test split; equal iff the same examples are held out."""
     payload = f"{total}:" + ",".join(str(i) for i in sorted(test_indices))

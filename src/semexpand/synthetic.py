@@ -1,4 +1,4 @@
-"""Seeded synthetic data for benchmarks and sanity checks.
+"""The seeded planted-topic benchmark for the expansion ablation.
 
 The planted-topic benchmark builds three disjoint 30-word topic vocabularies.
 Labeled training sentences draw only from the first 20 words of their topic;
@@ -14,12 +14,11 @@ and the plain one cannot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import clustering, corpus, embedding, expansion
-from .nn import LstmClassifier, TrainConfig, evaluate, train_classifier
+from .nn import TrainConfig, build_model, evaluate, train_classifier
 
 TOPIC_COUNT = 3
 WORDS_PER_TOPIC = 30
@@ -96,24 +95,6 @@ def make_benchmark(seed: int) -> SyntheticBenchmark:
     return SyntheticBenchmark(unlabeled, train, test)
 
 
-def write_benchmark(bench: SyntheticBenchmark, out_dir) -> dict:
-    """Write corpus.txt, train.tsv and test.tsv under out_dir; returns paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "corpus": out / "corpus.txt",
-        "train": out / "train.tsv",
-        "test": out / "test.tsv",
-    }
-    paths["corpus"].write_text("\n".join(bench.unlabeled) + "\n", encoding="utf-8")
-    for key in ("train", "test"):
-        rows = getattr(bench, key)
-        paths[key].write_text(
-            "".join(f"{label}\t{text}\n" for label, text in rows), encoding="utf-8"
-        )
-    return paths
-
-
 @dataclass
 class BenchmarkResult:
     expanded_accuracy: float
@@ -151,12 +132,13 @@ def run_benchmark(seed: int) -> BenchmarkResult:
     for arm, source in (("expanded", expanded), ("plain", emb.input_vectors)):
         x_train, m_train, y_train = expansion.embed_dataset(train_ds, source, BENCH_MAX_LEN)
         x_test, m_test, y_test = expansion.embed_dataset(test_ds, source, BENCH_MAX_LEN)
-        model = LstmClassifier(
-            input_width=x_train.shape[2],
-            num_classes=train_ds.num_classes,
-            hidden=BENCH_HIDDEN,
-            seed=seed,
-        )
+        arch = {
+            "kind": "lstm",
+            "input_width": x_train.shape[2],
+            "num_classes": train_ds.num_classes,
+            "hidden": BENCH_HIDDEN,
+        }
+        model = build_model(arch, seed)
         config = TrainConfig(
             batch_size=BENCH_BATCH_SIZE,
             epochs=BENCH_TRAIN_EPOCHS,
@@ -166,24 +148,3 @@ def run_benchmark(seed: int) -> BenchmarkResult:
         train_classifier(model, x_train, m_train, y_train, config)
         accuracies[arm] = evaluate(model, x_test, m_test, y_test).accuracy
     return BenchmarkResult(accuracies["expanded"], accuracies["plain"])
-
-
-def make_separable_toyset(
-    num_examples: int = 20, max_len: int = 20, width: int = 8, seed: int = 0
-):
-    """A tiny two-class set, linearly separated in the mean input vector.
-
-    Returns (x, mask, y) ready for either classifier; class c offsets the
-    first feature by +/-1 on all valid positions, plus small noise.
-    """
-    rng = np.random.default_rng(seed)
-    x = np.zeros((num_examples, max_len, width))
-    mask = np.zeros((num_examples, max_len))
-    y = np.arange(num_examples) % 2
-    for i in range(num_examples):
-        length = int(rng.integers(max_len // 2, max_len + 1))
-        rows = rng.normal(scale=0.1, size=(length, width))
-        rows[:, 0] += 1.0 if y[i] == 0 else -1.0
-        x[i, :length] = rows
-        mask[i, :length] = 1.0
-    return x, mask, y

@@ -32,6 +32,14 @@ of row gradients. It is the reference for the trained parameters. Its exact
 mode steps through loop_softmax_pair_gradients, the textbook form of the pair
 gradients (p = e / z, np.outer(-p, v)) that softmax_pair_gradients replaced
 with cheaper numpy calls rounding the same way.
+
+negative_sampling_pair_gradients adds the pair loss to the scores and
+gradients of embedding._negative_sampling_gradients, the function that
+train_skipgram calls, so a finite-difference check of the loss checks the
+gradients training uses.
+
+gradient_check compares a classifier's analytic gradients with central
+differences, bumping each entry of model.params in place and putting it back.
 """
 
 import numpy as np
@@ -41,7 +49,7 @@ from semexpand.embedding import (
     MODE_EXACT,
     MODE_NEGATIVE,
     EmbeddingMatrix,
-    _log_sigmoid,
+    _negative_sampling_gradients,
     corpus_objective,
 )
 from semexpand.embedding import _sigmoid as _embedding_sigmoid
@@ -229,6 +237,10 @@ def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
+def _log_sigmoid(x):
+    return -np.logaddexp(0.0, -x)
+
+
 def step_lstm_forward(x, w, b, hidden: int):
     """Single-layer LSTM over (B, L, C) input.
 
@@ -310,6 +322,26 @@ def dict_negative_sampling_pair_gradients(
         grad_v = grad_v - s_n * output_vectors[n]
         grad_rows[n] = grad_rows.get(n, 0.0) - s_n * v
     return loss, grad_v, grad_rows
+
+
+def negative_sampling_pair_gradients(
+    input_vectors, output_vectors, center: int, context: int, negatives
+):
+    """Negative-sampling pair loss and ascent gradients.
+
+    ``negatives`` must not contain ``context``. Returns
+    ``(loss, grad_center_input, rows, grad_rows)`` with ``rows`` the list
+    ``[context, *negatives]`` and ``grad_rows[i]`` the ascent gradient of output
+    row ``rows[i]``; a row listed more than once receives the sum of its entries.
+    """
+    if context in negatives:
+        raise ValueError("negative sample equals the context word")
+    rows = [context, *negatives]
+    x, grad_v, grad_rows = _negative_sampling_gradients(
+        input_vectors, output_vectors, center, rows
+    )
+    x[1:] *= -1.0
+    return float(_log_sigmoid(x).sum()), grad_v, rows, grad_rows
 
 
 def loop_softmax_pair_gradients(input_vectors, output_vectors, center: int, context: int):
@@ -413,3 +445,29 @@ def loop_train_skipgram(corpus, config, track_objective: bool = False):
     if track_objective:
         emb.objective_history = history
     return emb
+
+
+def gradient_check(model, x, mask, y, step: float = 1e-4) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    Near-zero pairs (both below 1e-10 in magnitude) are compared absolutely
+    against 1e-7 instead, since the relative error is meaningless there.
+    """
+    _, grads, _ = model.loss_and_grads(x, mask, y)
+    max_error = 0.0
+    for name, p in model.params.items():
+        for i, a in enumerate(grads[name].ravel()):
+            saved = p.flat[i]
+            p.flat[i] = saved + step
+            loss_plus, _, _ = model.loss_and_grads(x, mask, y)
+            p.flat[i] = saved - step
+            loss_minus, _, _ = model.loss_and_grads(x, mask, y)
+            p.flat[i] = saved
+            n = (loss_plus - loss_minus) / (2 * step)
+            s = max(abs(a), abs(n))
+            if s < 1e-10:
+                if abs(a - n) >= 1e-7:
+                    max_error = max(max_error, 1.0)
+                continue
+            max_error = max(max_error, abs(a - n) / s)
+    return float(max_error)

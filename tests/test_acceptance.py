@@ -14,7 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import average_linkage, naive_hac
+from helpers import make_separable_toyset
+from oracles import (
+    average_linkage,
+    gradient_check,
+    naive_hac,
+    negative_sampling_pair_gradients,
+)
 from semexpand.clustering import (
     assignment_from_cut,
     compute_centroids,
@@ -29,7 +35,6 @@ from semexpand.corpus import build_vocabulary, encode_corpus
 from semexpand.embedding import (
     MODE_EXACT,
     SkipGramConfig,
-    negative_sampling_pair_gradients,
     read_vector_file,
     softmax_pair_gradients,
     train_skipgram,
@@ -41,7 +46,6 @@ from semexpand.nn import (
     LstmClassifier,
     TrainConfig,
     evaluate,
-    gradient_check,
     load_model,
     save_model,
     train_classifier,
@@ -50,7 +54,6 @@ from semexpand.pipeline import ARTIFACT_NAMES, run_pipeline
 from semexpand.synthetic import (
     ACCURACY_MARGIN,
     BENCHMARK_SEEDS,
-    make_separable_toyset,
     run_benchmark,
 )
 

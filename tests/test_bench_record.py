@@ -19,13 +19,15 @@ def bench_record():
     return module
 
 
-def write_record(directory, workload, seed, run_s, trace=0, sha=None, accuracy=0.9, **extra):
+def write_record(
+    directory, workload, seed, run_s, trace=0, sha=None, accuracy=0.9, burst_s=0.001, **extra
+):
     rows = [{"seed": 1000 * seed + i, "accuracy": accuracy + i / 100} for i in range(2)]
     record = {
         "seconds": 30,
         "environment": {**ENVIRONMENT, "git_sha": sha},
         "metrics": {"run_s": run_s, "peak_rss_mb": 40.0, "test_accuracy": accuracy},
-        "unscaled": {"wall_run_s": run_s - 0.5},
+        "unscaled": {"wall_run_s": run_s - 0.5, "burst_s": burst_s},
         "rows": rows,
         **extra,
     }
@@ -37,9 +39,11 @@ def write_record(directory, workload, seed, run_s, trace=0, sha=None, accuracy=0
 @pytest.fixture()
 def dirs(tmp_path):
     parent, change = tmp_path / "parent", tmp_path / "change"
-    for seed, (before, after) in enumerate([(4.0, 3.0), (5.0, 3.5), (4.5, 4.5), (4.2, 4.4)], 1):
-        write_record(parent, "toy", seed, before, sha="aaa")
-        write_record(change, "toy", seed, after)
+    runs = [(4.0, 3.0), (5.0, 3.5), (4.5, 4.5), (4.2, 4.4)]
+    bursts = [(0.0010, 0.0011), (0.0009, 0.0010), (0.0010, 0.0012), (0.0011, 0.0010)]
+    for seed, ((before, after), (burst_before, burst_after)) in enumerate(zip(runs, bursts), 1):
+        write_record(parent, "toy", seed, before, sha="aaa", burst_s=burst_before)
+        write_record(change, "toy", seed, after, burst_s=burst_after)
     write_record(parent, "planted", 1, 2.0, sha="aaa")
     write_record(change, "planted", 1, 1.0, accuracy=0.8)
     write_record(parent, "toy", 1, 0.0, trace=1, metrics={"embedding.train_s": 2.5})
@@ -69,6 +73,11 @@ def test_writes_medians_quartiles_runs_and_pairs(bench_record, dirs, tmp_path, c
     # lower is better for run_s: two wins, one tie, one loss
     assert (run_s["change_better_pairs"], run_s["tied_pairs"], run_s["pairs"]) == (2, 1, 4)
     assert toy["metrics"]["wall_run_s"]["parent_runs"] == [3.5, 4.5, 4.0, 3.7]
+    # the reference burst that scales run_s, one median per side
+    burst_s = toy["metrics"]["burst_s"]
+    assert burst_s["parent"]["median"] == pytest.approx(0.0010)
+    assert burst_s["change"]["median"] == pytest.approx(0.00105)
+    assert burst_s["change_better_pairs"] == 1
     assert toy["metrics"]["test_accuracy"]["tied_pairs"] == 4
     assert "setup_s" not in toy["metrics"]  # absent from the records
     assert toy["test_accuracy_identical_per_sub_seed"] is True

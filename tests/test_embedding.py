@@ -19,6 +19,7 @@ from oracles import (
     loop_noise_distribution,
     loop_softmax_pair_gradients,
     loop_train_skipgram,
+    negative_sampling_pair_gradients,
     softmax_probability,
     window_pairs,
 )
@@ -30,7 +31,6 @@ from semexpand.embedding import (
     SkipGramConfig,
     corpus_objective,
     load_embeddings,
-    negative_sampling_pair_gradients,
     read_vector_file,
     save_embeddings,
     softmax_pair_gradients,

@@ -12,15 +12,13 @@ from semexpand.nn import (
     build_model,
     cnn_output_lengths,
     evaluate,
-    gradient_check,
     layers,
     load_model,
     save_model,
     train_classifier,
 )
-from semexpand.synthetic import make_separable_toyset
-
-from oracles import step_lstm_backward, step_lstm_forward
+from helpers import make_separable_toyset
+from oracles import gradient_check, step_lstm_backward, step_lstm_forward
 
 
 class TestConvAndPool:
@@ -387,13 +385,14 @@ class TestTrainClassifier:
     def test_training_is_deterministic(self):
         x, mask, y = make_separable_toyset(num_examples=12, max_len=20, width=4, seed=2)
         cfg = TrainConfig(batch_size=4, epochs=3, learning_rate=0.05, seed=9)
-        flats = []
+        params = []
         logs = []
         for _ in range(2):
             model = LstmClassifier(input_width=4, num_classes=2, hidden=5, seed=6)
             logs.append(train_classifier(model, x, mask, y, cfg))
-            flats.append(model.get_flat())
-        assert np.array_equal(flats[0], flats[1])
+            params.append(model.params)
+        assert list(params[0]) == list(params[1])
+        assert all(np.array_equal(params[0][name], params[1][name]) for name in params[0])
         assert logs[0].epoch_losses == logs[1].epoch_losses
 
     def test_lstm_trains_without_mask(self):
@@ -503,7 +502,8 @@ class TestCheckpoints:
         loaded = load_model(path)
         assert loaded.kind == "lstm"
         assert loaded.arch() == model.arch()
-        assert np.array_equal(loaded.get_flat(), model.get_flat())
+        assert list(loaded.params) == list(model.params)
+        assert all(np.array_equal(loaded.params[name], p) for name, p in model.params.items())
         loss_a, _, _ = model.loss_and_grads(x, mask, y)
         loss_b, _, _ = loaded.loss_and_grads(x, mask, y)
         assert abs(loss_a - loss_b) < 1e-6
@@ -592,7 +592,3 @@ class TestCheckpoints:
         with pytest.raises(ConfigError):
             build_model({"kind": "transformer"})
 
-    def test_set_flat_rejects_wrong_size(self):
-        model = LstmClassifier(input_width=2, num_classes=2, hidden=2)
-        with pytest.raises(ValueError):
-            model.set_flat(np.zeros(3))

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import split_dataset, write_benchmark
 from semexpand import corpus, synthetic
 from semexpand.config import ExperimentConfig, load_config, parse_config_lines
 from semexpand.corpus import LabeledDataset
@@ -19,7 +20,6 @@ from semexpand.pipeline import (
     run_pipeline,
     save_report,
     seed_for,
-    split_dataset,
     split_fingerprint,
     stratified_split_indices,
 )
@@ -378,7 +378,7 @@ class TestRunPipeline:
 class TestGridRecoversPlantedClusters:
     def test_chosen_k_within_factor_two_of_topic_count(self, tmp_path):
         bench = synthetic.make_benchmark(seed=1)
-        synthetic.write_benchmark(bench, tmp_path)
+        write_benchmark(bench, tmp_path)
         cfg = ExperimentConfig(
             corpus=str(tmp_path / "corpus.txt"),
             dataset=str(tmp_path / "train.tsv"),

@@ -1,30 +1,31 @@
 import numpy as np
 
+from helpers import make_separable_toyset, write_benchmark
 from semexpand import synthetic
 from semexpand.corpus import load_labeled_file, load_sentence_file
 
 
 class TestSeparableToyset:
     def test_shapes_and_balanced_labels(self):
-        x, mask, y = synthetic.make_separable_toyset()
+        x, mask, y = make_separable_toyset()
         assert x.shape == (20, 20, 8)
         assert mask.shape == (20, 20)
         assert sorted(y.tolist()) == [0] * 10 + [1] * 10
 
     def test_classes_separated_by_first_feature_mean(self):
-        x, mask, y = synthetic.make_separable_toyset(seed=4)
+        x, mask, y = make_separable_toyset(seed=4)
         means = (x[:, :, 0] * mask).sum(axis=1) / mask.sum(axis=1)
         assert means[y == 0].min() > 0.5
         assert means[y == 1].max() < -0.5
 
     def test_padding_matches_mask(self):
-        x, mask, _ = synthetic.make_separable_toyset(seed=5)
+        x, mask, _ = make_separable_toyset(seed=5)
         assert np.all(x[mask == 0.0] == 0.0)
         assert np.all(mask.sum(axis=1) >= 10)
 
     def test_deterministic(self):
-        a = synthetic.make_separable_toyset(seed=6)
-        b = synthetic.make_separable_toyset(seed=6)
+        a = make_separable_toyset(seed=6)
+        b = make_separable_toyset(seed=6)
         for left, right in zip(a, b):
             assert np.array_equal(left, right)
 
@@ -74,7 +75,7 @@ class TestBenchmarkGenerator:
 
     def test_written_files_load_back(self, tmp_path):
         bench = synthetic.make_benchmark(seed=5)
-        paths = synthetic.write_benchmark(bench, tmp_path)
+        paths = write_benchmark(bench, tmp_path)
         sentences = load_sentence_file(paths["corpus"])
         assert len(sentences) == len(bench.unlabeled)
         train = load_labeled_file(paths["train"])
