@@ -1,6 +1,7 @@
 """Write a BENCH_<pr>.json benchmark record from two sets of perfbench records.
 
-    python3 scripts/bench_record.py PARENT_DIR CHANGE_DIR --output BENCH_<pr>.json
+    python3 scripts/bench_record.py PARENT_DIR CHANGE_DIR --output BENCH_<pr>.json \
+        [--controls WORKLOAD ...]
 
 Each directory holds the ``<workload>-seed<n>-trace<t>.json`` files that
 ``perfbench/run.py`` writes to ``.perfbench_out/``: one checkout's runs of the
@@ -13,12 +14,21 @@ median change; the unscaled ``wall_run_s`` and ``burst_s`` are compared the
 same way. Traced records present on both sides are copied per seed. The
 git shas are the ones the records carry (``null`` for a checkout without
 ``.git``); the environment must be the same on both sides.
+
+Each workload's ``verdict`` is "shown" only when the host-scaled ``run_s`` and
+the unscaled ``wall_run_s`` both agree on a gain: each is better in at least
+9 pairs and 90% of them, and each median moves the better way by more than the
+parent's interquartile range. Otherwise it is "not shown", and
+``verdict_reasons`` names every condition that failed. Workloads named with
+``--controls`` are ones the change does not touch: if a control shows a move
+either way by the same rule, no workload's gain is shown.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -30,6 +40,10 @@ RECORD_NAME = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01
 # the unscaled run time is kept beside the end-to-end metrics, as in BENCH_6.json, and
 # so is the reference burst that scales run_s, so drift in the host-scale factor shows
 UNSCALED = {"wall_run_s": "lower", "burst_s": "lower"}
+# a gain is shown only when the scaled and the unscaled run time agree on it
+VERDICT_METRICS = ("run_s", "wall_run_s")
+VERDICT_MIN_WINS = 9
+VERDICT_PAIR_SHARE = 0.9
 
 
 class RecordError(Exception):
@@ -74,6 +88,41 @@ def compare_metric(parent_runs, change_runs, better: str) -> dict:
     }
 
 
+def move_reasons(metrics: dict, directions: dict, towards: str = "better") -> list:
+    """Why the pairs do not show a move ``towards`` "better" or "worse"; [] when they do.
+
+    Both VERDICT_METRICS must move that way in at least VERDICT_MIN_WINS pairs
+    and VERDICT_PAIR_SHARE of them, and each median by more than the parent's
+    interquartile range.
+    """
+    reasons, gains = [], {}
+    for name in VERDICT_METRICS:
+        m = metrics.get(name)
+        if m is None:
+            reasons.append(f"{name}: not in the records")
+            continue
+        moved = m["change_better_pairs"]
+        if towards == "worse":
+            moved = m["pairs"] - moved - m["tied_pairs"]
+        needed = max(VERDICT_MIN_WINS, math.ceil(VERDICT_PAIR_SHARE * m["pairs"]))
+        if moved < needed:
+            reasons.append(f"{name}: {towards} in {moved}/{m['pairs']} pairs, {needed} needed")
+        sign = -1.0 if directions[name] == "lower" else 1.0
+        gains[name] = sign * m["median_change"] * (1.0 if towards == "better" else -1.0)
+        if gains[name] <= m["parent_iqr"]:
+            reasons.append(
+                f"{name}: median moved {m['median_change']:+.4g}, "
+                f"not {towards} by more than the parent IQR {m['parent_iqr']:.4g}"
+            )
+    if len(gains) == 2 and (gains["run_s"] > 0) != (gains["wall_run_s"] > 0):
+        reasons.append(
+            "run_s and wall_run_s medians move opposite ways "
+            f"({metrics['run_s']['median_change']:+.4g}, "
+            f"{metrics['wall_run_s']['median_change']:+.4g})"
+        )
+    return reasons
+
+
 def _accuracy_by_sub_seed(record) -> dict:
     return {row["seed"]: row["accuracy"] for row in record["rows"] if "error" not in row}
 
@@ -85,8 +134,11 @@ def _one(values, what: str):
     return values[0]
 
 
-def build_record(parent: dict, change: dict, directions: dict) -> dict:
-    """The BENCH_<pr>.json object for two {(workload, seed, trace): record} maps."""
+def build_record(parent: dict, change: dict, directions: dict, controls=()) -> dict:
+    """The BENCH_<pr>.json object for two {(workload, seed, trace): record} maps.
+
+    ``controls`` names workloads the change does not touch (see the module docstring).
+    """
     untraced = sorted({key for key in parent | change if key[2] == 0})
     unpaired = [key for key in untraced if key not in parent or key not in change]
     if unpaired:
@@ -123,8 +175,11 @@ def build_record(parent: dict, change: dict, directions: dict) -> dict:
                 traced[f"seed{seed}"] = {
                     "parent": parent[key]["metrics"], "change": change[key]["metrics"]
                 }
+        reasons = move_reasons(metrics, directions)
         workloads[name] = {
             "seeds": seeds,
+            "verdict": "not shown" if reasons else "shown",
+            "verdict_reasons": reasons,
             "metrics": metrics,
             "test_accuracy_identical_per_sub_seed": identical,
             "failed_runs": {
@@ -133,6 +188,15 @@ def build_record(parent: dict, change: dict, directions: dict) -> dict:
             },
             "traced": traced,
         }
+    unknown = [name for name in controls if name not in workloads]
+    if unknown:
+        raise RecordError(f"controls without records: {unknown}")
+    for control in controls:
+        for towards in ("better", "worse"):
+            if not move_reasons(workloads[control]["metrics"], directions, towards):
+                for workload in workloads.values():
+                    workload["verdict"] = "not shown"
+                    workload["verdict_reasons"].append(f"control {control} moved {towards}")
     all_seeds = sorted({seed for _, seed, _ in untraced})
     return {
         "benchmark": {
@@ -142,6 +206,7 @@ def build_record(parent: dict, change: dict, directions: dict) -> dict:
             "run per workload and seed",
             "quartiles": "numpy.percentile, linear interpolation",
         },
+        "controls": list(controls),
         "workloads": workloads,
         **{
             f"{side}_sha": _one(
@@ -164,10 +229,15 @@ def main(argv=None) -> int:
     parser.add_argument("parent_dir")
     parser.add_argument("change_dir")
     parser.add_argument("--output", required=True)
+    parser.add_argument(
+        "--controls", nargs="*", default=[], metavar="WORKLOAD",
+        help="workloads the change does not touch; a move in any of them shows no gain",
+    )
     args = parser.parse_args(argv)
     try:
         record = build_record(
-            load_records(args.parent_dir), load_records(args.change_dir), metric_directions()
+            load_records(args.parent_dir), load_records(args.change_dir), metric_directions(),
+            args.controls,
         )
     except RecordError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -179,6 +249,8 @@ def main(argv=None) -> int:
                 f"{name:11s} {metric:14s} {m['parent']['median']:.4g} -> "
                 f"{m['change']['median']:.4g}  better in {m['change_better_pairs']}/{m['pairs']}"
             )
+        reasons = workload["verdict_reasons"]
+        print(f"{name:11s} verdict: {workload['verdict']}", *reasons, sep="\n  ")
     return 0
 
 

@@ -1,8 +1,12 @@
 """Forward/backward primitives for the from-scratch classifiers.
 
 Every forward returns (output, cache); the matching backward consumes the
-upstream gradient plus that cache. Arrays are float64 throughout so finite
-difference checks resolve below 1e-4 relative error.
+upstream gradient plus that cache. The convolution's backward is split in
+two: conv1d_backward returns the weight and bias gradients, and
+conv1d_input_grad the input gradient, which a caller forms only where
+something upstream learns (the first conv layer reads static embeddings).
+Arrays are float64 throughout so finite difference checks resolve below 1e-4
+relative error.
 """
 
 from __future__ import annotations
@@ -52,17 +56,24 @@ def conv1d_forward(x, w, b, kernel_width: int):
     return out, (cols, x.shape)
 
 
-def conv1d_backward(dout, cache, w, kernel_width: int):
-    cols, x_shape = cache
-    batch, length, channels = x_shape
-    out_len = dout.shape[1]
+def conv1d_backward(dout, cache):
+    """(dw, db) of conv1d_forward for the upstream gradient dout (B, L-k+1, F)."""
+    cols, _ = cache
     dw = cols.reshape(-1, cols.shape[-1]).T @ dout.reshape(-1, dout.shape[-1])
     db = dout.sum(axis=(0, 1))
+    return dw, db
+
+
+def conv1d_input_grad(dout, cache, w, kernel_width: int):
+    """d(loss)/dx of conv1d_forward: each window's gradient added back at its offsets."""
+    _, x_shape = cache
+    batch, length, channels = x_shape
+    out_len = dout.shape[1]
     dcols = (dout @ w.T).reshape(batch, out_len, kernel_width, channels)
     dx = np.zeros(x_shape)
     for j in range(kernel_width):
         dx[:, j : j + out_len, :] += dcols[:, :, j, :]
-    return dx, dw, db
+    return dx
 
 
 def maxpool1d_forward(x, width: int):
@@ -72,9 +83,8 @@ def maxpool1d_forward(x, width: int):
     if pooled_len < 1:
         raise ValueError(f"sequence length {length} shorter than pool width {width}")
     blocks = x[:, : pooled_len * width, :].reshape(batch, pooled_len, width, channels)
-    idx = blocks.argmax(axis=2)
-    out = np.take_along_axis(blocks, idx[:, :, None, :], axis=2).squeeze(2)
-    return out, (idx, x.shape, width)
+    # argmax is the first index of each block's max, where the backward sends the gradient
+    return blocks.max(axis=2), (blocks.argmax(axis=2), x.shape, width)
 
 
 def maxpool1d_backward(dout, cache):

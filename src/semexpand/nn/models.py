@@ -147,16 +147,17 @@ class CnnClassifier(_Classifier):
         c1_cache, r1_mask, p1_cache, c2_cache, r2_mask, p2_cache, p2_shape, fc_cache = cache
         loss = layers.cross_entropy(probs, y)
         p = self.params
-        kw = self.kernel_width
         dlogits = layers.softmax_cross_entropy_grad(probs, y)
         dflat, dfc_w, dfc_b = layers.dense_backward(dlogits, fc_cache, p["fc_w"])
         dp2 = dflat.reshape(p2_shape)
         dr2 = layers.maxpool1d_backward(dp2, p2_cache)
         dc2 = layers.relu_backward(dr2, r2_mask)
-        dp1, dconv2_w, dconv2_b = layers.conv1d_backward(dc2, c2_cache, p["conv2_w"], kw)
+        dconv2_w, dconv2_b = layers.conv1d_backward(dc2, c2_cache)
+        dp1 = layers.conv1d_input_grad(dc2, c2_cache, p["conv2_w"], self.kernel_width)
         dr1 = layers.maxpool1d_backward(dp1, p1_cache)
         dc1 = layers.relu_backward(dr1, r1_mask)
-        _, dconv1_w, dconv1_b = layers.conv1d_backward(dc1, c1_cache, p["conv1_w"], kw)
+        # x is static embeddings, so conv1's input gradient is never formed
+        dconv1_w, dconv1_b = layers.conv1d_backward(dc1, c1_cache)
         grads = {
             "conv1_w": dconv1_w,
             "conv1_b": dconv1_b,

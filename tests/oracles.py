@@ -40,6 +40,13 @@ gradients training uses.
 
 gradient_check compares a classifier's analytic gradients with central
 differences, bumping each entry of model.params in place and putting it back.
+
+full_cnn_loss_and_grads is CnnClassifier.loss_and_grads as it was before the
+convolution's backward was split: full_conv1d_backward forms every layer's
+input gradient, and the first layer's is discarded; take_maxpool1d_forward
+reads each block's max through its argmax. It is the bit-for-bit reference
+for the loss, probabilities and gradients. loop_conv1d_backward and
+loop_conv1d_input_grad are per-window loops for the split functions.
 """
 
 import numpy as np
@@ -54,6 +61,7 @@ from semexpand.embedding import (
 )
 from semexpand.embedding import _sigmoid as _embedding_sigmoid
 from semexpand.errors import DataFormatError, NumericError
+from semexpand.nn import layers
 
 
 def _snapshot(clusters) -> list:
@@ -471,3 +479,94 @@ def gradient_check(model, x, mask, y, step: float = 1e-4) -> float:
                 continue
             max_error = max(max_error, abs(a - n) / s)
     return float(max_error)
+
+
+def full_conv1d_backward(dout, cache, w, kernel_width: int):
+    cols, x_shape = cache
+    batch, length, channels = x_shape
+    out_len = dout.shape[1]
+    dw = cols.reshape(-1, cols.shape[-1]).T @ dout.reshape(-1, dout.shape[-1])
+    db = dout.sum(axis=(0, 1))
+    dcols = (dout @ w.T).reshape(batch, out_len, kernel_width, channels)
+    dx = np.zeros(x_shape)
+    for j in range(kernel_width):
+        dx[:, j : j + out_len, :] += dcols[:, :, j, :]
+    return dx, dw, db
+
+
+def take_maxpool1d_forward(x, width: int):
+    """Non-overlapping max pooling along the sequence axis; floor on odd tails."""
+    batch, length, channels = x.shape
+    pooled_len = length // width
+    if pooled_len < 1:
+        raise ValueError(f"sequence length {length} shorter than pool width {width}")
+    blocks = x[:, : pooled_len * width, :].reshape(batch, pooled_len, width, channels)
+    idx = blocks.argmax(axis=2)
+    out = np.take_along_axis(blocks, idx[:, :, None, :], axis=2).squeeze(2)
+    return out, (idx, x.shape, width)
+
+
+def _full_cnn_forward_cache(model, x):
+    p = model.params
+    kw = model.kernel_width
+    c1, c1_cache = layers.conv1d_forward(x, p["conv1_w"], p["conv1_b"], kw)
+    r1, r1_mask = layers.relu_forward(c1)
+    p1, p1_cache = take_maxpool1d_forward(r1, model.pool_width)
+    c2, c2_cache = layers.conv1d_forward(p1, p["conv2_w"], p["conv2_b"], kw)
+    r2, r2_mask = layers.relu_forward(c2)
+    p2, p2_cache = take_maxpool1d_forward(r2, model.pool_width)
+    flat = p2.reshape(len(x), -1)
+    logits, fc_cache = layers.dense_forward(flat, p["fc_w"], p["fc_b"])
+    probs = layers.softmax(logits)
+    cache = (c1_cache, r1_mask, p1_cache, c2_cache, r2_mask, p2_cache, p2.shape, fc_cache)
+    return probs, cache
+
+
+def full_cnn_loss_and_grads(model, x, mask, y):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=int)
+    probs, cache = _full_cnn_forward_cache(model, x)
+    c1_cache, r1_mask, p1_cache, c2_cache, r2_mask, p2_cache, p2_shape, fc_cache = cache
+    loss = layers.cross_entropy(probs, y)
+    p = model.params
+    kw = model.kernel_width
+    dlogits = layers.softmax_cross_entropy_grad(probs, y)
+    dflat, dfc_w, dfc_b = layers.dense_backward(dlogits, fc_cache, p["fc_w"])
+    dp2 = dflat.reshape(p2_shape)
+    dr2 = layers.maxpool1d_backward(dp2, p2_cache)
+    dc2 = layers.relu_backward(dr2, r2_mask)
+    dp1, dconv2_w, dconv2_b = full_conv1d_backward(dc2, c2_cache, p["conv2_w"], kw)
+    dr1 = layers.maxpool1d_backward(dp1, p1_cache)
+    dc1 = layers.relu_backward(dr1, r1_mask)
+    _, dconv1_w, dconv1_b = full_conv1d_backward(dc1, c1_cache, p["conv1_w"], kw)
+    grads = {
+        "conv1_w": dconv1_w,
+        "conv1_b": dconv1_b,
+        "conv2_w": dconv2_w,
+        "conv2_b": dconv2_b,
+        "fc_w": dfc_w,
+        "fc_b": dfc_b,
+    }
+    return loss, grads, probs
+
+
+def loop_conv1d_backward(dout, x, kernel_width: int):
+    """(dw, db) of a valid 1-D convolution, one window at a time."""
+    batch, length, channels = x.shape
+    dw = np.zeros((kernel_width * channels, dout.shape[-1]))
+    db = np.zeros(dout.shape[-1])
+    for bi in range(batch):
+        for t in range(dout.shape[1]):
+            dw += np.outer(x[bi, t : t + kernel_width, :].reshape(-1), dout[bi, t])
+            db += dout[bi, t]
+    return dw, db
+
+
+def loop_conv1d_input_grad(dout, x_shape, w, kernel_width: int):
+    """d(loss)/dx of a valid 1-D convolution, one window at a time."""
+    batch, length, channels = x_shape
+    dx = np.zeros(x_shape)
+    for bi in range(batch):
+        for t in range(dout.shape[1]):
+            dx[bi, t : t + kernel_width, :] += (w @ dout[bi, t]).reshape(kernel_width, channels)
+    return dx

@@ -20,14 +20,16 @@ def bench_record():
 
 
 def write_record(
-    directory, workload, seed, run_s, trace=0, sha=None, accuracy=0.9, burst_s=0.001, **extra
+    directory, workload, seed, run_s, trace=0, sha=None, accuracy=0.9, burst_s=0.001,
+    wall_run_s=None, **extra
 ):
     rows = [{"seed": 1000 * seed + i, "accuracy": accuracy + i / 100} for i in range(2)]
+    wall_run_s = run_s - 0.5 if wall_run_s is None else wall_run_s
     record = {
         "seconds": 30,
         "environment": {**ENVIRONMENT, "git_sha": sha},
         "metrics": {"run_s": run_s, "peak_rss_mb": 40.0, "test_accuracy": accuracy},
-        "unscaled": {"wall_run_s": run_s - 0.5, "burst_s": burst_s},
+        "unscaled": {"wall_run_s": wall_run_s, "burst_s": burst_s},
         "rows": rows,
         **extra,
     }
@@ -82,6 +84,10 @@ def test_writes_medians_quartiles_runs_and_pairs(bench_record, dirs, tmp_path, c
     assert "setup_s" not in toy["metrics"]  # absent from the records
     assert toy["test_accuracy_identical_per_sub_seed"] is True
     assert toy["failed_runs"] == {"parent": 0, "change": 0}
+    # four pairs cannot show a gain, however they fall
+    assert toy["verdict"] == "not shown"
+    assert "run_s: better in 2/4 pairs, 9 needed" in toy["verdict_reasons"]
+    assert record["controls"] == []
     # only seed 1 was traced on both sides
     assert toy["traced"] == {
         "seed1": {"parent": {"embedding.train_s": 2.5}, "change": {"embedding.train_s": 1.5}}
@@ -124,3 +130,113 @@ def test_records_that_cannot_be_paired_are_refused(bench_record, dirs, tmp_path,
     assert bench_record.main([str(parent), str(change), "--output", str(output)]) == 1
     assert expected in capsys.readouterr().err
     assert not output.exists()
+
+
+PARENT_RUNS = [2.40, 2.45, 2.50, 2.38, 2.55, 2.42, 2.47, 2.52, 2.44, 2.49]
+
+
+def write_pairs(parent, change, workload, change_run_s, change_wall_s=None):
+    """Ten pairs; the wall times default to the scaled ones, minus 1.4 s."""
+    change_wall_s = change_wall_s or [r - 1.4 for r in change_run_s]
+    for seed, (before, after, wall) in enumerate(zip(PARENT_RUNS, change_run_s, change_wall_s), 1):
+        write_record(parent, workload, seed, before, wall_run_s=before - 1.4)
+        write_record(change, workload, seed, after, wall_run_s=wall)
+
+
+def verdicts(bench_record, parent, change, controls=()):
+    record = bench_record.build_record(
+        bench_record.load_records(parent), bench_record.load_records(change),
+        bench_record.metric_directions(), controls,
+    )
+    return {name: (w["verdict"], w["verdict_reasons"]) for name, w in record["workloads"].items()}
+
+
+FASTER = [r - 0.3 for r in PARENT_RUNS]
+
+
+def test_verdict_is_shown_when_scaled_and_wall_times_agree(bench_record, tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_pairs(parent, change, "wide-vocab", FASTER)
+    assert verdicts(bench_record, parent, change) == {"wide-vocab": ("shown", [])}
+
+
+def test_nine_of_ten_pairs_suffice_and_eight_do_not(bench_record, tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    one_loss = FASTER[:9] + [PARENT_RUNS[9] + 0.01]
+    write_pairs(parent, change, "wide-vocab", one_loss)
+    assert verdicts(bench_record, parent, change)["wide-vocab"] == ("shown", [])
+    two_losses = FASTER[:8] + [r + 0.01 for r in PARENT_RUNS[8:]]
+    write_pairs(parent, change, "wide-vocab", two_losses)
+    verdict, reasons = verdicts(bench_record, parent, change)["wide-vocab"]
+    assert verdict == "not shown"
+    assert reasons == [
+        "run_s: better in 8/10 pairs, 9 needed",
+        "wall_run_s: better in 8/10 pairs, 9 needed",
+    ]
+
+
+def test_scaled_gain_that_wall_time_does_not_share_is_not_shown(bench_record, tmp_path):
+    # the scaled run_s wins every pair while the wall time rises in six of them
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    wall = [r - 1.4 + (0.02 if i < 6 else -0.02) for i, r in enumerate(PARENT_RUNS)]
+    write_pairs(parent, change, "wide-vocab", [r - 0.07 for r in PARENT_RUNS], wall)
+    verdict, reasons = verdicts(bench_record, parent, change)["wide-vocab"]
+    assert verdict == "not shown"
+    assert "wall_run_s: better in 4/10 pairs, 9 needed" in reasons
+    assert any(r.startswith("run_s and wall_run_s medians move opposite ways") for r in reasons)
+    assert not any(r.startswith("run_s: better") for r in reasons)
+
+
+def test_wall_gain_that_scaled_time_does_not_share_is_not_shown(bench_record, tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_pairs(parent, change, "wide-vocab", PARENT_RUNS, [r - 1.7 for r in PARENT_RUNS])
+    verdict, reasons = verdicts(bench_record, parent, change)["wide-vocab"]
+    assert verdict == "not shown"
+    assert "run_s: better in 0/10 pairs, 9 needed" in reasons
+    assert not any(r.startswith("wall_run_s") for r in reasons)
+
+
+def test_gain_inside_the_parent_iqr_is_not_shown(bench_record, tmp_path):
+    # every pair wins, but by 0.01 s against a parent IQR of about 0.07 s
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_pairs(parent, change, "wide-vocab", [r - 0.01 for r in PARENT_RUNS])
+    verdict, reasons = verdicts(bench_record, parent, change)["wide-vocab"]
+    assert verdict == "not shown"
+    assert [r.split(":")[0] for r in reasons] == ["run_s", "wall_run_s"]
+    assert all("parent IQR" in r for r in reasons)
+
+
+@pytest.mark.parametrize(
+    "towards, control_runs", [("better", FASTER), ("worse", [r + 0.3 for r in PARENT_RUNS])]
+)
+def test_a_control_that_moves_shows_no_gain(bench_record, tmp_path, towards, control_runs):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_pairs(parent, change, "wide-vocab", FASTER)
+    write_pairs(parent, change, "toy", PARENT_RUNS)
+    write_pairs(parent, change, "planted", control_runs)
+    result = verdicts(bench_record, parent, change, controls=["toy", "planted"])
+    assert result["wide-vocab"] == ("not shown", [f"control planted moved {towards}"])
+    assert result["toy"][0] == "not shown"
+    # without controls, wide-vocab's gain stands on its own pairs
+    assert verdicts(bench_record, parent, change)["wide-vocab"] == ("shown", [])
+
+
+def test_controls_that_stay_put_leave_the_gain_shown(bench_record, tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    write_pairs(parent, change, "wide-vocab", FASTER)
+    write_pairs(parent, change, "toy", PARENT_RUNS[5:] + PARENT_RUNS[:5])
+    output = tmp_path / "BENCH.json"
+    argv = [str(parent), str(change), "--output", str(output), "--controls", "toy"]
+    assert bench_record.main(argv) == 0
+    record = json.loads(output.read_text(encoding="utf-8"))
+    assert record["controls"] == ["toy"]
+    assert record["workloads"]["wide-vocab"]["verdict"] == "shown"
+    assert record["workloads"]["toy"]["verdict"] == "not shown"
+    assert "wide-vocab  verdict: shown" in capsys.readouterr().out
+
+
+def test_unknown_control_is_refused(bench_record, dirs, tmp_path, capsys):
+    output = tmp_path / "BENCH.json"
+    argv = [*map(str, dirs), "--output", str(output), "--controls", "wide-vocab"]
+    assert bench_record.main(argv) == 1
+    assert "controls without records" in capsys.readouterr().err

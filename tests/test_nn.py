@@ -18,7 +18,14 @@ from semexpand.nn import (
     train_classifier,
 )
 from helpers import make_separable_toyset
-from oracles import gradient_check, step_lstm_backward, step_lstm_forward
+from oracles import (
+    full_cnn_loss_and_grads,
+    gradient_check,
+    loop_conv1d_backward,
+    loop_conv1d_input_grad,
+    step_lstm_backward,
+    step_lstm_forward,
+)
 
 
 class TestConvAndPool:
@@ -60,6 +67,29 @@ class TestConvAndPool:
         for bi in range(3):
             for t in range(4):
                 assert np.array_equal(out[bi, t], x[bi, 2 * t : 2 * t + 2].max(axis=0))
+
+    @pytest.mark.parametrize("kw", [1, 2, 3, 4])
+    def test_conv_gradients_match_window_loop(self, kw):
+        rng = np.random.default_rng(30 + kw)
+        x = rng.normal(size=(3, 8, 2))
+        w = rng.normal(size=(kw * 2, 5))
+        _, cache = layers.conv1d_forward(x, w, rng.normal(size=5), kernel_width=kw)
+        dout = rng.normal(size=(3, 8 - kw + 1, 5))
+        dw, db = layers.conv1d_backward(dout, cache)
+        dx = layers.conv1d_input_grad(dout, cache, w, kw)
+        loop_dw, loop_db = loop_conv1d_backward(dout, x, kw)
+        assert np.allclose(dw, loop_dw, rtol=0, atol=1e-12)
+        assert np.allclose(db, loop_db, rtol=0, atol=1e-12)
+        assert np.allclose(dx, loop_conv1d_input_grad(dout, x.shape, w, kw), rtol=0, atol=1e-12)
+
+    def test_maxpool_backward_routes_to_first_max_and_zeroes_tail(self):
+        x = np.array([[[2.0, 1.0], [2.0, 3.0], [0.5, 3.0], [4.0, 3.0], [9.0, 9.0]]])
+        out, cache = layers.maxpool1d_forward(x, width=2)
+        assert out[0].tolist() == [[2.0, 3.0], [4.0, 3.0]]
+        dx = layers.maxpool1d_backward(np.array([[[10.0, 20.0], [30.0, 40.0]]]), cache)
+        # ties (2, 2) and (3, 3) send the gradient to the block's first index;
+        # the floor-tail row gets none
+        assert dx[0].tolist() == [[10.0, 0.0], [0.0, 20.0], [0.0, 40.0], [30.0, 0.0], [0.0, 0.0]]
 
     def test_stage_lengths(self):
         assert cnn_output_lengths(20, 5, 2) == (16, 8, 4, 2)
@@ -315,6 +345,37 @@ class TestCnnModel:
         x = rng.normal(size=(4, 20, 3))
         padded = np.concatenate([x, np.zeros((4, 8, 3))], axis=1)
         assert np.abs(short.forward(x) - longer.forward(padded)).max() < 1e-6
+
+
+class TestCnnParity:
+    """loss_and_grads against the version that formed conv1's input gradient too."""
+
+    @pytest.mark.parametrize(
+        "batch, max_len, width, kernels, kw, pool",
+        [
+            (32, 12, 64, 32, 3, 2),  # wide-vocab sizes; conv2's 3 rows pool with a tail of 1
+            (4, 20, 3, 5, 5, 2),  # every stage even
+            (5, 15, 4, 6, 2, 3),  # tails of 2 rows and 0 rows
+        ],
+    )
+    def test_bit_identical_to_full_backward(self, batch, max_len, width, kernels, kw, pool):
+        rng = np.random.default_rng(max_len)
+        model = CnnClassifier(
+            input_width=width, num_classes=3, max_len=max_len, kernels=kernels,
+            kernel_width=kw, pool_width=pool, seed=7,
+        )
+        for name in ("conv1_b", "conv2_b", "fc_b"):
+            model.params[name] = rng.normal(scale=0.1, size=model.params[name].shape)
+        x = rng.normal(size=(batch, max_len, width))
+        x[:, max_len - 4 :, :] = 0.0  # trailing padding, as embed_dataset writes it
+        y = rng.integers(3, size=batch)
+        loss, grads, probs = model.loss_and_grads(x, None, y)
+        ref_loss, ref_grads, ref_probs = full_cnn_loss_and_grads(model, x, None, y)
+        assert loss == ref_loss
+        assert np.array_equal(probs, ref_probs)
+        assert list(grads) == list(ref_grads)
+        for name, g in grads.items():
+            assert np.array_equal(g, ref_grads[name]), name
 
 
 class TestGradientChecks:

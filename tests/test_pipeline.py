@@ -2,14 +2,15 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import split_dataset, write_benchmark
-from semexpand import corpus, synthetic
+from semexpand import corpus, pipeline, synthetic
 from semexpand.config import ExperimentConfig, load_config, parse_config_lines
 from semexpand.corpus import LabeledDataset
 from semexpand.errors import ConfigError, DataFormatError
-from semexpand.nn import load_model
+from semexpand.nn import evaluate, load_model, save_model
 from semexpand.pipeline import (
     ARTIFACT_NAMES,
     ExperimentReport,
@@ -373,6 +374,51 @@ class TestRunPipeline:
             grid_search_k(
                 fast_config(tmp_path / "x", k=0, k_min=2, k_max=4, no_expansion=True)
             )
+
+
+class TestToyCnnRun:
+    def test_checkpoint_reloads_and_rerun_is_byte_identical(self, tmp_path, monkeypatch):
+        """The shipped toy config with the CNN, at a kernel width its max_len of 12 fits."""
+        kept = []
+
+        def keep_model(model, path):
+            kept.append(model)
+            save_model(model, path)
+
+        scored = []
+
+        def keep_inputs(model, x, mask, y):
+            scored.append((model, x, mask, y))
+            return evaluate(model, x, mask, y)
+
+        monkeypatch.setattr(pipeline, "save_model", keep_model)
+        monkeypatch.setattr(pipeline, "evaluate", keep_inputs)
+
+        def toy_cnn(name):
+            overrides = {
+                "corpus": str(DATA / "corpus.txt"),
+                "dataset": str(DATA / "dataset.tsv"),
+                "dictionary": str(DATA / "dict.txt"),
+                "output_dir": str(tmp_path / name),
+                "model": "cnn",
+                "kernel_width": 3,
+            }
+            return load_config(DATA / "config.txt", overrides)
+
+        report = run_pipeline(toy_cnn("first"))
+        assert report.config["model"] == "cnn"
+        assert 0.0 <= report.test_accuracy <= 1.0
+        model_path = tmp_path / "first" / ARTIFACT_NAMES["model"]
+        loaded = load_model(model_path)
+        trained, (scored_model, x, mask, y) = kept[-1], scored[-1]
+        assert scored_model is trained
+        assert loaded.arch() == trained.arch()
+        assert np.array_equal(loaded.forward(x, mask), trained.forward(x, mask))
+        assert evaluate(loaded, x, mask, y).accuracy == report.test_accuracy
+
+        run_pipeline(toy_cnn("again"))
+        rerun_model = tmp_path / "again" / ARTIFACT_NAMES["model"]
+        assert rerun_model.read_bytes() == model_path.read_bytes()
 
 
 class TestGridRecoversPlantedClusters:
