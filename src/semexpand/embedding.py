@@ -280,11 +280,12 @@ def unescape_word(word: str) -> str:
 def write_vector_file(path, words, matrix) -> None:
     """Write any (words, |words| x d matrix) pair in the embedding file format."""
     matrix = np.asarray(matrix)
+    row_format = " ".join(["%.8g"] * matrix.shape[1])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(words)} {matrix.shape[1]}\n")
+        # row by row: a whole-matrix tolist() would hold every value as a Python float at once
         for word, row in zip(words, matrix):
-            vals = " ".join(f"{x:.8g}" for x in row)
-            fh.write(f"{escape_word(word)} {vals}\n")
+            fh.write(f"{escape_word(word)} {row_format % tuple(row.tolist())}\n")
 
 
 def read_vector_file(path) -> tuple[list[str], np.ndarray]:

@@ -47,6 +47,10 @@ input gradient, and the first layer's is discarded; take_maxpool1d_forward
 reads each block's max through its argmax. It is the bit-for-bit reference
 for the loss, probabilities and gradients. loop_conv1d_backward and
 loop_conv1d_input_grad are per-window loops for the split functions.
+
+fstring_write_vector_file is write_vector_file as it was before each row was
+formatted with one "%.8g" template: it formats every value with its own
+f-string. It is the reference for the bytes of every vector file.
 """
 
 import numpy as np
@@ -58,6 +62,7 @@ from semexpand.embedding import (
     EmbeddingMatrix,
     _negative_sampling_gradients,
     corpus_objective,
+    escape_word,
 )
 from semexpand.embedding import _sigmoid as _embedding_sigmoid
 from semexpand.errors import DataFormatError, NumericError
@@ -570,3 +575,12 @@ def loop_conv1d_input_grad(dout, x_shape, w, kernel_width: int):
         for t in range(dout.shape[1]):
             dx[bi, t : t + kernel_width, :] += (w @ dout[bi, t]).reshape(kernel_width, channels)
     return dx
+
+
+def fstring_write_vector_file(path, words, matrix) -> None:
+    matrix = np.asarray(matrix)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(words)} {matrix.shape[1]}\n")
+        for word, row in zip(words, matrix):
+            vals = " ".join(f"{x:.8g}" for x in row)
+            fh.write(f"{escape_word(word)} {vals}\n")

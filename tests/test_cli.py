@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import re
 import shutil
@@ -13,7 +14,7 @@ import pytest
 from semexpand import cli
 from semexpand.config import ExperimentConfig
 from semexpand.embedding import read_vector_file, write_vector_file
-from semexpand.pipeline import ARTIFACT_NAMES, load_report
+from semexpand.pipeline import ARTIFACT_NAMES, REPORT_VERSION, load_report
 
 REPO = Path(__file__).resolve().parents[1]
 DATA = REPO / "data" / "toy"
@@ -307,6 +308,36 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "narrow.txt" in err and "width 3" in err and "expects 4" in err
+
+    def test_malformed_report_is_two(self, tmp_path, capsys):
+        good = {
+            "config": {}, "split_fingerprint": "ab" * 32, "label_names": ["x"], "chosen_k": 3,
+            "grid": [], "test_accuracy": 0.5,
+            "per_class": [{"label": "x", "precision": 0.5, "recall": 1.0}],
+            "confusion": [[1]], "train_log": {}, "timings": {}, "artifacts": {},
+            "format_version": REPORT_VERSION,
+        }
+        reference = tmp_path / "good.json"
+        reference.write_text(json.dumps(good))
+        assert run_cli("compare", reference, reference) == 0
+        row = good["per_class"][0]
+        cases = [
+            ({"per_class": [{"label": "x", "recall": 1.0}]}, "per_class[0].precision"),
+            ({"per_class": [row | {"recall": "1.0"}]}, "per_class[0].recall"),
+            ({"per_class": [row | {"label": ["x"]}]}, "per_class[0].label"),
+            ({"per_class": [row, "x"]}, "per_class[1]"),
+            ({"per_class": {"x": row}}, "per_class"),
+            ({"test_accuracy": None}, "test_accuracy"),
+            ({"chosen_k": "3"}, "chosen_k"),
+            ({"split_fingerprint": 7}, "split_fingerprint"),
+        ]
+        capsys.readouterr()
+        for change, field in cases:
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(good | change))
+            assert run_cli("compare", reference, bad) == 2, field
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and f"report field {field} must be" in err
 
     def test_centroids_of_wrong_width_are_two(self, tiny, tmp_path, capsys):
         wide = tmp_path / "v4.txt"

@@ -16,6 +16,7 @@ from semexpand.corpus import (
     load_sentence_file,
 )
 from oracles import (
+    fstring_write_vector_file,
     loop_noise_distribution,
     loop_softmax_pair_gradients,
     loop_train_skipgram,
@@ -495,6 +496,23 @@ class TestVectorFiles:
         loaded_words, loaded = read_vector_file(path)
         assert loaded_words == words
         assert np.abs(loaded - matrix).max() < 1e-6
+
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        rng = np.random.default_rng(13)
+        special = [0.0, -0.0, 5e-324, 1e-5, 1e16, 99999999.5, np.inf, -np.inf, np.nan]
+        matrices = [
+            rng.normal(size=(40, 7)),
+            rng.normal(scale=1e6, size=(25, 3)).astype(np.float32),
+            rng.standard_normal((30, 5)) * 10.0 ** rng.integers(-300, 300, size=(30, 5)),
+            np.array([special]),
+            np.array([special]).T,
+        ]
+        for i, matrix in enumerate(matrices):
+            words = [f"w{j} x" for j in range(len(matrix))]
+            new, old = tmp_path / f"new{i}.txt", tmp_path / f"old{i}.txt"
+            write_vector_file(new, words, matrix)
+            fstring_write_vector_file(old, words, matrix)
+            assert new.read_bytes() == old.read_bytes()
 
     def test_multiword_tokens_escaped_on_disk(self, tmp_path):
         path = tmp_path / "vectors.txt"

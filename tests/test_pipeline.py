@@ -1,4 +1,6 @@
 import json
+import os
+import tempfile
 import time
 from pathlib import Path
 
@@ -9,7 +11,7 @@ from helpers import split_dataset, write_benchmark
 from semexpand import corpus, pipeline, synthetic
 from semexpand.config import ExperimentConfig, load_config, parse_config_lines
 from semexpand.corpus import LabeledDataset
-from semexpand.errors import ConfigError, DataFormatError
+from semexpand.errors import ConfigError, DataFormatError, NumericError
 from semexpand.nn import evaluate, load_model, save_model
 from semexpand.pipeline import (
     ARTIFACT_NAMES,
@@ -419,6 +421,92 @@ class TestToyCnnRun:
         run_pipeline(toy_cnn("again"))
         rerun_model = tmp_path / "again" / ARTIFACT_NAMES["model"]
         assert rerun_model.read_bytes() == model_path.read_bytes()
+
+
+def four_point_grid_run(path, monkeypatch, cpus):
+    """A run over the grid [2, 3, 5, 8], as if this process could use ``cpus`` CPUs."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    return run_pipeline(fast_config(path, k=0, k_min=2, k_max=8, k_steps=4))
+
+
+def fail_trials_at(monkeypatch, ks, error_type):
+    """Make the trial fits of the given k raise ``error_type``."""
+    fit = pipeline._fit
+
+    def failing_fit(cfg, source, train_ds, seed):
+        for k in ks:
+            if seed == seed_for(cfg.seed, k):
+                raise error_type(f"injected at k={k}")
+        return fit(cfg, source, train_ds, seed)
+
+    monkeypatch.setattr(pipeline, "_fit", failing_fit)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelGridTrials:
+    """Trials on forked processes: at 2 CPUs this process runs k = 2, 5 and a child
+    k = 3, 8; at 3 CPUs this process runs k = 2, 8 and two children k = 3 and k = 5."""
+
+    def test_results_and_artifacts_do_not_depend_on_cpu_count(self, tmp_path, monkeypatch):
+        runs = {}
+        for cpus in (1, 2, 3):
+            out = tmp_path / f"cpus{cpus}"
+            report = four_point_grid_run(out, monkeypatch, cpus)
+            assert_no_child_left()
+            files = [
+                (out / ARTIFACT_NAMES[name]).read_bytes()
+                for name in ("model", "assignment", "expanded")
+            ]
+            runs[cpus] = (report.grid, report.chosen_k, report.test_accuracy, files)
+        assert [row["k"] for row in runs[1][0]] == [2, 3, 5, 8]
+        assert runs[2] == runs[1]
+        assert runs[3] == runs[1]
+
+    @pytest.mark.parametrize("error_type", [NumericError, ValueError])
+    @pytest.mark.parametrize("failing", [{3}, {5}, {8}, {3, 5}, {5, 8}])
+    def test_earliest_failure_is_the_serial_runs(self, tmp_path, monkeypatch, error_type, failing):
+        fail_trials_at(monkeypatch, failing, error_type)
+        raised = []
+        for cpus in (1, 2, 3):
+            with pytest.raises(error_type) as info:
+                four_point_grid_run(tmp_path / f"cpus{cpus}", monkeypatch, cpus)
+            assert_no_child_left()
+            raised.append((type(info.value), str(info.value)))
+        k = min(failing)
+        prefix = f"k={k}: grid_search: " if error_type is NumericError else ""
+        assert raised == [(error_type, f"{prefix}injected at k={k}")] * 3
+
+    def test_child_that_dies_is_reported_and_reaped(self, tmp_path, monkeypatch):
+        fit, parent = pipeline._fit, os.getpid()
+
+        def dying_fit(cfg, source, train_ds, seed):
+            if seed == seed_for(cfg.seed, 3) and os.getpid() != parent:
+                os._exit(7)
+            return fit(cfg, source, train_ds, seed)
+
+        monkeypatch.setattr(pipeline, "_fit", dying_fit)
+        with pytest.raises(RuntimeError, match="without a result \\(exit code 7\\)"):
+            four_point_grid_run(tmp_path / "out", monkeypatch, 2)
+        assert_no_child_left()
+
+    def test_interrupt_kills_and_reaps_children(self, tmp_path, monkeypatch):
+        fail_trials_at(monkeypatch, {2}, KeyboardInterrupt)
+        with pytest.raises(KeyboardInterrupt):
+            four_point_grid_run(tmp_path / "out", monkeypatch, 2)
+        assert_no_child_left()
+
+    def test_children_never_return_into_the_caller(self, monkeypatch):
+        with tempfile.TemporaryDirectory() as tmp:
+            four_point_grid_run(Path(tmp) / "out", monkeypatch, 2)
+            assert (Path(tmp) / "out" / ARTIFACT_NAMES["report"]).is_file()
+
+    def test_one_cpu_where_affinity_is_unknown(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert pipeline._usable_cpus() == 1
 
 
 class TestGridRecoversPlantedClusters:
