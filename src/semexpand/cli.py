@@ -46,8 +46,7 @@ def cmd_tokenize(args) -> int:
     lines = []
     with open_text(args.corpus) as fh:
         for line in fh:
-            tokens = corpus.tokenize(line, user_dict)
-            lines.append(" ".join(embedding.escape_word(t) for t in tokens))
+            lines.append(" ".join(corpus.tokenize(line, user_dict)))
     _write_or_print(lines, args.output)
     return 0
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import escape_word, read_vector_file, write_vector_file
+from .embedding import read_vector_file, write_vector_file
 from .errors import DataFormatError, open_text
 
 logger = logging.getLogger(__name__)
@@ -321,8 +321,7 @@ def load_assignment(path, vocabulary=None) -> ClusterAssignment:
     labels, centroids = read_vector_file(cpath)
     rows = {}
     for i, label in enumerate(labels):
-        # undo the reader's space unescaping: match the on-disk token
-        m = _CLUSTER_TOKEN_RE.match(escape_word(label))
+        m = _CLUSTER_TOKEN_RE.match(label)
         if not m:
             raise DataFormatError(f"{cpath}: unexpected centroid token {label!r}")
         rows[int(m.group(1))] = i

@@ -87,6 +87,12 @@ class ExperimentConfig:
     no_expansion: bool = False
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, str) and (
+                "#" in value or value != value.strip() or len(value.splitlines()) > 1
+            ):
+                reason = "must hold no '#', line break or leading or trailing whitespace"
+                raise ConfigError(f"{reason}, got {value!r}", name)
         for name in ("train_fraction", "validation_fraction", "test_fraction"):
             check_range(name, getattr(self, name), 0, 1, low_open=True)
         fractions = (self.train_fraction, self.validation_fraction, self.test_fraction)

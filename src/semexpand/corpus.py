@@ -133,7 +133,7 @@ def tokenize(text: str, user_dict: UserDictionary | None = None) -> list[str]:
     """Split lowercased text on whitespace/punctuation boundaries.
 
     When ``user_dict`` is given, consecutive base tokens matching a dictionary
-    term are merged back into a single space-joined token, longest match first.
+    term are merged into a single ``_``-joined token, longest match first.
     """
     base = _TOKEN_RE.findall(text.lower())
     if user_dict is None or user_dict.max_len < 2 or not base:
@@ -150,7 +150,7 @@ def tokenize(text: str, user_dict: UserDictionary | None = None) -> list[str]:
                 merged = cand
                 break
         if merged is not None:
-            out.append(" ".join(merged))
+            out.append("_".join(merged))
             i += len(merged)
         else:
             out.append(base[i])
@@ -275,7 +275,7 @@ def load_dictionary_file(path) -> UserDictionary:
 
 
 def load_synonym_file(path) -> SynonymTable:
-    """Read ``word<TAB>synonym`` pairs, one per line."""
+    """Read ``word<TAB>synonym`` pairs, one per line; each word is one token."""
     pairs: dict[str, list[str]] = {}
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -283,8 +283,11 @@ def load_synonym_file(path) -> SynonymTable:
             if not line.strip() or line.startswith("#"):
                 continue
             parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise DataFormatError(f"{path}:{lineno}: expected word<TAB>synonym")
+            if len(parts) != 2 or parts[0].split() != [parts[0]] or not parts[1]:
+                raise DataFormatError(
+                    f"{path}:{lineno}: expected word<TAB>synonym, with the word one token"
+                    " as tokenize spells it (chest_pain)"
+                )
             pairs.setdefault(parts[0], []).append(parts[1])
     return SynonymTable(pairs)
 

@@ -6,9 +6,8 @@ update and is the default at desk scale; negative sampling is the documented
 approximation for larger vocabularies.
 
 File format: first line ``<vocab_size> <dim>``, then one ``<word> <v1> .. <vd>``
-line per word. Words must be space-free on disk, so internal spaces of
-multi-word tokens (from dictionary merging) are written as ``_`` and restored
-on load.
+line per word. Words are written as they are: no token that tokenize() emits
+holds whitespace (it joins dictionary terms with ``_``), so none needs escaping.
 """
 
 from __future__ import annotations
@@ -267,25 +266,18 @@ def train_skipgram(
     return emb
 
 
-def escape_word(word: str) -> str:
-    """On-disk form of a token: internal spaces become ``_``."""
-    return word.replace(" ", "_")
-
-
-def unescape_word(word: str) -> str:
-    """Inverse of escape_word; lossy for a token with its own ``_``."""
-    return word.replace("_", " ")
-
-
 def write_vector_file(path, words, matrix) -> None:
     """Write any (words, |words| x d matrix) pair in the embedding file format."""
+    bad = [word for word in words if word.split() != [word]]
+    if bad:  # read_vector_file splits lines on whitespace: such a word would not read back
+        raise ValueError(f"vector-file word {bad[0]!r} is empty or holds whitespace")
     matrix = np.asarray(matrix)
     row_format = " ".join(["%.8g"] * matrix.shape[1])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(words)} {matrix.shape[1]}\n")
         # row by row: a whole-matrix tolist() would hold every value as a Python float at once
         for word, row in zip(words, matrix):
-            fh.write(f"{escape_word(word)} {row_format % tuple(row.tolist())}\n")
+            fh.write(f"{word} {row_format % tuple(row.tolist())}\n")
 
 
 def read_vector_file(path) -> tuple[list[str], np.ndarray]:
@@ -320,7 +312,7 @@ def read_vector_file(path) -> tuple[list[str], np.ndarray]:
                 raise DataFormatError(
                     f"{path}:{lineno}: expected 1 word + {dim} values, got {len(fields)} fields"
                 )
-            word = unescape_word(fields[0])
+            word = fields[0]
             if word in seen:
                 raise DataFormatError(f"{path}:{lineno}: duplicate word {word!r}")
             seen.add(word)

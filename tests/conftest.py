@@ -1,4 +1,11 @@
 import sys
 from pathlib import Path
 
+from hypothesis import settings
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property tests draw the same examples on every run, take as long as the host
+# needs, and keep no example database in the working tree.
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")

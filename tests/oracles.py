@@ -62,7 +62,6 @@ from semexpand.embedding import (
     EmbeddingMatrix,
     _negative_sampling_gradients,
     corpus_objective,
-    escape_word,
 )
 from semexpand.embedding import _sigmoid as _embedding_sigmoid
 from semexpand.errors import DataFormatError, NumericError
@@ -583,4 +582,4 @@ def fstring_write_vector_file(path, words, matrix) -> None:
         fh.write(f"{len(words)} {matrix.shape[1]}\n")
         for word, row in zip(words, matrix):
             vals = " ".join(f"{x:.8g}" for x in row)
-            fh.write(f"{escape_word(word)} {vals}\n")
+            fh.write(f"{word} {vals}\n")

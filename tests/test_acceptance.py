@@ -301,13 +301,15 @@ def test_criterion_8_round_trips_and_named_errors(tmp_path):
     with criterion(8, "artifacts round-trip and malformed inputs raise the documented errors"):
         rng = np.random.default_rng(33)
 
-        words = ["alpha", "beta", "chest pain", "delta"]
+        words = ["alpha", "beta", "chest_pain", "delta"]
         matrix = rng.normal(size=(4, 5))
         vec_path = tmp_path / "vectors.txt"
         write_vector_file(vec_path, words, matrix)
         loaded_words, loaded = read_vector_file(vec_path)
         assert loaded_words == words
         assert np.max(np.abs(loaded - matrix)) < 1e-6
+        with pytest.raises(ValueError, match="chest pain"):
+            write_vector_file(tmp_path / "spaced.txt", ["chest pain"], matrix[:1])
 
         vectors = rng.normal(size=(6, 3))
         _, assignment = hac_cluster(vectors, 3, words=[f"w{i}" for i in range(6)])

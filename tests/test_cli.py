@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semexpand import cli
+from semexpand import cli, corpus, embedding
 from semexpand.config import ExperimentConfig
 from semexpand.embedding import read_vector_file, write_vector_file
 from semexpand.pipeline import ARTIFACT_NAMES, REPORT_VERSION, load_report
@@ -82,7 +82,7 @@ class TestStageCommands:
         out = capsys.readouterr().out
         assert "objective initial:" in out and "objective epoch 3:" in out
         words, matrix = read_vector_file(vectors)
-        assert "chest pain" in words and matrix.shape[1] == 4
+        assert "chest_pain" in words and matrix.shape[1] == 4
 
         clusters = tmp_path / "clusters.tsv"
         assert run_cli("cluster", vectors, "--k", 3, "--output", clusters) == 0
@@ -93,6 +93,28 @@ class TestStageCommands:
         assert run_cli("expand", vectors, clusters, "--output", expanded) == 0
         _, wide = read_vector_file(expanded)
         assert wide.shape[1] == 8
+
+    def test_underscore_token_keeps_its_id_through_vector_file(self, tiny, tmp_path, capsys):
+        tiny["corpus"].write_text("covid_19 and fever\nchest pain and covid_19\n")
+        vectors = tmp_path / "vectors.txt"
+        assert run_cli("train-embeddings", tiny["corpus"], "--output", vectors, "--dim", 2) == 0
+        capsys.readouterr()
+        trained = corpus.build_vocabulary(corpus.load_sentence_file(tiny["corpus"]))
+        loaded = embedding.load_embeddings(vectors).vocabulary
+        assert loaded.words == trained.words
+        assert loaded.index_of("covid_19") == trained.index_of("covid_19")
+
+    def test_term_and_its_underscore_spelling_are_one_token(self, tiny, tmp_path, capsys):
+        tiny["corpus"].write_text("chest pain at night\nchest_pain at rest\nfever at night\n")
+        vectors, clusters = tmp_path / "vectors.txt", tmp_path / "clusters.tsv"
+        code = run_cli(
+            "train-embeddings", tiny["corpus"], "--dictionary", tiny["dictionary"],
+            "--output", vectors, "--dim", 2,
+        )
+        assert code == 0
+        assert read_vector_file(vectors)[0].count("chest_pain") == 1
+        assert run_cli("cluster", vectors, "--k", 2, "--output", clusters) == 0
+        capsys.readouterr()
 
     def test_train_then_evaluate(self, tiny, tmp_path, capsys):
         vectors = tmp_path / "vectors.txt"
@@ -206,6 +228,24 @@ class TestExitCodes:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_value_config_txt_cannot_hold_is_one(self, tiny, tmp_path, capsys):
+        code = run_cli(
+            "run", "--dataset", tiny["dataset"], "--corpus", tiny["corpus"], "--k", 2,
+            "--output-dir", tmp_path / "exp#2",
+        )
+        assert code == 1
+        assert "error: output_dir must hold no '#'" in capsys.readouterr().err
+        assert not (tmp_path / "exp#2").exists()
+
+    def test_synonym_word_with_whitespace_is_two(self, tiny, tmp_path, capsys):
+        tiny["synonyms"].write_text("chest pain\tangina\n")
+        code = run_cli(
+            "augment", tiny["dataset"], tiny["synonyms"], "--dictionary", tiny["dictionary"],
+            "--output", tmp_path / "augmented.tsv",
+        )
+        assert code == 2
+        assert "as tokenize spells it (chest_pain)" in capsys.readouterr().err
 
     def test_missing_file_is_two(self, tmp_path, capsys):
         assert run_cli("tokenize", tmp_path / "absent.txt") == 2

@@ -220,6 +220,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="k: expected int"):
             load_config(None, {"k": 4.5})
 
+    @pytest.mark.parametrize("value", ["runs/exp#2", "runs/a\nb", " runs/x", "runs/x\t"])
+    def test_value_config_txt_cannot_hold_is_rejected(self, value):
+        with pytest.raises(ConfigError, match="^output_dir "):
+            make_config(output_dir=value)
+
     def test_snapshot_round_trip(self):
         cfg = make_config(model="cnn", dim=12, learning_rate=0.125, no_expansion=True, seed=3)
         parsed = parse_config_lines(cfg.snapshot_lines(), source="snapshot")

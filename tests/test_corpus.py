@@ -38,13 +38,13 @@ class TestTokenize:
     def test_dictionary_longest_match(self):
         d = UserDictionary(["acute brain syndrome", "brain"])
         assert tokenize("acute brain syndrome onset", d) == [
-            "acute brain syndrome",
+            "acute_brain_syndrome",
             "onset",
         ]
 
     def test_dictionary_prefers_longer_term(self):
         d = UserDictionary(["chest pain", "chest pain relief"])
-        assert tokenize("chest pain relief now", d) == ["chest pain relief", "now"]
+        assert tokenize("chest pain relief now", d) == ["chest_pain_relief", "now"]
 
     def test_dictionary_no_match_passthrough(self):
         d = UserDictionary(["stomach ache"])
@@ -223,6 +223,22 @@ class TestFileLoaders:
         with pytest.raises(DataFormatError, match="syn.tsv:1"):
             load_synonym_file(path)
 
+    def test_synonym_word_with_whitespace_rejected(self, tmp_path):
+        path = tmp_path / "syn.tsv"
+        path.write_text("ache\tpain\nchest pain\tangina\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=r"syn.tsv:2: .*as tokenize spells it \(chest_pain\)"):
+            load_synonym_file(path)
+
+    def test_synonym_word_spelled_as_tokenize_matches(self, tmp_path):
+        path = tmp_path / "syn.tsv"
+        path.write_text("chest_pain\tangina pectoris\n", encoding="utf-8")
+        table = load_synonym_file(path)
+        tokens = tokenize("chest pain again", UserDictionary(["chest pain"]))
+        assert augment_with_synonyms([("c", tokens)], table, 1)[1] == (
+            "c",
+            ["angina pectoris", "again"],
+        )
+
     def test_synonym_self_mapping_rejected(self, tmp_path):
         path = tmp_path / "syn.tsv"
         path.write_text("flu\tflu\n", encoding="utf-8")
@@ -234,7 +250,7 @@ class TestFileLoaders:
         path.write_text("Chest pain at night\n\nfever again\n", encoding="utf-8")
         d = UserDictionary(["chest pain"])
         sentences = load_sentence_file(path, d)
-        assert sentences == [["chest pain", "at", "night"], ["fever", "again"]]
+        assert sentences == [["chest_pain", "at", "night"], ["fever", "again"]]
 
 
 class TestVocabularyType:

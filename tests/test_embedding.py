@@ -508,19 +508,22 @@ class TestVectorFiles:
             np.array([special]).T,
         ]
         for i, matrix in enumerate(matrices):
-            words = [f"w{j} x" for j in range(len(matrix))]
+            words = [f"w{j}_x" for j in range(len(matrix))]
             new, old = tmp_path / f"new{i}.txt", tmp_path / f"old{i}.txt"
             write_vector_file(new, words, matrix)
             fstring_write_vector_file(old, words, matrix)
             assert new.read_bytes() == old.read_bytes()
 
-    def test_multiword_tokens_escaped_on_disk(self, tmp_path):
+    def test_words_are_written_as_they_are(self, tmp_path):
         path = tmp_path / "vectors.txt"
-        write_vector_file(path, ["chest pain", "fever"], np.ones((2, 2)))
-        lines = path.read_text().splitlines()
-        assert lines[1].split()[0] == "chest_pain"
-        words, _ = read_vector_file(path)
-        assert words == ["chest pain", "fever"]
+        words = ["covid_19", "chest_pain", "fever"]
+        write_vector_file(path, words, np.ones((3, 2)))
+        assert [line.split()[0] for line in path.read_text().splitlines()[1:]] == words
+        assert read_vector_file(path)[0] == words
+        for word in ("chest pain", "", "a\tb"):
+            with pytest.raises(ValueError, match="whitespace"):
+                write_vector_file(tmp_path / "bad.txt", ["fever", word], np.ones((2, 2)))
+        assert not (tmp_path / "bad.txt").exists()
 
     def test_save_and_load_embeddings(self, tmp_path):
         corpus = make_corpus([["a", "b", "c"]])

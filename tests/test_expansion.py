@@ -220,7 +220,7 @@ class TestLoopParity:
 class TestSaveExpanded:
     def test_round_trip_through_vector_file(self, tmp_path):
         rng = np.random.default_rng(11)
-        words = ["chest pain", "fever", "rash"]
+        words = ["chest_pain", "fever", "rash"]
         vectors = rng.normal(size=(3, 2))
         emb = make_embedding(words, vectors)
         _, assignment = hac_cluster(vectors, k=2, words=words)

@@ -1,0 +1,97 @@
+"""Round-trip properties: every token tokenize() can emit, and every config
+that constructs, reads back from the files the tool writes exactly as written."""
+
+import dataclasses
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+from semexpand.clustering import ClusterAssignment, load_assignment, save_assignment
+from semexpand.config import ExperimentConfig, parse_config_lines
+from semexpand.corpus import UserDictionary, Vocabulary, tokenize
+from semexpand.embedding import MODE_EXACT, MODE_NEGATIVE, read_vector_file, write_vector_file
+from semexpand.errors import ConfigError
+
+# Words built from letters, digits, `_`, punctuation and whitespace, so that
+# dictionary terms, literal `_` spellings and punctuation meet in one text.
+WORDS = st.text(alphabet="ab_1é-.,' \t", min_size=1, max_size=6)
+
+
+@st.composite
+def texts_with_dictionaries(draw):
+    words = draw(st.lists(WORDS, min_size=1, max_size=6))
+    terms = draw(st.lists(st.lists(st.sampled_from(words), min_size=1, max_size=3), max_size=4))
+    pieces = st.one_of(st.sampled_from(words), st.text(max_size=8))
+    text = draw(st.lists(pieces, max_size=12).map(" ".join))
+    entries = [" ".join(term) for term in terms if tokenize(" ".join(term))]
+    return text, UserDictionary(entries) if draw(st.booleans()) else None
+
+
+def distinct_tokens(text, user_dict) -> list:
+    return list(dict.fromkeys(tokenize(text, user_dict)))
+
+
+@given(texts_with_dictionaries())
+def test_tokens_are_non_empty_and_hold_no_whitespace(case):
+    for token in tokenize(*case):
+        assert token and not any(c.isspace() for c in token), repr(token)
+
+
+@given(texts_with_dictionaries())
+def test_tokens_round_trip_through_vector_files(tmp_path_factory, case):
+    words = distinct_tokens(*case)
+    if not words:
+        return
+    matrix = np.arange(2.0 * len(words)).reshape(len(words), 2)
+    path = tmp_path_factory.mktemp("vectors") / "vectors.txt"
+    write_vector_file(path, words, matrix)
+    loaded_words, loaded = read_vector_file(path)
+    assert loaded_words == words
+    assert np.array_equal(loaded, matrix)
+
+
+@given(texts_with_dictionaries(), st.data())
+def test_tokens_round_trip_through_cluster_assignments(tmp_path_factory, case, data):
+    """The `cluster` -> `expand` chain: words read from a vector file, clustered,
+    saved, then loaded against the tokens' own vocabulary."""
+    tokens = distinct_tokens(*case)
+    if not tokens:
+        return
+    work = tmp_path_factory.mktemp("clusters")
+    write_vector_file(work / "vectors.txt", tokens, np.zeros((len(tokens), 1)))
+    words = read_vector_file(work / "vectors.txt")[0]
+    n = len(words)
+    k = data.draw(st.integers(1, n))
+    rest = data.draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    assign = np.array(list(range(k)) + rest)
+    # eighths print exactly under the writer's %.8g
+    eighths = data.draw(st.lists(st.integers(-999, 999), min_size=2 * k, max_size=2 * k))
+    centroids = np.array(eighths).reshape(k, 2) / 8
+    save_assignment(ClusterAssignment(k, assign, centroids, words=words), work / "clusters.tsv")
+    loaded = load_assignment(work / "clusters.tsv", vocabulary=Vocabulary(tokens))
+    assert (loaded.words, loaded.k) == (tokens, k)
+    assert np.array_equal(loaded.assign, assign)
+    assert np.array_equal(loaded.centroids, centroids)
+
+
+_KIND_VALUES = {
+    # text near the snapshot's syntax as well as any text
+    str: st.text() | st.text(alphabet=" #=\n\r\t\x85ab/", max_size=5),
+    int: st.integers(-3, 10**6),
+    float: st.floats(),
+    bool: st.booleans(),
+}
+FIELD_VALUES = {f.name: _KIND_VALUES[type(f.default)] for f in dataclasses.fields(ExperimentConfig)}
+FIELD_VALUES["embed_mode"] |= st.sampled_from([MODE_EXACT, MODE_NEGATIVE])
+FIELD_VALUES["model"] |= st.sampled_from(["lstm", "cnn"])
+
+
+@given(st.data())
+def test_config_snapshot_reads_back_as_written(data):
+    names = data.draw(st.lists(st.sampled_from(sorted(FIELD_VALUES)), unique=True, max_size=4))
+    values = {"k": 4} | {name: data.draw(FIELD_VALUES[name], label=name) for name in names}
+    try:
+        cfg = ExperimentConfig(**values)
+    except ConfigError:
+        return
+    assert ExperimentConfig(**parse_config_lines(cfg.snapshot_lines())) == cfg
