@@ -4,14 +4,10 @@ Every stochastic stage draws from the single config seed. Grid trials and the
 final model use a per-k seed derived with SeedSequence([seed, k]), so adding
 or removing grid points never perturbs the other points' results.
 
-Grid trials run side by side, on up to one process per CPU this process may
-use: forked children take fixed positions of the grid and send their results
-back over a pipe. A trial's result depends only on (config, k, training split,
-validation split). It draws from its own seeded generators, reads no file and
-nothing another trial wrote, and makes the same numpy calls on the same arrays
-in whichever process runs it. So the number of processes cannot change a
-validation accuracy, the chosen k or any artifact: a run on eight CPUs writes
-the same bytes as a run on one.
+Grid trials run side by side (``sidebyside.run_side_by_side``). A trial's
+result depends only on (config, k, training split, validation split), so the
+number of processes cannot change a validation accuracy, the chosen k or any
+artifact.
 """
 
 from __future__ import annotations
@@ -20,8 +16,6 @@ import dataclasses
 import hashlib
 import json
 import logging
-import os
-import pickle
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -33,6 +27,7 @@ from . import clustering, corpus, embedding, expansion
 from .config import ExperimentConfig
 from .errors import ConfigError, DataFormatError, SemexpandError, open_text
 from .nn import build_model, evaluate, save_model, train_classifier
+from .sidebyside import run_side_by_side
 
 logger = logging.getLogger(__name__)
 
@@ -208,111 +203,6 @@ def _score(cfg, model, source, ds):
     return evaluate(model, x, m, y)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where the platform cannot say (macOS, Windows)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
-
-
-def _move_to_cpu(index: int) -> None:
-    """Move this process to the index-th CPU it may use, then let it migrate again.
-
-    A scheduler may keep a forked child on its parent's CPU while another CPU
-    idles: on a 2-vCPU Linux VM the two processes then shared one CPU, and
-    each trial took twice its CPU time. Narrowing the affinity to one CPU moves
-    the process at once; restoring it leaves the scheduler free to move it later.
-    """
-    allowed = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {sorted(allowed)[index % len(allowed)]})
-    os.sched_setaffinity(0, allowed)
-
-
-def _outcomes(trial, values) -> list:
-    """``(True, trial(value))`` for each value in order, up to and including the
-    first ``(False, exception)``."""
-    outcomes = []
-    for value in values:
-        try:
-            outcomes.append((True, trial(value)))
-        except Exception as exc:
-            outcomes.append((False, exc))
-            break
-    return outcomes
-
-
-def _run_child(w, trial, values, write_fd) -> None:
-    """Body of forked child w: send ``_outcomes(trial, values)`` pickled, then exit.
-
-    It leaves through os._exit and never returns into the caller's stack, where
-    ``finally`` blocks (a temporary directory's clean-up, say) would run again.
-    """
-    status = 1
-    try:
-        _move_to_cpu(w)
-        with open(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps(_outcomes(trial, values)))
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _run_side_by_side(trial, values) -> list:
-    """``_outcomes(trial, values)``, computed by min(len(values), usable CPUs) processes.
-
-    Forked child w runs positions w, w + n, ... and this process runs 0, n, ...,
-    each starting on its own CPU. The split is fixed, so each process does the
-    same share on every run. A child's outcomes come back over a pipe that is
-    read to EOF before the child is reaped. No child outlives the call: on any
-    exception, a KeyboardInterrupt included, the children left are killed and
-    reaped. Forking is safe only if every library that started a thread here
-    handles fork: the package starts none, and the OpenBLAS in numpy's wheels
-    stops its thread pool around fork.
-    """
-    n = min(len(values), _usable_cpus())
-    pids, pipes = [], []
-    try:
-        if n > 1:
-            _move_to_cpu(0)
-        for w in range(1, n):
-            read_fd, write_fd = os.pipe()
-            pipes.append(open(read_fd, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _run_child(w, trial, values[w::n], write_fd)
-                pids.append(pid)
-            finally:
-                os.close(write_fd)
-        shares = [_outcomes(trial, values[::n])]
-        for pid, pipe in zip(list(pids), pipes):
-            data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            pids.remove(pid)
-            if not data:
-                code = os.waitstatus_to_exitcode(status)
-                raise RuntimeError(
-                    f"grid trial process {pid} ended without a result (exit code {code})"
-                )
-            shares.append(pickle.loads(data))
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        if pids:
-            import signal  # only this clean-up path needs it
-
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    outcomes = []
-    for position in range(len(values)):
-        # a process stops at its first failure, so its later positions are never reached
-        outcomes.append(shares[position % n][position // n])
-        if not outcomes[-1][0]:
-            break
-    return outcomes
-
-
 def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute the full experiment and write all artifacts to cfg.output_dir."""
     if not cfg.dataset:
@@ -377,7 +267,7 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
             return _score(cfg, trial_model, trial_source, val_ds).accuracy
 
         with _stage("grid_search", timings):
-            outcomes = _run_side_by_side(trial, grid)
+            outcomes = run_side_by_side(trial, grid)
         best = None
         for k, (ok, result) in zip(grid, outcomes):
             if not ok:

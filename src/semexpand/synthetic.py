@@ -19,6 +19,7 @@ import numpy as np
 
 from . import clustering, corpus, embedding, expansion
 from .nn import TrainConfig, build_model, evaluate, train_classifier
+from .sidebyside import run_side_by_side
 
 TOPIC_COUNT = 3
 WORDS_PER_TOPIC = 30
@@ -109,7 +110,13 @@ def run_benchmark(seed: int) -> BenchmarkResult:
     """Train expanded and plain LSTM classifiers on one benchmark instance.
 
     Both arms share the same embeddings, data and training hyperparameters;
-    they differ only in input width (2d expanded vs d plain).
+    they differ only in input width (2d expanded vs d plain). Skip-gram and
+    clustering run in this process; the arms then train side by side
+    (``sidebyside.run_side_by_side``): this process trains the expanded arm
+    and, where a second CPU is usable, a forked child the plain one. An arm
+    reads nothing the other writes, so the results equal a serial run's, and
+    a failure raises the first failed arm's exception, the expanded arm's
+    first, as a serial run would.
     """
     bench = make_benchmark(seed)
     sentences = [corpus.tokenize(line) for line in bench.unlabeled]
@@ -128,8 +135,8 @@ def run_benchmark(seed: int) -> BenchmarkResult:
 
     train_ds = corpus.encode_dataset(bench.train, vocab)
     test_ds = corpus.encode_dataset(bench.test, vocab)
-    accuracies = {}
-    for arm, source in (("expanded", expanded), ("plain", emb.input_vectors)):
+
+    def arm(source) -> float:
         x_train, m_train, y_train = expansion.embed_dataset(train_ds, source, BENCH_MAX_LEN)
         x_test, m_test, y_test = expansion.embed_dataset(test_ds, source, BENCH_MAX_LEN)
         arch = {
@@ -146,5 +153,11 @@ def run_benchmark(seed: int) -> BenchmarkResult:
             seed=seed,
         )
         train_classifier(model, x_train, m_train, y_train, config)
-        accuracies[arm] = evaluate(model, x_test, m_test, y_test).accuracy
-    return BenchmarkResult(accuracies["expanded"], accuracies["plain"])
+        return evaluate(model, x_test, m_test, y_test).accuracy
+
+    accuracies = []
+    for ok, result in run_side_by_side(arm, [expanded, emb.input_vectors]):
+        if not ok:
+            raise result
+        accuracies.append(result)
+    return BenchmarkResult(*accuracies)

@@ -3,12 +3,15 @@
 make_separable_toyset is a tiny two-class set that either classifier can
 overfit; write_benchmark puts a planted-topic benchmark on disk in the
 pipeline's input formats; split_dataset applies the pipeline's stratified
-split to a whole dataset.
+split to a whole dataset; assert_no_child_left checks that a side-by-side
+run reaped every process it forked.
 """
 
+import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from semexpand.corpus import LabeledDataset
 from semexpand.pipeline import _subset, stratified_split_indices
@@ -59,3 +62,8 @@ def split_dataset(dataset: LabeledDataset, fractions, seed: int):
     labels = [label for _, label in dataset.examples]
     parts = stratified_split_indices(labels, dataset.label_names, fractions, seed)
     return tuple(_subset(dataset, indices) for indices in parts)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import split_dataset, write_benchmark
-from semexpand import corpus, pipeline, synthetic
+from helpers import assert_no_child_left, split_dataset, write_benchmark
+from semexpand import corpus, pipeline, sidebyside, synthetic
 from semexpand.config import ExperimentConfig, load_config, parse_config_lines
 from semexpand.corpus import LabeledDataset
 from semexpand.errors import ConfigError, DataFormatError, NumericError
@@ -425,7 +425,7 @@ class TestToyCnnRun:
 
 def four_point_grid_run(path, monkeypatch, cpus):
     """A run over the grid [2, 3, 5, 8], as if this process could use ``cpus`` CPUs."""
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(sidebyside, "_usable_cpus", lambda: cpus)
     return run_pipeline(fast_config(path, k=0, k_min=2, k_max=8, k_steps=4))
 
 
@@ -440,11 +440,6 @@ def fail_trials_at(monkeypatch, ks, error_type):
         return fit(cfg, source, train_ds, seed)
 
     monkeypatch.setattr(pipeline, "_fit", failing_fit)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestParallelGridTrials:
@@ -506,7 +501,7 @@ class TestParallelGridTrials:
 
     def test_one_cpu_where_affinity_is_unknown(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert pipeline._usable_cpus() == 1
+        assert sidebyside._usable_cpus() == 1
 
 
 class TestGridRecoversPlantedClusters:

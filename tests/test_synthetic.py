@@ -1,8 +1,12 @@
-import numpy as np
+import os
 
-from helpers import make_separable_toyset, write_benchmark
-from semexpand import synthetic
+import numpy as np
+import pytest
+
+from helpers import assert_no_child_left, make_separable_toyset, write_benchmark
+from semexpand import clustering, sidebyside, synthetic
 from semexpand.corpus import load_labeled_file, load_sentence_file
+from semexpand.errors import NumericError
 
 
 class TestSeparableToyset:
@@ -88,3 +92,57 @@ class TestBenchmarkResult:
     def test_delta(self):
         result = synthetic.BenchmarkResult(expanded_accuracy=0.9, plain_accuracy=0.8)
         assert abs(result.delta - 0.1) < 1e-12
+
+
+def width_keyed_training(monkeypatch, failing):
+    """Make ``synthetic.train_classifier`` raise for the input widths in ``failing``
+    (32: the expanded arm, 16: the plain one) and skip training for the others."""
+
+    def train(model, x, mask, y, config):
+        if x.shape[2] in failing:
+            raise NumericError(f"injected at width {x.shape[2]}")
+
+    monkeypatch.setattr(synthetic, "train_classifier", train)
+
+
+class TestArmsSideBySide:
+    """At 2 CPUs this process trains the expanded arm and a forked child the plain one."""
+
+    @pytest.mark.parametrize("seed", [1000, 3002])
+    def test_results_do_not_depend_on_cpu_count(self, monkeypatch, seed):
+        results = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(sidebyside, "_usable_cpus", lambda: cpus)
+            results.append(synthetic.run_benchmark(seed))
+            assert_no_child_left()
+        assert results[1] == results[0]
+
+    @pytest.mark.parametrize("failing", [{32}, {16}, {32, 16}])
+    def test_failure_is_the_serial_runs(self, monkeypatch, failing):
+        width_keyed_training(monkeypatch, failing)
+        raised = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(sidebyside, "_usable_cpus", lambda: cpus)
+            with pytest.raises(NumericError) as info:
+                synthetic.run_benchmark(1)
+            assert_no_child_left()
+            raised.append((type(info.value), str(info.value)))
+        width = max(failing)  # the expanded arm's error wins when both fail
+        assert raised == [(NumericError, f"injected at width {width}")] * 2
+
+    def test_dendrogram_is_built_once_in_this_process(self, monkeypatch, tmp_path):
+        width_keyed_training(monkeypatch, set())
+        calls = tmp_path / "calls"
+        build = clustering.build_dendrogram
+
+        def recording_build(vectors):
+            # a file, not a list, so that a call in a forked child would show too
+            with open(calls, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return build(vectors)
+
+        monkeypatch.setattr(clustering, "build_dendrogram", recording_build)
+        monkeypatch.setattr(sidebyside, "_usable_cpus", lambda: 2)
+        synthetic.run_benchmark(1)
+        assert_no_child_left()
+        assert calls.read_text(encoding="utf-8").split() == [str(os.getpid())]
