@@ -14,7 +14,6 @@ from .clustering import (
     compute_centroids,
     cut_dendrogram,
     hac_cluster,
-    pair_similarity,
 )
 from .config import ExperimentConfig, load_config
 from .corpus import (
@@ -86,7 +85,6 @@ __all__ = [
     "hac_cluster",
     "load_config",
     "load_embeddings",
-    "pair_similarity",
     "run_pipeline",
     "save_embeddings",
     "tokenize",

@@ -113,8 +113,7 @@ def cmd_train(args) -> int:
     shape = ClassifierConfig(**_given(args, ClassifierConfig))
     config = TrainConfig(**_given(args, TrainConfig))
     dataset, x, mask, y = _embedded_dataset(args, shape.max_len)
-    arch = {"kind": shape.model, "input_width": x.shape[2], "num_classes": dataset.num_classes}
-    model = build_model(dataclasses.asdict(shape) | arch, config.seed)
+    model = build_model(shape, x.shape[2], dataset.num_classes, config.seed)
     log = train_classifier(model, x, mask, y, config)
     save_model(model, args.output)
     print(

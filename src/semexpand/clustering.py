@@ -35,15 +35,6 @@ from .errors import DataFormatError, open_text
 logger = logging.getLogger(__name__)
 
 
-def pair_similarity(u, v) -> float:
-    """Euclidean-distance-based similarity 1 / (1 + ||u - v||)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return float(1.0 / (1.0 + np.sqrt(np.sum((u - v) ** 2))))
-
-
 def similarity_matrix(vectors) -> np.ndarray:
     """All pairwise similarities with the pair formula, one row pass per vector.
 
@@ -52,7 +43,13 @@ def similarity_matrix(vectors) -> np.ndarray:
     """
     vectors = np.asarray(vectors, dtype=float)
     n = vectors.shape[0]
-    out = np.empty((n, n))
+    try:
+        out = np.empty((n, n))
+    except MemoryError:
+        gib = n * n * 8 / 2**30
+        raise DataFormatError(
+            f"{n} words need a {gib:.1f} GiB similarity matrix, more memory than is available"
+        ) from None
     for i in range(n):
         dist = np.sqrt(np.sum((vectors[i:] - vectors[i]) ** 2, axis=1))
         out[i, i:] = 1.0 / (1.0 + dist)

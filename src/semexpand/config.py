@@ -107,7 +107,7 @@ class ExperimentConfig:
                 raise ConfigError(f"need 1 <= k_min <= k_max, got {self.k_min}..{self.k_max}")
         check_range("k_steps", self.k_steps, 1)
         self.skipgram_config()
-        self._stage_config(ClassifierConfig)
+        self.classifier_config()
         self.train_config(self.seed)
 
     def uses_grid(self) -> bool:
@@ -135,6 +135,9 @@ class ExperimentConfig:
 
     def skipgram_config(self) -> SkipGramConfig:
         return self._stage_config(SkipGramConfig)
+
+    def classifier_config(self) -> ClassifierConfig:
+        return self._stage_config(ClassifierConfig)
 
     def train_config(self, seed: int) -> TrainConfig:
         return self._stage_config(TrainConfig, seed=seed)

@@ -34,7 +34,10 @@ def cnn_output_lengths(max_len: int, kernel_width: int, pool_width: int):
 
 @dataclass
 class ClassifierConfig:
-    """Classifier kind and sizes; ``max_len`` is the padded input length."""
+    """Classifier kind and sizes; ``max_len`` is the padded input length.
+
+    build_model takes one; each kind keeps only its own sizes.
+    """
 
     model: str = "lstm"
     hidden: int = 300
@@ -60,21 +63,21 @@ class _Classifier:
     """Shared parameter bookkeeping for both model kinds."""
 
     kind: str = ""
+    size_names: tuple = ()
 
-    def __init__(self, input_width: int, num_classes: int, **sizes):
-        """Check the kind's sizes with ClassifierConfig and keep each as an attribute."""
-        ClassifierConfig(model=self.kind, **sizes)
+    def __init__(self, shape: ClassifierConfig, input_width: int, num_classes: int):
+        """Keep the kind's sizes from ``shape`` (already range-checked) as attributes."""
         if num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
         self.input_width = input_width
         self.num_classes = num_classes
-        self.sizes = sizes
-        for name, value in sizes.items():
+        self.sizes = {name: getattr(shape, name) for name in self.size_names}
+        for name, value in self.sizes.items():
             setattr(self, name, value)
         self.params: dict[str, np.ndarray] = {}
 
     def arch(self) -> dict:
-        """The descriptor build_model takes, in checkpoint order."""
+        """The checkpoint's architecture lines: kind, input_width, num_classes, the kind's sizes."""
         head = {"kind": self.kind, "input_width": self.input_width, "num_classes": self.num_classes}
         return head | self.sizes
 
@@ -91,24 +94,13 @@ class _Classifier:
 
 class CnnClassifier(_Classifier):
     kind = "cnn"
+    size_names = ("max_len", "kernels", "kernel_width", "pool_width")
 
-    def __init__(
-        self,
-        input_width: int,
-        num_classes: int,
-        max_len: int = ClassifierConfig.max_len,
-        kernels: int = ClassifierConfig.kernels,
-        kernel_width: int = ClassifierConfig.kernel_width,
-        pool_width: int = ClassifierConfig.pool_width,
-        seed: int = 0,
-    ):
-        super().__init__(
-            input_width, num_classes,
-            max_len=max_len, kernels=kernels, kernel_width=kernel_width, pool_width=pool_width,
-        )
-        self.flat_width = cnn_output_lengths(max_len, kernel_width, pool_width)[3] * kernels
+    def __init__(self, shape: ClassifierConfig, input_width: int, num_classes: int, seed: int = 0):
+        super().__init__(shape, input_width, num_classes)
+        kernels, kw = shape.kernels, shape.kernel_width
+        self.flat_width = cnn_output_lengths(shape.max_len, kw, shape.pool_width)[3] * kernels
         rng = np.random.default_rng(seed)
-        kw = kernel_width
         self.params = {
             "conv1_w": layers.glorot_uniform(rng, kw * input_width, kernels, (kw * input_width, kernels)),
             "conv1_b": np.zeros(kernels),
@@ -171,11 +163,11 @@ class CnnClassifier(_Classifier):
 
 class LstmClassifier(_Classifier):
     kind = "lstm"
+    size_names = ("hidden",)
 
-    def __init__(
-        self, input_width: int, num_classes: int, hidden: int = ClassifierConfig.hidden, seed: int = 0
-    ):
-        super().__init__(input_width, num_classes, hidden=hidden)
+    def __init__(self, shape: ClassifierConfig, input_width: int, num_classes: int, seed: int = 0):
+        super().__init__(shape, input_width, num_classes)
+        hidden = shape.hidden
         rng = np.random.default_rng(seed)
         gate_b = np.zeros(4 * hidden)
         gate_b[hidden : 2 * hidden] = 1.0  # forget-gate bias
@@ -236,31 +228,14 @@ class LstmClassifier(_Classifier):
         return loss, grads, probs
 
 
-def build_model(arch: dict, seed: int = 0) -> _Classifier:
-    """Instantiate a classifier from an architecture descriptor.
+_CLASSES = {cls.kind: cls for cls in (CnnClassifier, LstmClassifier)}
 
-    ``arch`` maps ``kind``, ``input_width``, ``num_classes`` and the kind's
-    hyperparameters (see ``arch()``); other keys are ignored.
-    """
-    kind = arch.get("kind")
-    if kind == "cnn":
-        return CnnClassifier(
-            input_width=arch["input_width"],
-            num_classes=arch["num_classes"],
-            max_len=arch["max_len"],
-            kernels=arch["kernels"],
-            kernel_width=arch["kernel_width"],
-            pool_width=arch["pool_width"],
-            seed=seed,
-        )
-    if kind == "lstm":
-        return LstmClassifier(
-            input_width=arch["input_width"],
-            num_classes=arch["num_classes"],
-            hidden=arch["hidden"],
-            seed=seed,
-        )
-    raise ConfigError(f"unknown model kind {kind!r}")
+
+def build_model(
+    shape: ClassifierConfig, input_width: int, num_classes: int, seed: int = 0
+) -> _Classifier:
+    """A freshly initialized classifier of kind ``shape.model`` with ``shape``'s sizes."""
+    return _CLASSES[shape.model](shape, input_width, num_classes, seed)
 
 
 def save_model(model: _Classifier, path) -> None:
@@ -311,10 +286,19 @@ def load_model(path) -> _Classifier:
             raise DataFormatError(f"{path}:{i + 2}: param {name!r} has non-finite values")
         raw_params[name] = values
         i += 2
+    kind = arch.get("kind")
+    if kind not in _CLASSES:
+        raise DataFormatError(f"{path}: unknown model kind {kind!r}")
+    size_names = _CLASSES[kind].size_names
+    names = ("kind", "input_width", "num_classes", *size_names)
+    for key in (*names, *arch):
+        if key not in arch:
+            raise DataFormatError(f"{path}: missing architecture key {key!r}")
+        if key not in names:
+            raise DataFormatError(f"{path}: architecture key {key!r} is not used by kind {kind!r}")
+    sizes = {key: arch[key] for key in size_names}
     try:
-        model = build_model(arch, seed=0)
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: missing architecture key {exc.args[0]!r}") from None
+        model = build_model(ClassifierConfig(kind, **sizes), arch["input_width"], arch["num_classes"])
     except ConfigError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
     for name, p in model.params.items():

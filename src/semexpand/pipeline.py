@@ -192,8 +192,7 @@ def _stage(name: str, timings: dict):
 def _fit(cfg, source, train_ds, seed):
     """Train a fresh classifier on train_ds; returns (model, train log)."""
     x, m, y = expansion.embed_dataset(train_ds, source, cfg.max_len)
-    arch = {"kind": cfg.model, "input_width": x.shape[2], "num_classes": train_ds.num_classes}
-    model = build_model(dataclasses.asdict(cfg) | arch, seed)
+    model = build_model(cfg.classifier_config(), x.shape[2], train_ds.num_classes, seed)
     log = train_classifier(model, x, m, y, cfg.train_config(seed))
     return model, log
 

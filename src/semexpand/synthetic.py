@@ -13,12 +13,13 @@ and the plain one cannot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import clustering, corpus, embedding, expansion
-from .nn import TrainConfig, build_model, evaluate, train_classifier
+from .config import ExperimentConfig
+from .nn import build_model, evaluate, train_classifier
 from .sidebyside import run_side_by_side
 
 TOPIC_COUNT = 3
@@ -32,15 +33,22 @@ TEST_LENGTH = (2, 4)
 CONTAMINATION_RATE = 0.25
 EMBED_DIM = 16
 
-# benchmark harness settings, tuned for a reliable gap at small runtime
+# benchmark harness settings, tuned for a reliable gap at small runtime;
+# perfbench/workloads.py reads BENCH_WINDOW and BENCH_EMBED_EPOCHS by name
 BENCH_EMBED_EPOCHS = 1
 BENCH_WINDOW = 2
-BENCH_CLUSTER_COUNT = 3
-BENCH_MAX_LEN = 8
-BENCH_HIDDEN = 64
-BENCH_TRAIN_EPOCHS = 30
-BENCH_BATCH_SIZE = 32
-BENCH_LEARNING_RATE = 0.1
+BENCH_CONFIG = ExperimentConfig(
+    dim=EMBED_DIM,
+    window=BENCH_WINDOW,
+    embed_epochs=BENCH_EMBED_EPOCHS,
+    k=3,
+    model="lstm",
+    hidden=64,
+    max_len=8,
+    batch_size=32,
+    train_epochs=30,
+    learning_rate=0.1,
+)
 ACCURACY_MARGIN = 0.02
 BENCHMARK_SEEDS = (1, 2, 3, 4, 5)
 
@@ -118,41 +126,23 @@ def run_benchmark(seed: int) -> BenchmarkResult:
     a failure raises the first failed arm's exception, the expanded arm's
     first, as a serial run would.
     """
+    cfg = replace(BENCH_CONFIG, seed=seed)
     bench = make_benchmark(seed)
     sentences = [corpus.tokenize(line) for line in bench.unlabeled]
     vocab = corpus.build_vocabulary(sentences)
     encoded = corpus.encode_corpus(sentences, vocab)
-    emb = embedding.train_skipgram(
-        encoded,
-        embedding.SkipGramConfig(
-            window=BENCH_WINDOW, dim=EMBED_DIM, epochs=BENCH_EMBED_EPOCHS, seed=seed
-        ),
-    )
-    _, assignment = clustering.hac_cluster(
-        emb.input_vectors, BENCH_CLUSTER_COUNT, words=vocab.words
-    )
+    emb = embedding.train_skipgram(encoded, cfg.skipgram_config())
+    _, assignment = clustering.hac_cluster(emb.input_vectors, cfg.k, words=vocab.words)
     expanded = expansion.expand(emb, assignment)
 
     train_ds = corpus.encode_dataset(bench.train, vocab)
     test_ds = corpus.encode_dataset(bench.test, vocab)
 
     def arm(source) -> float:
-        x_train, m_train, y_train = expansion.embed_dataset(train_ds, source, BENCH_MAX_LEN)
-        x_test, m_test, y_test = expansion.embed_dataset(test_ds, source, BENCH_MAX_LEN)
-        arch = {
-            "kind": "lstm",
-            "input_width": x_train.shape[2],
-            "num_classes": train_ds.num_classes,
-            "hidden": BENCH_HIDDEN,
-        }
-        model = build_model(arch, seed)
-        config = TrainConfig(
-            batch_size=BENCH_BATCH_SIZE,
-            epochs=BENCH_TRAIN_EPOCHS,
-            learning_rate=BENCH_LEARNING_RATE,
-            seed=seed,
-        )
-        train_classifier(model, x_train, m_train, y_train, config)
+        x_train, m_train, y_train = expansion.embed_dataset(train_ds, source, cfg.max_len)
+        x_test, m_test, y_test = expansion.embed_dataset(test_ds, source, cfg.max_len)
+        model = build_model(cfg.classifier_config(), x_train.shape[2], train_ds.num_classes, seed)
+        train_classifier(model, x_train, m_train, y_train, cfg.train_config(seed))
         return evaluate(model, x_test, m_test, y_test).accuracy
 
     accuracies = []

@@ -12,6 +12,9 @@ ties, where naive_hac's different summation order can differ in the last ulp.
 Its similarities come from loop_similarity_matrix, the full row-by-row pass
 that the mirrored similarity_matrix replaced.
 
+pair_similarity is the similarity formula 1 / (1 + ||u - v||) for one pair;
+similarity_matrix computes it for all pairs at once.
+
 average_linkage and softmax_probability are the textbook formulas for the
 cluster linkage and the skip-gram pair probability; the pipeline computes both
 through other paths (the linkage sum matrix, corpus_objective).
@@ -55,7 +58,6 @@ f-string. It is the reference for the bytes of every vector file.
 
 import numpy as np
 
-from semexpand.clustering import pair_similarity
 from semexpand.embedding import (
     MODE_EXACT,
     MODE_NEGATIVE,
@@ -66,6 +68,15 @@ from semexpand.embedding import (
 from semexpand.embedding import _sigmoid as _embedding_sigmoid
 from semexpand.errors import DataFormatError, NumericError
 from semexpand.nn import layers
+
+
+def pair_similarity(u, v) -> float:
+    """Euclidean-distance-based similarity 1 / (1 + ||u - v||)."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.shape != v.shape:
+        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    return float(1.0 / (1.0 + np.sqrt(np.sum((u - v) ** 2))))
 
 
 def _snapshot(clusters) -> list:

@@ -20,6 +20,7 @@ from oracles import (
     gradient_check,
     naive_hac,
     negative_sampling_pair_gradients,
+    pair_similarity,
 )
 from semexpand.clustering import (
     assignment_from_cut,
@@ -27,7 +28,6 @@ from semexpand.clustering import (
     cut_dendrogram,
     hac_cluster,
     load_assignment,
-    pair_similarity,
     save_assignment,
 )
 from semexpand.config import ExperimentConfig, load_config
@@ -42,9 +42,9 @@ from semexpand.embedding import (
 )
 from semexpand.errors import DataFormatError
 from semexpand.nn import (
-    CnnClassifier,
-    LstmClassifier,
+    ClassifierConfig,
     TrainConfig,
+    build_model,
     evaluate,
     load_model,
     save_model,
@@ -186,15 +186,13 @@ def test_criterion_3_gradients_match_finite_differences():
                 ) / (2 * h)
                 worst = max(worst, relerr(grad_out[i, j], numeric))
 
-        cnn = CnnClassifier(
-            input_width=3, num_classes=3, max_len=10, kernels=4, kernel_width=3,
-            pool_width=2, seed=3,
-        )
+        shape = ClassifierConfig("cnn", max_len=10, kernels=4, kernel_width=3, pool_width=2)
+        cnn = build_model(shape, 3, 3, seed=3)
         x = rng.normal(size=(4, 10, 3))
         y = np.array([0, 1, 2, 1])
         worst = max(worst, gradient_check(cnn, x, None, y))
 
-        lstm = LstmClassifier(input_width=3, num_classes=3, hidden=5, seed=4)
+        lstm = build_model(ClassifierConfig("lstm", hidden=5), 3, 3, seed=4)
         x = rng.normal(size=(4, 6, 3))
         mask = np.ones((4, 6))
         mask[1, 4:] = 0.0
@@ -253,16 +251,14 @@ def test_criterion_5_expansion_beats_ablation_on_benchmark():
 def test_criterion_6_classifiers_overfit_toy_set():
     with criterion(6, "both classifiers reach 100% training accuracy on the toy set"):
         x, mask, y = make_separable_toyset()
-        cnn = CnnClassifier(
-            input_width=8, num_classes=2, max_len=20, kernels=8, kernel_width=5,
-            pool_width=2, seed=0,
-        )
+        shape = ClassifierConfig("cnn", max_len=20, kernels=8, kernel_width=5, pool_width=2)
+        cnn = build_model(shape, 8, 2, seed=0)
         train_classifier(
             cnn, x, mask, y, TrainConfig(batch_size=4, epochs=200, learning_rate=0.05, seed=0)
         )
         assert evaluate(cnn, x, mask, y).accuracy == 1.0
 
-        lstm = LstmClassifier(input_width=8, num_classes=2, hidden=16, seed=0)
+        lstm = build_model(ClassifierConfig("lstm", hidden=16), 8, 2, seed=0)
         train_classifier(
             lstm, x, mask, y, TrainConfig(batch_size=4, epochs=200, learning_rate=0.1, seed=0)
         )
@@ -320,7 +316,7 @@ def test_criterion_8_round_trips_and_named_errors(tmp_path):
         assert restored.words == assignment.words
         assert np.max(np.abs(restored.centroids - assignment.centroids)) < 1e-6
 
-        model = LstmClassifier(input_width=4, num_classes=3, hidden=6, seed=7)
+        model = build_model(ClassifierConfig("lstm", hidden=6), 4, 3, seed=7)
         ckpt_path = tmp_path / "model.ckpt"
         save_model(model, ckpt_path)
         clone = load_model(ckpt_path)

@@ -279,6 +279,24 @@ class TestExitCodes:
         assert "header declares 2000000000 rows, found 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_vocabulary_too_large_for_memory_is_two(self, tmp_path, capsys, monkeypatch):
+        # numpy refuses the n x n similarity matrix, as it does for a 200,000-word file
+        empty = np.empty
+
+        def refuse_square(shape, *args, **kwargs):
+            if shape == (3, 3):
+                raise MemoryError("Unable to allocate")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", refuse_square)
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("3 2\na 1 2\nb 3 4\nc 5 6\n")
+        out = tmp_path / "clusters.tsv"
+        assert run_cli("cluster", vectors, "--k", 1, "--output", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 3 words need a ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_invalid_skipgram_flags_are_one(self, tiny, tmp_path, capsys):
         output = tmp_path / "v.txt"
         for flags, message in (
@@ -316,6 +334,7 @@ class TestExitCodes:
         cases = [
             (hidden, "hidden three", f"model.txt:{hidden + 1}: hidden"),
             (hidden, None, "missing architecture key 'hidden'"),
+            (hidden, "hidden 3\nkernels 3", "key 'kernels' is not used by kind 'lstm'"),
             (fc_b, "param fc_b two", f"model.txt:{fc_b + 1}:"),
         ]
         capsys.readouterr()

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import average_linkage, loop_similarity_matrix, naive_hac, slot_scan_hac
+from oracles import (
+    average_linkage,
+    loop_similarity_matrix,
+    naive_hac,
+    pair_similarity,
+    slot_scan_hac,
+)
 from semexpand import clustering
 from semexpand.clustering import (
     ClusterAssignment,
@@ -10,7 +16,6 @@ from semexpand.clustering import (
     cut_dendrogram,
     hac_cluster,
     load_assignment,
-    pair_similarity,
     save_assignment,
     similarity_matrix,
 )
@@ -61,6 +66,17 @@ class TestSimilarityMatrix:
         for n, d in ((1, 2), (2, 2), (50, 2), (300, 3)):
             vectors = rng.integers(-2, 3, size=(n, d)).astype(float)
             assert np.array_equal(similarity_matrix(vectors), loop_similarity_matrix(vectors))
+
+    def test_refused_allocation_names_words_and_gib(self, monkeypatch):
+        # the stand-in refuses at once, so no 298 GiB request reaches the system
+        def refuse(shape, *args, **kwargs):
+            raise MemoryError("Unable to allocate 298. GiB")
+
+        vectors = np.zeros((200_000, 1))
+        monkeypatch.setattr(np, "empty", refuse)
+        message = "200000 words need a 298.0 GiB similarity matrix"
+        with pytest.raises(DataFormatError, match=message):
+            similarity_matrix(vectors)
 
 
 class TestAverageLinkage:

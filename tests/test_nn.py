@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +7,7 @@ import pytest
 from semexpand.errors import ConfigError, DataFormatError, NumericError
 from semexpand.nn import (
     CHECKPOINT_TAG,
-    CnnClassifier,
-    LstmClassifier,
+    ClassifierConfig,
     TrainConfig,
     build_model,
     cnn_output_lengths,
@@ -26,6 +26,8 @@ from oracles import (
     step_lstm_backward,
     step_lstm_forward,
 )
+
+CHECKPOINTS = Path(__file__).resolve().parent / "data"
 
 
 class TestConvAndPool:
@@ -156,7 +158,7 @@ class TestLstmRecurrence:
         assert np.abs(h_seq[0, :, 0] - expected).max() < 1e-12
 
     def test_forget_gate_bias_starts_at_one(self):
-        model = LstmClassifier(input_width=3, num_classes=2, hidden=4, seed=0)
+        model = build_model(ClassifierConfig("lstm", hidden=4), 3, 2, seed=0)
         gate_b = model.params["gate_b"]
         assert np.array_equal(gate_b[4:8], np.ones(4))
         assert np.array_equal(gate_b[:4], np.zeros(4))
@@ -170,7 +172,7 @@ class TestLstmRecurrence:
 
     def test_output_ignores_padding_content_and_length(self):
         rng = np.random.default_rng(24)
-        model = LstmClassifier(input_width=3, num_classes=2, hidden=5, seed=1)
+        model = build_model(ClassifierConfig("lstm", hidden=5), 3, 2, seed=1)
         x = rng.normal(size=(2, 4, 3))
         mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
         garbled = x.copy()
@@ -182,7 +184,7 @@ class TestLstmRecurrence:
         assert np.abs(model.forward(x, mask) - model.forward(longer, longer_mask)).max() < 1e-9
 
     def test_empty_sequence_gets_uniform_prediction(self):
-        model = LstmClassifier(input_width=2, num_classes=4, hidden=3, seed=0)
+        model = build_model(ClassifierConfig("lstm", hidden=3), 2, 4, seed=0)
         x = np.ones((2, 3, 2))
         mask = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
         probs = model.forward(x, mask)
@@ -192,7 +194,7 @@ class TestLstmRecurrence:
 
     def test_padding_length_does_not_change_a_step(self):
         rng = np.random.default_rng(42)
-        model = LstmClassifier(input_width=4, num_classes=3, hidden=6, seed=7)
+        model = build_model(ClassifierConfig("lstm", hidden=6), 4, 3, seed=7)
         lengths = np.array([3, 8, 1, 5, 0, 6])
         y = np.array([0, 1, 2, 1, 0, 2])
         x8 = rng.normal(size=(6, 8, 4))
@@ -210,7 +212,7 @@ class TestLstmRecurrence:
             assert np.array_equal(grads8[name], grads20[name])
 
     def test_all_padding_batch_is_uniform_with_zero_gate_grads(self):
-        model = LstmClassifier(input_width=2, num_classes=4, hidden=3, seed=0)
+        model = build_model(ClassifierConfig("lstm", hidden=3), 2, 4, seed=0)
         loss, grads, probs = model.loss_and_grads(np.ones((3, 5, 2)), np.zeros((3, 5)), [0, 1, 2])
         assert np.array_equal(probs, np.full((3, 4), 0.25))
         assert abs(loss - math.log(4)) < 1e-12
@@ -220,7 +222,7 @@ class TestLstmRecurrence:
 
     def test_results_outlive_later_steps(self):
         rng = np.random.default_rng(43)
-        model = LstmClassifier(input_width=3, num_classes=2, hidden=4, seed=0)
+        model = build_model(ClassifierConfig("lstm", hidden=4), 3, 2, seed=0)
         small = (rng.normal(size=(2, 3, 3)), np.ones((2, 3)), np.array([0, 1]))
         large = (rng.normal(size=(9, 7, 3)), np.ones((9, 7)), rng.integers(0, 2, size=9))
         loss, grads, probs = model.loss_and_grads(*small)
@@ -293,7 +295,7 @@ class TestStepLstmParity:
             length = int(rng.choice([1, 5, 12]))
             hidden = int(rng.choice([1, 6]))
             channels = int(rng.choice([1, 16, 32]))
-            model = LstmClassifier(input_width=channels, num_classes=3, hidden=hidden, seed=case)
+            model = build_model(ClassifierConfig("lstm", hidden=hidden), channels, 3, seed=case)
             x = rng.normal(size=(batch, length, channels))
             mask = _random_mask(rng, batch, length)
             # about half the cases end in columns that are padding in every row
@@ -310,18 +312,17 @@ class TestStepLstmParity:
 class TestCnnModel:
     def test_rejects_too_short_max_len(self):
         with pytest.raises(ConfigError, match="max_len"):
-            CnnClassifier(input_width=4, num_classes=2, max_len=12, kernel_width=5, pool_width=2)
+            build_model(ClassifierConfig("cnn", max_len=12, kernel_width=5, pool_width=2), 4, 2)
 
     def test_rejects_wrong_input_width(self):
-        model = CnnClassifier(input_width=4, num_classes=2, max_len=20)
+        model = build_model(ClassifierConfig("cnn", max_len=20), 4, 2)
         with pytest.raises(ValueError):
             model.forward(np.zeros((1, 20, 5)))
 
     def test_output_rows_are_distributions(self):
         rng = np.random.default_rng(25)
-        model = CnnClassifier(
-            input_width=4, num_classes=3, max_len=20, kernels=6, kernel_width=5, pool_width=2
-        )
+        shape = ClassifierConfig("cnn", max_len=20, kernels=6, kernel_width=5, pool_width=2)
+        model = build_model(shape, 4, 3)
         probs = model.forward(rng.normal(size=(5, 20, 4)))
         assert probs.shape == (5, 3)
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
@@ -329,14 +330,10 @@ class TestCnnModel:
     def test_trailing_padding_invariance_with_zero_extended_fc(self):
         rng = np.random.default_rng(26)
         kernels = 6
-        short = CnnClassifier(
-            input_width=3, num_classes=2, max_len=20, kernels=kernels, kernel_width=5,
-            pool_width=2, seed=2,
-        )
-        longer = CnnClassifier(
-            input_width=3, num_classes=2, max_len=28, kernels=kernels, kernel_width=5,
-            pool_width=2, seed=2,
-        )
+        shape = ClassifierConfig("cnn", max_len=20, kernels=kernels, kernel_width=5, pool_width=2)
+        short = build_model(shape, 3, 2, seed=2)
+        shape = ClassifierConfig("cnn", max_len=28, kernels=kernels, kernel_width=5, pool_width=2)
+        longer = build_model(shape, 3, 2, seed=2)
         for name in ("conv1_w", "conv1_b", "conv2_w", "conv2_b"):
             longer.params[name] = short.params[name].copy()
         longer.params["fc_w"] = np.zeros_like(longer.params["fc_w"])
@@ -360,10 +357,10 @@ class TestCnnParity:
     )
     def test_bit_identical_to_full_backward(self, batch, max_len, width, kernels, kw, pool):
         rng = np.random.default_rng(max_len)
-        model = CnnClassifier(
-            input_width=width, num_classes=3, max_len=max_len, kernels=kernels,
-            kernel_width=kw, pool_width=pool, seed=7,
+        shape = ClassifierConfig(
+            "cnn", max_len=max_len, kernels=kernels, kernel_width=kw, pool_width=pool
         )
+        model = build_model(shape, width, 3, seed=7)
         for name in ("conv1_b", "conv2_b", "fc_b"):
             model.params[name] = rng.normal(scale=0.1, size=model.params[name].shape)
         x = rng.normal(size=(batch, max_len, width))
@@ -381,17 +378,15 @@ class TestCnnParity:
 class TestGradientChecks:
     def test_cnn_gradients(self):
         rng = np.random.default_rng(27)
-        model = CnnClassifier(
-            input_width=3, num_classes=3, max_len=10, kernels=4, kernel_width=3,
-            pool_width=2, seed=3,
-        )
+        shape = ClassifierConfig("cnn", max_len=10, kernels=4, kernel_width=3, pool_width=2)
+        model = build_model(shape, 3, 3, seed=3)
         x = rng.normal(size=(4, 10, 3))
         y = np.array([0, 1, 2, 1])
         assert gradient_check(model, x, None, y) < 1e-4
 
     def test_lstm_gradients(self):
         rng = np.random.default_rng(28)
-        model = LstmClassifier(input_width=3, num_classes=3, hidden=5, seed=4)
+        model = build_model(ClassifierConfig("lstm", hidden=5), 3, 3, seed=4)
         x = rng.normal(size=(4, 6, 3))
         mask = np.ones((4, 6))
         mask[1, 4:] = 0.0
@@ -401,7 +396,7 @@ class TestGradientChecks:
 
     def test_lstm_gradients_with_empty_sequence_row(self):
         rng = np.random.default_rng(29)
-        model = LstmClassifier(input_width=2, num_classes=2, hidden=3, seed=5)
+        model = build_model(ClassifierConfig("lstm", hidden=3), 2, 2, seed=5)
         x = rng.normal(size=(3, 4, 2))
         mask = np.ones((3, 4))
         mask[2] = 0.0  # uniform-output row must contribute zero gradient
@@ -413,8 +408,8 @@ class TestTrainClassifier:
     def test_first_batch_loss_is_log_num_classes_with_zero_head(self):
         x, mask, y = make_separable_toyset(num_examples=12, max_len=20, width=4, seed=1)
         for model in (
-            CnnClassifier(input_width=4, num_classes=2, max_len=20, kernels=4, seed=0),
-            LstmClassifier(input_width=4, num_classes=2, hidden=6, seed=0),
+            build_model(ClassifierConfig("cnn", max_len=20, kernels=4), 4, 2, seed=0),
+            build_model(ClassifierConfig("lstm", hidden=6), 4, 2, seed=0),
         ):
             model.params["fc_w"] = np.zeros_like(model.params["fc_w"])
             model.params["fc_b"] = np.zeros_like(model.params["fc_b"])
@@ -425,10 +420,8 @@ class TestTrainClassifier:
 
     def test_overfits_separable_toyset_cnn(self):
         x, mask, y = make_separable_toyset()
-        model = CnnClassifier(
-            input_width=8, num_classes=2, max_len=20, kernels=8, kernel_width=5,
-            pool_width=2, seed=0,
-        )
+        shape = ClassifierConfig("cnn", max_len=20, kernels=8, kernel_width=5, pool_width=2)
+        model = build_model(shape, 8, 2, seed=0)
         train_classifier(
             model, x, mask, y, TrainConfig(batch_size=4, epochs=200, learning_rate=0.05, seed=0)
         )
@@ -436,7 +429,7 @@ class TestTrainClassifier:
 
     def test_overfits_separable_toyset_lstm(self):
         x, mask, y = make_separable_toyset()
-        model = LstmClassifier(input_width=8, num_classes=2, hidden=16, seed=0)
+        model = build_model(ClassifierConfig("lstm", hidden=16), 8, 2, seed=0)
         log = train_classifier(
             model, x, mask, y, TrainConfig(batch_size=4, epochs=200, learning_rate=0.1, seed=0)
         )
@@ -449,7 +442,7 @@ class TestTrainClassifier:
         params = []
         logs = []
         for _ in range(2):
-            model = LstmClassifier(input_width=4, num_classes=2, hidden=5, seed=6)
+            model = build_model(ClassifierConfig("lstm", hidden=5), 4, 2, seed=6)
             logs.append(train_classifier(model, x, mask, y, cfg))
             params.append(model.params)
         assert list(params[0]) == list(params[1])
@@ -460,7 +453,7 @@ class TestTrainClassifier:
         rng = np.random.default_rng(46)
         x = rng.normal(size=(6, 4, 3))
         y = np.array([0, 1, 0, 1, 1, 0])
-        model = LstmClassifier(input_width=3, num_classes=2, hidden=4, seed=0)
+        model = build_model(ClassifierConfig("lstm", hidden=4), 3, 2, seed=0)
         unmasked = model.loss_and_grads(x, None, y)
         masked = model.loss_and_grads(x, np.ones((6, 4)), y)
         assert unmasked[0] == masked[0]
@@ -476,7 +469,7 @@ class TestTrainClassifier:
         x[0, 0, 0] = np.nan
         mask = np.ones((4, 5))
         y = np.array([0, 1, 0, 1])
-        model = LstmClassifier(input_width=3, num_classes=2, hidden=4, seed=0)
+        model = build_model(ClassifierConfig("lstm", hidden=4), 3, 2, seed=0)
         with pytest.raises(NumericError, match="epoch 1, batch 1"):
             train_classifier(
                 model, x, mask, y,
@@ -484,7 +477,7 @@ class TestTrainClassifier:
             )
 
     def test_empty_dataset_rejected(self):
-        model = LstmClassifier(input_width=2, num_classes=2, hidden=2)
+        model = build_model(ClassifierConfig("lstm", hidden=2), 2, 2)
         with pytest.raises(ConfigError):
             train_classifier(model, np.zeros((0, 3, 2)), None, np.zeros(0, dtype=int), TrainConfig())
 
@@ -552,7 +545,7 @@ class TestEvaluate:
 class TestCheckpoints:
     def _trained_lstm(self):
         x, mask, y = make_separable_toyset(num_examples=8, max_len=10, width=3, seed=3)
-        model = LstmClassifier(input_width=3, num_classes=2, hidden=4, seed=7)
+        model = build_model(ClassifierConfig("lstm", hidden=4), 3, 2, seed=7)
         train_classifier(model, x, mask, y, TrainConfig(batch_size=4, epochs=2, learning_rate=0.05))
         return model, (x, mask, y)
 
@@ -570,10 +563,8 @@ class TestCheckpoints:
         assert abs(loss_a - loss_b) < 1e-6
 
     def test_cnn_round_trip(self, tmp_path):
-        model = CnnClassifier(
-            input_width=3, num_classes=3, max_len=14, kernels=4, kernel_width=3,
-            pool_width=2, seed=8,
-        )
+        shape = ClassifierConfig("cnn", max_len=14, kernels=4, kernel_width=3, pool_width=2)
+        model = build_model(shape, 3, 3, seed=8)
         path = tmp_path / "model.txt"
         save_model(model, path)
         loaded = load_model(path)
@@ -589,7 +580,7 @@ class TestCheckpoints:
             load_model(path)
 
     def test_malformed_sections_rejected(self, tmp_path):
-        model = LstmClassifier(input_width=2, num_classes=2, hidden=2, seed=0)
+        model = build_model(ClassifierConfig("lstm", hidden=2), 2, 2, seed=0)
         path = tmp_path / "model.txt"
         save_model(model, path)
         lines = path.read_text().splitlines()
@@ -625,6 +616,8 @@ class TestCheckpoints:
         for index, replacement, message in [
             (hidden_line, "hidden three", f":{hidden_line + 1}: hidden"),
             (hidden_line, None, "missing architecture key 'hidden'"),
+            (hidden_line, "kernels 2", "missing architecture key 'hidden'"),
+            (hidden_line, "hidden 2\nkernels 2", "key 'kernels' is not used by kind 'lstm'"),
             (fc_b_line, "param fc_b two", f":{fc_b_line + 1}:"),
             (hidden_line, "hidden 0", "hidden must be >= 1"),
             (lines.index("kind lstm"), "kind transformer", "transformer"),
@@ -651,5 +644,42 @@ class TestCheckpoints:
 
     def test_build_model_rejects_unknown_kind(self):
         with pytest.raises(ConfigError):
-            build_model({"kind": "transformer"})
+            build_model(ClassifierConfig("transformer"), 2, 2)
 
+    @pytest.mark.parametrize(
+        "name, shape, seed, confusion",
+        [
+            ("lstm-model-v1.txt", ClassifierConfig("lstm", hidden=2), 11, [[2, 2], [1, 3]]),
+            (
+                "cnn-model-v1.txt",
+                ClassifierConfig("cnn", max_len=5, kernels=2, kernel_width=2, pool_width=1),
+                13,
+                [[3, 1], [2, 2]],
+            ),
+        ],
+    )
+    def test_earlier_checkpoints_score_unchanged(self, tmp_path, name, shape, seed, confusion):
+        """tests/data holds untrained models of ``shape`` from ``seed``, written before
+        build_model took a ClassifierConfig, and ``confusion`` is what they scored then."""
+        written = CHECKPOINTS / name
+        fresh = build_model(shape, 2, 2, seed=seed)
+        save_model(fresh, tmp_path / "model.txt")
+        assert (tmp_path / "model.txt").read_bytes() == written.read_bytes()
+        loaded = load_model(written)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(8, 5, 2))
+        mask = (np.arange(5)[None, :] < np.array([5, 4, 3, 5, 2, 5, 1, 4])[:, None]).astype(float)
+        y = np.arange(8) % 2
+        assert np.array_equal(loaded.forward(x, mask), fresh.forward(x, mask))
+        assert evaluate(loaded, x, mask, y).confusion.tolist() == confusion
+
+    def test_cnn_architecture_keys_must_match_the_kind(self, tmp_path):
+        lines = (CHECKPOINTS / "cnn-model-v1.txt").read_text().splitlines()
+        path = tmp_path / "model.txt"
+        for size in ("max_len", "kernels", "kernel_width", "pool_width"):
+            path.write_text("\n".join(l for l in lines if not l.startswith(size + " ")) + "\n")
+            with pytest.raises(DataFormatError, match=f"missing architecture key '{size}'"):
+                load_model(path)
+        path.write_text("\n".join([*lines[:2], "hidden 3", *lines[2:]]) + "\n")
+        with pytest.raises(DataFormatError, match="key 'hidden' is not used by kind 'cnn'"):
+            load_model(path)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import tempfile
@@ -508,22 +509,16 @@ class TestGridRecoversPlantedClusters:
     def test_chosen_k_within_factor_two_of_topic_count(self, tmp_path):
         bench = synthetic.make_benchmark(seed=1)
         write_benchmark(bench, tmp_path)
-        cfg = ExperimentConfig(
+        cfg = dataclasses.replace(
+            synthetic.BENCH_CONFIG,
             corpus=str(tmp_path / "corpus.txt"),
             dataset=str(tmp_path / "train.tsv"),
             output_dir=str(tmp_path / "out"),
-            dim=synthetic.EMBED_DIM,
-            window=synthetic.BENCH_WINDOW,
             embed_epochs=5,
+            k=0,
             k_min=2,
             k_max=27,
             k_steps=4,
-            model="lstm",
-            hidden=synthetic.BENCH_HIDDEN,
-            max_len=synthetic.BENCH_MAX_LEN,
-            batch_size=synthetic.BENCH_BATCH_SIZE,
-            train_epochs=synthetic.BENCH_TRAIN_EPOCHS,
-            learning_rate=synthetic.BENCH_LEARNING_RATE,
             seed=1,
         )
         report = grid_search_k(cfg)
