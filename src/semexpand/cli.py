@@ -142,19 +142,10 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    return load_config(args.config, _given(args, ExperimentConfig))
-
-
 def cmd_run(args) -> int:
-    report = pipeline.run_pipeline(_config_from_args(args))
-    for line in report.summary_lines():
-        print(line)
-    return 0
-
-
-def cmd_grid_search(args) -> int:
-    report = pipeline.grid_search_k(_config_from_args(args))
+    """``run``, and ``grid-search``, which also rejects a config without a k grid."""
+    run = pipeline.grid_search_k if args.command == "grid-search" else pipeline.run_pipeline
+    report = run(load_config(args.config, _given(args, ExperimentConfig)))
     for line in report.summary_lines():
         print(line)
     return 0
@@ -264,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid-search", help="run the pipeline with a cluster-count grid")
     _add_config_overrides(p)
-    p.set_defaults(func=cmd_grid_search)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compare", help="diff two run reports on the same test split")
     p.add_argument("report_a")

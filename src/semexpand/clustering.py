@@ -309,10 +309,11 @@ def load_assignment(path, vocabulary=None) -> ClusterAssignment:
     if not words:
         raise DataFormatError(f"{path}: empty assignment file")
     k = max(cids) + 1
-    counts = np.bincount(cids, minlength=k)
-    missing_clusters = np.flatnonzero(counts == 0)
-    if missing_clusters.size:
-        raise DataFormatError(f"{path}: cluster {missing_clusters[0]} has no members")
+    # the smallest unused id is at most len(used): nothing is allocated per id
+    used = set(cids)
+    empty = next(c for c in range(len(used) + 1) if c not in used)
+    if empty < k:
+        raise DataFormatError(f"{path}: cluster {empty} has no members")
 
     cpath = centroid_path_for(path)
     labels, centroids = read_vector_file(cpath)

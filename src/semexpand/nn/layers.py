@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def glorot_uniform(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
+def glorot_uniform(rng, shape) -> np.ndarray:
+    bound = np.sqrt(6.0 / sum(shape))  # shape is (fan_in, fan_out)
     return rng.uniform(-bound, bound, size=shape)
 
 

@@ -10,6 +10,7 @@ hidden states over valid positions and classifies the pooled state.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,32 +61,59 @@ class ClassifierConfig:
 
 
 class _Classifier:
-    """Shared parameter bookkeeping for both model kinds."""
+    """Inputs, the softmax head, initialization and updates, for every kind.
+
+    A kind supplies ``param_shapes(shape, input_width, num_classes)``, each
+    parameter's name and dimensions in order, computed with integers only;
+    ``_forward_cache(x, mask)``, the logits and a cache; and ``_backward(dlogits,
+    cache)``, the parameters' gradients in ``param_shapes`` order.
+    """
 
     kind: str = ""
     size_names: tuple = ()
 
-    def __init__(self, shape: ClassifierConfig, input_width: int, num_classes: int):
-        """Keep the kind's sizes from ``shape`` (already range-checked) as attributes."""
+    def __init__(self, shape, input_width: int, num_classes: int, seed=0, params=None):
+        """The kind's sizes in ``shape`` as attributes; ``params``, or fresh ones from ``seed``."""
         if num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
-        self.input_width = input_width
-        self.num_classes = num_classes
+        self.input_width, self.num_classes = input_width, num_classes
         self.sizes = {name: getattr(shape, name) for name in self.size_names}
-        for name, value in self.sizes.items():
-            setattr(self, name, value)
-        self.params: dict[str, np.ndarray] = {}
+        vars(self).update(self.sizes)
+        if params is None:
+            params = self._initialize(self.param_shapes(shape, input_width, num_classes), seed)
+        self.params: dict[str, np.ndarray] = params
+
+    def _initialize(self, shapes: dict, seed: int) -> dict:
+        """2-d weights Glorot-uniform from ``seed`` in ``shapes``' order; 1-d biases zero."""
+        rng = np.random.default_rng(seed)
+        return {
+            name: layers.glorot_uniform(rng, dims) if len(dims) == 2 else np.zeros(dims)
+            for name, dims in shapes.items()
+        }
 
     def arch(self) -> dict:
         """The checkpoint's architecture lines: kind, input_width, num_classes, the kind's sizes."""
         head = {"kind": self.kind, "input_width": self.input_width, "num_classes": self.num_classes}
         return head | self.sizes
 
+    def _inputs(self, x, mask):
+        """``x`` as floats, checked against the model's input width, and ``mask``."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[2] != self.input_width:
+            raise ValueError(f"input width {x.shape[2]} != model width {self.input_width}")
+        return x, mask
+
     def forward(self, x, mask=None):
-        raise NotImplementedError
+        logits, _ = self._forward_cache(*self._inputs(x, mask))
+        return layers.softmax(logits)
 
     def loss_and_grads(self, x, mask, y):
-        raise NotImplementedError
+        y = np.asarray(y, dtype=int)
+        logits, cache = self._forward_cache(*self._inputs(x, mask))
+        probs = layers.softmax(logits)
+        loss = layers.cross_entropy(probs, y)
+        grads = self._backward(layers.softmax_cross_entropy_grad(probs, y), cache)
+        return loss, dict(zip(self.params, grads, strict=True)), probs
 
     def apply_grads(self, grads: dict, learning_rate: float) -> None:
         for name, g in grads.items():
@@ -96,21 +124,24 @@ class CnnClassifier(_Classifier):
     kind = "cnn"
     size_names = ("max_len", "kernels", "kernel_width", "pool_width")
 
-    def __init__(self, shape: ClassifierConfig, input_width: int, num_classes: int, seed: int = 0):
-        super().__init__(shape, input_width, num_classes)
+    @staticmethod
+    def param_shapes(shape, input_width, num_classes):
         kernels, kw = shape.kernels, shape.kernel_width
-        self.flat_width = cnn_output_lengths(shape.max_len, kw, shape.pool_width)[3] * kernels
-        rng = np.random.default_rng(seed)
-        self.params = {
-            "conv1_w": layers.glorot_uniform(rng, kw * input_width, kernels, (kw * input_width, kernels)),
-            "conv1_b": np.zeros(kernels),
-            "conv2_w": layers.glorot_uniform(rng, kw * kernels, kernels, (kw * kernels, kernels)),
-            "conv2_b": np.zeros(kernels),
-            "fc_w": layers.glorot_uniform(rng, self.flat_width, num_classes, (self.flat_width, num_classes)),
-            "fc_b": np.zeros(num_classes),
+        flat_width = cnn_output_lengths(shape.max_len, kw, shape.pool_width)[3] * kernels
+        return {
+            "conv1_w": (kw * input_width, kernels),
+            "conv1_b": (kernels,),
+            "conv2_w": (kw * kernels, kernels),
+            "conv2_b": (kernels,),
+            "fc_w": (flat_width, num_classes),
+            "fc_b": (num_classes,),
         }
 
-    def _forward_cache(self, x):
+    @property
+    def flat_width(self) -> int:
+        return self.params["fc_w"].shape[0]
+
+    def _forward_cache(self, x, mask):
         p = self.params
         kw = self.kernel_width
         c1, c1_cache = layers.conv1d_forward(x, p["conv1_w"], p["conv1_b"], kw)
@@ -121,25 +152,12 @@ class CnnClassifier(_Classifier):
         p2, p2_cache = layers.maxpool1d_forward(r2, self.pool_width)
         flat = p2.reshape(len(x), -1)
         logits, fc_cache = layers.dense_forward(flat, p["fc_w"], p["fc_b"])
-        probs = layers.softmax(logits)
         cache = (c1_cache, r1_mask, p1_cache, c2_cache, r2_mask, p2_cache, p2.shape, fc_cache)
-        return probs, cache
+        return logits, cache
 
-    def forward(self, x, mask=None):
-        x = np.asarray(x, dtype=float)
-        if x.shape[2] != self.input_width:
-            raise ValueError(f"input width {x.shape[2]} != model width {self.input_width}")
-        probs, _ = self._forward_cache(x)
-        return probs
-
-    def loss_and_grads(self, x, mask, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=int)
-        probs, cache = self._forward_cache(x)
+    def _backward(self, dlogits, cache):
         c1_cache, r1_mask, p1_cache, c2_cache, r2_mask, p2_cache, p2_shape, fc_cache = cache
-        loss = layers.cross_entropy(probs, y)
         p = self.params
-        dlogits = layers.softmax_cross_entropy_grad(probs, y)
         dflat, dfc_w, dfc_b = layers.dense_backward(dlogits, fc_cache, p["fc_w"])
         dp2 = dflat.reshape(p2_shape)
         dr2 = layers.maxpool1d_backward(dp2, p2_cache)
@@ -150,45 +168,35 @@ class CnnClassifier(_Classifier):
         dc1 = layers.relu_backward(dr1, r1_mask)
         # x is static embeddings, so conv1's input gradient is never formed
         dconv1_w, dconv1_b = layers.conv1d_backward(dc1, c1_cache)
-        grads = {
-            "conv1_w": dconv1_w,
-            "conv1_b": dconv1_b,
-            "conv2_w": dconv2_w,
-            "conv2_b": dconv2_b,
-            "fc_w": dfc_w,
-            "fc_b": dfc_b,
-        }
-        return loss, grads, probs
+        return dconv1_w, dconv1_b, dconv2_w, dconv2_b, dfc_w, dfc_b
 
 
 class LstmClassifier(_Classifier):
     kind = "lstm"
     size_names = ("hidden",)
 
-    def __init__(self, shape: ClassifierConfig, input_width: int, num_classes: int, seed: int = 0):
-        super().__init__(shape, input_width, num_classes)
+    @staticmethod
+    def param_shapes(shape, input_width, num_classes):
         hidden = shape.hidden
-        rng = np.random.default_rng(seed)
-        gate_b = np.zeros(4 * hidden)
-        gate_b[hidden : 2 * hidden] = 1.0  # forget-gate bias
-        self.params = {
-            "gate_w": layers.glorot_uniform(
-                rng, input_width + hidden, 4 * hidden, (input_width + hidden, 4 * hidden)
-            ),
-            "gate_b": gate_b,
-            "fc_w": layers.glorot_uniform(rng, hidden, num_classes, (hidden, num_classes)),
-            "fc_b": np.zeros(num_classes),
+        return {
+            "gate_w": (input_width + hidden, 4 * hidden),
+            "gate_b": (4 * hidden,),
+            "fc_w": (hidden, num_classes),
+            "fc_b": (num_classes,),
         }
 
-    def _valid_prefix(self, x, mask):
+    def _initialize(self, shapes, seed):
+        params = super()._initialize(shapes, seed)
+        params["gate_b"][self.hidden : 2 * self.hidden] = 1.0  # forget-gate bias
+        return params
+
+    def _inputs(self, x, mask):
         """x and mask cut after the last column that any row's mask marks valid.
 
         The recurrence is causal, so later columns never reach the pooled
         state. A None mask marks every position valid.
         """
-        x = np.asarray(x, dtype=float)
-        if x.shape[2] != self.input_width:
-            raise ValueError(f"input width {x.shape[2]} != model width {self.input_width}")
+        x, mask = super()._inputs(x, mask)
         mask = np.ones(x.shape[:2]) if mask is None else np.asarray(mask, dtype=float)
         used = np.flatnonzero(mask.any(axis=0))
         length = used[-1] + 1 if used.size else 0
@@ -199,41 +207,29 @@ class LstmClassifier(_Classifier):
         h_seq, lstm_cache = layers.lstm_forward(x, p["gate_w"], p["gate_b"], self.hidden)
         pooled, pool_cache = layers.masked_mean_forward(h_seq, mask)
         logits, fc_cache = layers.dense_forward(pooled, p["fc_w"], p["fc_b"])
-        probs = layers.softmax(logits)
         valid_rows = pool_cache[2]
         if not valid_rows.all():
             logger.warning(
                 "%d sequence(s) have no valid positions; emitting uniform predictions",
                 int((~valid_rows).sum()),
             )
-            probs[~valid_rows] = 1.0 / self.num_classes
-        return probs, (lstm_cache, pool_cache, fc_cache, valid_rows)
+            logits[~valid_rows] = 0.0  # equal logits: the softmax is exactly uniform
+        return logits, (lstm_cache, pool_cache, fc_cache, valid_rows)
 
-    def forward(self, x, mask=None):
-        probs, _ = self._forward_cache(*self._valid_prefix(x, mask))
-        return probs
-
-    def loss_and_grads(self, x, mask, y):
-        y = np.asarray(y, dtype=int)
-        probs, cache = self._forward_cache(*self._valid_prefix(x, mask))
+    def _backward(self, dlogits, cache):
         lstm_cache, pool_cache, fc_cache, valid_rows = cache
-        loss = layers.cross_entropy(probs, y)
         p = self.params
-        dlogits = layers.softmax_cross_entropy_grad(probs, y)
         dlogits[~valid_rows] = 0.0  # uniform override is constant wrt params
         dpooled, dfc_w, dfc_b = layers.dense_backward(dlogits, fc_cache, p["fc_w"])
         dh_seq = layers.masked_mean_backward(dpooled, pool_cache)
         dgate_w, dgate_b = layers.lstm_backward(dh_seq, lstm_cache, p["gate_w"], self.hidden)
-        grads = {"gate_w": dgate_w, "gate_b": dgate_b, "fc_w": dfc_w, "fc_b": dfc_b}
-        return loss, grads, probs
+        return dgate_w, dgate_b, dfc_w, dfc_b
 
 
 _CLASSES = {cls.kind: cls for cls in (CnnClassifier, LstmClassifier)}
 
 
-def build_model(
-    shape: ClassifierConfig, input_width: int, num_classes: int, seed: int = 0
-) -> _Classifier:
+def build_model(shape: ClassifierConfig, input_width: int, num_classes: int, seed: int = 0):
     """A freshly initialized classifier of kind ``shape.model`` with ``shape``'s sizes."""
     return _CLASSES[shape.model](shape, input_width, num_classes, seed)
 
@@ -250,13 +246,17 @@ def save_model(model: _Classifier, path) -> None:
 
 
 def load_model(path) -> _Classifier:
-    """Rebuild a classifier from a checkpoint file."""
+    """Rebuild a classifier from a checkpoint file.
+
+    The architecture lines fix every parameter's shape, so each ``param``
+    line's size is checked against it, in exact integer arithmetic, before
+    that parameter's values are read.
+    """
     with open_text(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_TAG:
         raise DataFormatError(f"{path}:1: expected format tag {CHECKPOINT_TAG!r}")
     arch: dict = {}
-    raw_params: dict[str, np.ndarray] = {}
     i = 1
     while i < len(lines) and not lines[i].startswith("param "):
         fields = lines[i].split()
@@ -267,11 +267,31 @@ def load_model(path) -> _Classifier:
             raise DataFormatError(f"{path}:{i + 1}: {key} must be a whole number, got {value!r}")
         arch[key] = value if key == "kind" else int(value)
         i += 1
+    kind = arch.get("kind")
+    if kind not in _CLASSES:
+        raise DataFormatError(f"{path}: unknown model kind {kind!r}")
+    cls = _CLASSES[kind]
+    names = ("kind", "input_width", "num_classes", *cls.size_names)
+    for key in (*names, *arch):
+        if key not in arch:
+            raise DataFormatError(f"{path}: missing architecture key {key!r}")
+        if key not in names:
+            raise DataFormatError(f"{path}: architecture key {key!r} is not used by kind {kind!r}")
+    try:
+        shape = ClassifierConfig(kind, **{key: arch[key] for key in cls.size_names})
+    except ConfigError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+    shapes = cls.param_shapes(shape, arch["input_width"], arch["num_classes"])
+    params: dict[str, np.ndarray] = {}
     while i < len(lines):
         header = lines[i].split()
         if len(header) != 3 or header[0] != "param" or not header[2].isdecimal():
             raise DataFormatError(f"{path}:{i + 1}: expected 'param <name> <size>'")
         name, size = header[1], int(header[2])
+        if name not in shapes:
+            raise DataFormatError(f"{path}:{i + 1}: unexpected param {name!r}")
+        if size != math.prod(shapes[name]):
+            raise DataFormatError(f"{path}:{i + 1}: param {name!r} size mismatch")
         if i + 1 >= len(lines):
             raise DataFormatError(f"{path}:{i + 2}: missing values for param {name!r}")
         try:
@@ -284,30 +304,13 @@ def load_model(path) -> _Classifier:
             )
         if not np.isfinite(values).all():
             raise DataFormatError(f"{path}:{i + 2}: param {name!r} has non-finite values")
-        raw_params[name] = values
+        params[name] = values.reshape(shapes[name])
         i += 2
-    kind = arch.get("kind")
-    if kind not in _CLASSES:
-        raise DataFormatError(f"{path}: unknown model kind {kind!r}")
-    size_names = _CLASSES[kind].size_names
-    names = ("kind", "input_width", "num_classes", *size_names)
-    for key in (*names, *arch):
-        if key not in arch:
-            raise DataFormatError(f"{path}: missing architecture key {key!r}")
-        if key not in names:
-            raise DataFormatError(f"{path}: architecture key {key!r} is not used by kind {kind!r}")
-    sizes = {key: arch[key] for key in size_names}
+    missing = [name for name in shapes if name not in params]
+    if missing:
+        raise DataFormatError(f"{path}: missing param {missing[0]!r}")
     try:
-        model = build_model(ClassifierConfig(kind, **sizes), arch["input_width"], arch["num_classes"])
+        ordered = {name: params[name] for name in shapes}
+        return cls(shape, arch["input_width"], arch["num_classes"], params=ordered)
     except ConfigError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
-    for name, p in model.params.items():
-        if name not in raw_params:
-            raise DataFormatError(f"{path}: missing param {name!r}")
-        if raw_params[name].size != p.size:
-            raise DataFormatError(f"{path}: param {name!r} size mismatch")
-        model.params[name] = raw_params[name].reshape(p.shape)
-    extra = set(raw_params) - set(model.params)
-    if extra:
-        raise DataFormatError(f"{path}: unexpected param {sorted(extra)[0]!r}")
-    return model

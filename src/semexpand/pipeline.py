@@ -4,10 +4,12 @@ Every stochastic stage draws from the single config seed. Grid trials and the
 final model use a per-k seed derived with SeedSequence([seed, k]), so adding
 or removing grid points never perturbs the other points' results.
 
-Grid trials run side by side (``sidebyside.run_side_by_side``). A trial's
+Grid trials run side by side (``sidebyside.run_side_by_side``), which returns
+the validation accuracies in grid order, as a serial loop would. A trial's
 result depends only on (config, k, training split, validation split), so the
 number of processes cannot change a validation accuracy, the chosen k or any
-artifact.
+artifact. A failing trial names its k: the first failing k in grid order
+raises ``grid_search: k=<k>: ...``.
 """
 
 from __future__ import annotations
@@ -261,23 +263,20 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
             return assignment, expansion.expand(emb, assignment)
 
         def trial(k: int) -> float:
-            _, trial_source = source_for(k)
-            trial_model, _ = _fit(cfg, trial_source, train_ds, seed_for(cfg.seed, k))
-            return _score(cfg, trial_model, trial_source, val_ds).accuracy
+            try:
+                _, trial_source = source_for(k)
+                trial_model, _ = _fit(cfg, trial_source, train_ds, seed_for(cfg.seed, k))
+                return _score(cfg, trial_model, trial_source, val_ds).accuracy
+            except SemexpandError as exc:
+                raise type(exc)(f"k={k}: {exc}") from None
 
         with _stage("grid_search", timings):
-            outcomes = run_side_by_side(trial, grid)
-        best = None
-        for k, (ok, result) in zip(grid, outcomes):
-            if not ok:
-                if isinstance(result, SemexpandError):
-                    raise type(result)(f"k={k}: grid_search: {result}") from None
-                raise result
-            grid_rows.append({"k": k, "validation_accuracy": result})
-            logger.info("grid k=%d validation accuracy %.4f", k, result)
-            if best is None or result > best[1]:
-                best = (k, result)
-        chosen_k, _ = best
+            accuracies = run_side_by_side(trial, grid)
+        for k, accuracy in zip(grid, accuracies):
+            grid_rows.append({"k": k, "validation_accuracy": accuracy})
+            logger.info("grid k=%d validation accuracy %.4f", k, accuracy)
+        # the grid ascends, so a tie goes to the smallest k
+        chosen_k = grid[accuracies.index(max(accuracies))]
         chosen_seed = seed_for(cfg.seed, chosen_k)
 
     with _stage("expand", timings):

@@ -2,14 +2,15 @@
 
 ``run_side_by_side(trial, values)`` runs on up to one process per CPU this
 process may use: forked children take fixed positions of ``values`` and send
-their results back over a pipe. It returns what a serial loop over ``values``
-would when each trial's result depends only on its value and on state that
-existed before the call: when a trial draws from its own seeded generators,
-reads no file and nothing another trial wrote, and makes the same numpy calls
-on the same arrays in whichever process runs it. So the number of processes
-cannot change a result: a run on eight CPUs gives the same results, and
-writes the same bytes, as a run on one. The pipeline's grid trials and the
-planted-topic benchmark's two arms are such trials.
+their results back over a pipe. It returns ``[trial(v) for v in values]``,
+or raises what that loop would raise, when each trial's result depends only
+on its value and on state that existed before the call: when a trial draws
+from its own seeded generators, reads no file and nothing another trial
+wrote, and makes the same numpy calls on the same arrays in whichever
+process runs it. So the number of processes cannot change a result: a run
+on eight CPUs gives the same results, and writes the same bytes, as a run on
+one. The pipeline's grid trials and the planted-topic benchmark's two arms
+are such trials.
 """
 
 from __future__ import annotations
@@ -86,14 +87,16 @@ def _run_child(w, trial, values, write_fd) -> None:
 
 
 def run_side_by_side(trial, values) -> list:
-    """``_outcomes(trial, values)``, computed by min(len(values), usable CPUs) processes.
+    """``[trial(v) for v in values]``, computed by min(len(values), usable CPUs) processes.
 
     Forked child w runs positions w, w + n, ... and this process runs 0, n, ...,
     each starting on its own CPU. The split is fixed, so each process does the
     same share on every run. A child's outcomes come back over a pipe that is
-    read to EOF before the child is reaped. A child that ends without a result,
-    or whose outcomes cannot be pickled and read back, raises ``RuntimeError``
-    naming its process. No child outlives the call: on any exception, a
+    read to EOF before the child is reaped. Once every child is reaped, the
+    exception of the first failing value, in value order, is raised: the one a
+    serial loop would raise. A child that ends without a result, or whose
+    outcomes cannot be pickled and read back, raises ``RuntimeError`` naming
+    its process. No child outlives the call: on any exception, a
     KeyboardInterrupt included, the children left are killed and reaped.
     Forking is safe only if every library that started a thread here handles
     fork: the package starts none, and the OpenBLAS in numpy's wheels stops
@@ -135,10 +138,11 @@ def run_side_by_side(trial, values) -> list:
             for pid in pids:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    outcomes = []
+    results = []
     for position in range(len(values)):
         # a process stops at its first failure, so its later positions are never reached
-        outcomes.append(shares[position % n][position // n])
-        if not outcomes[-1][0]:
-            break
-    return outcomes
+        ok, result = shares[position % n][position // n]
+        if not ok:
+            raise result
+        results.append(result)
+    return results

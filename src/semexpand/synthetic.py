@@ -122,9 +122,9 @@ def run_benchmark(seed: int) -> BenchmarkResult:
     clustering run in this process; the arms then train side by side
     (``sidebyside.run_side_by_side``): this process trains the expanded arm
     and, where a second CPU is usable, a forked child the plain one. An arm
-    reads nothing the other writes, so the results equal a serial run's, and
-    a failure raises the first failed arm's exception, the expanded arm's
-    first, as a serial run would.
+    reads nothing the other writes, so the runner returns the two accuracies
+    a serial run would, and a failure raises the first failed arm's
+    exception, the expanded arm's first, as a serial run would.
     """
     cfg = replace(BENCH_CONFIG, seed=seed)
     bench = make_benchmark(seed)
@@ -145,9 +145,4 @@ def run_benchmark(seed: int) -> BenchmarkResult:
         train_classifier(model, x_train, m_train, y_train, cfg.train_config(seed))
         return evaluate(model, x_test, m_test, y_test).accuracy
 
-    accuracies = []
-    for ok, result in run_side_by_side(arm, [expanded, emb.input_vectors]):
-        if not ok:
-            raise result
-        accuracies.append(result)
-    return BenchmarkResult(*accuracies)
+    return BenchmarkResult(*run_side_by_side(arm, [expanded, emb.input_vectors]))

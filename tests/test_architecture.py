@@ -1,6 +1,8 @@
 """nn.build_model is the one way the package constructs a classifier, and a
 ClassifierConfig the one way to describe it: only nn/models.py spells the
-checkpoint's architecture dict."""
+checkpoint's architecture dict. sidebyside.run_side_by_side is the one way it
+runs work in parallel: only sidebyside.py forks or imports a module that
+starts processes or threads."""
 
 import ast
 from pathlib import Path
@@ -8,6 +10,8 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "semexpand"
 CLASSIFIERS = {"CnnClassifier", "LstmClassifier"}
 OWNER = Path("nn") / "models.py"
+RUNNER = Path("sidebyside.py")
+PARALLEL_MODULES = ("multiprocessing", "concurrent.futures", "subprocess", "threading")
 
 
 def _called_name(call: ast.Call):
@@ -55,13 +59,33 @@ def architecture_dicts(source: str) -> list[int]:
     return sorted(lines)
 
 
-def _outside_owner(check) -> dict:
+def _starts_work(module: str) -> bool:
+    return any(module == name or module.startswith(name + ".") for name in PARALLEL_MODULES)
+
+
+def parallel_starts(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each os.fork call in ``source``, and of each import of a
+    module that starts processes or threads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if _starts_work(a.name)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+            found += [(node.lineno, name) for name in names if _starts_work(name)]
+            found += [(node.lineno, name) for name in names if name == "os.fork"]
+        elif isinstance(node, ast.Call) and _called_name(node) == "fork":
+            found.append((node.lineno, "os.fork"))
+    return sorted(found)
+
+
+def _outside_owner(check, owner=OWNER) -> dict:
     files = sorted(PACKAGE.rglob("*.py"))
-    assert PACKAGE / OWNER in files
+    assert PACKAGE / owner in files
     return {
         str(path.relative_to(PACKAGE)): found
         for path in files
-        if path.relative_to(PACKAGE) != OWNER
+        if path.relative_to(PACKAGE) != owner
         and (found := check(path.read_text(encoding="utf-8")))
     }
 
@@ -98,3 +122,34 @@ def test_check_flags_kind_keys_and_dict_descriptors():
         'kind = arch["kind"]\n'
     )
     assert architecture_dicts(source) == [1, 2, 3, 4, 5]
+
+
+def test_only_the_side_by_side_runner_forks_or_starts_threads():
+    assert _outside_owner(parallel_starts, RUNNER) == {}
+    assert parallel_starts((PACKAGE / RUNNER).read_text(encoding="utf-8")) != []
+
+
+def test_check_flags_forks_and_parallel_imports():
+    source = (
+        "import os, subprocess\n"
+        "import concurrent.futures as cf\n"
+        "from multiprocessing import Pool\n"
+        "from concurrent import futures\n"
+        "from threading import Thread\n"
+        "from os import fork, getpid\n"
+        "pid = os.fork()\n"
+        "import pickle, signal\n"
+        "from os import path\n"
+        "from concurrent import interpreters_not_futures\n"
+        "import subprocessing\n"
+        "os.getpid()\n"
+    )
+    assert parallel_starts(source) == [
+        (1, "subprocess"),
+        (2, "concurrent.futures"),
+        (3, "multiprocessing.Pool"),
+        (4, "concurrent.futures"),
+        (5, "threading.Thread"),
+        (6, "os.fork"),
+        (7, "os.fork"),
+    ]

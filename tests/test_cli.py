@@ -349,6 +349,45 @@ class TestExitCodes:
             assert code == 2
             assert message in capsys.readouterr().err
 
+    def test_checkpoint_size_line_beyond_its_values_is_two(self, tiny, tmp_path, capsys):
+        # the architecture asks for 65.5 PiB of gate weights; numpy refuses that at once
+        vectors = tmp_path / "vectors.txt"
+        assert run_cli(
+            "train-embeddings", tiny["corpus"], "--output", vectors, "--dim", 4, "--epochs", 1
+        ) == 0
+        model = tmp_path / "model.txt"
+        assert run_cli(
+            "train", tiny["dataset"], "--vectors", vectors, "--output", model,
+            "--hidden", 48, "--epochs", 1,
+        ) == 0
+        lines = model.read_text().splitlines()
+        gate_w = lines.index(f"param gate_w {(4 + 48) * 4 * 48}")
+        lines[lines.index("hidden 48")] = "hidden 48000000"
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run_cli("evaluate", tiny["dataset"], "--vectors", vectors, "--model-file", model)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {model}:{gate_w + 1}: param 'gate_w' size mismatch\n"
+
+    def test_cluster_id_beyond_the_word_count_is_two(self, tiny, tmp_path, capsys):
+        # counting members per id up to this one would take 6.4 PiB; numpy refuses that at once
+        vectors = tmp_path / "vectors.txt"
+        assert run_cli(
+            "train-embeddings", tiny["corpus"], "--output", vectors, "--dim", 4, "--epochs", 1
+        ) == 0
+        clusters = tmp_path / "clusters.tsv"
+        assert run_cli("cluster", vectors, "--k", 2, "--output", clusters) == 0
+        rows = [line.split("\t") for line in clusters.read_text().splitlines()]
+        rows[-1][1] = "900000000000000"
+        clusters.write_text("".join(f"{word}\t{cid}\n" for word, cid in rows))
+        empty = min(set(range(len(rows))) - {int(cid) for _, cid in rows})
+        capsys.readouterr()
+        output = tmp_path / "expanded.txt"
+        assert run_cli("expand", vectors, clusters, "--output", output) == 2
+        assert capsys.readouterr().err == f"error: {clusters}: cluster {empty} has no members\n"
+        assert not output.exists()
+
     def test_vectors_of_wrong_width_are_two(self, tiny, tmp_path, capsys):
         wide = tmp_path / "wide.txt"
         narrow = tmp_path / "narrow.txt"

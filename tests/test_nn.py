@@ -315,9 +315,13 @@ class TestCnnModel:
             build_model(ClassifierConfig("cnn", max_len=12, kernel_width=5, pool_width=2), 4, 2)
 
     def test_rejects_wrong_input_width(self):
-        model = build_model(ClassifierConfig("cnn", max_len=20), 4, 2)
-        with pytest.raises(ValueError):
-            model.forward(np.zeros((1, 20, 5)))
+        for kind in ("cnn", "lstm"):
+            model = build_model(ClassifierConfig(kind, max_len=20), 4, 2)
+            x, mask = np.zeros((1, 20, 5)), np.ones((1, 20))
+            with pytest.raises(ValueError, match="input width 5 != model width 4"):
+                model.forward(x, mask)
+            with pytest.raises(ValueError, match="input width 5 != model width 4"):
+                model.loss_and_grads(x, mask, [0])
 
     def test_output_rows_are_distributions(self):
         rng = np.random.default_rng(25)

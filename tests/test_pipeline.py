@@ -473,7 +473,7 @@ class TestParallelGridTrials:
             assert_no_child_left()
             raised.append((type(info.value), str(info.value)))
         k = min(failing)
-        prefix = f"k={k}: grid_search: " if error_type is NumericError else ""
+        prefix = f"grid_search: k={k}: " if error_type is NumericError else ""
         assert raised == [(error_type, f"{prefix}injected at k={k}")] * 3
 
     def test_child_that_dies_is_reported_and_reaped(self, tmp_path, monkeypatch):

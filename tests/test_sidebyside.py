@@ -25,10 +25,10 @@ def in_child(parent, action, otherwise):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_results_come_back_in_position_order(monkeypatch, cpus):
-    outcomes = run_on(monkeypatch, cpus, lambda v: (v * v, os.getpid()), list(range(7)))
+    results = run_on(monkeypatch, cpus, lambda v: (v * v, os.getpid()), list(range(7)))
     assert_no_child_left()
-    assert [(ok, square) for ok, (square, _) in outcomes] == [(True, v * v) for v in range(7)]
-    pids = [pid for _, (_, pid) in outcomes]
+    assert [square for square, _ in results] == [v * v for v in range(7)]
+    pids = [pid for _, pid in results]
     assert pids[0] == os.getpid()
     # position p runs in process p % cpus, so each process runs a fixed share
     assert len(set(pids)) == cpus
@@ -44,12 +44,10 @@ def test_earliest_failure_in_position_order_wins(monkeypatch, failing):
 
     first = min(failing)
     for cpus in (1, 2, 3):
-        outcomes = run_on(monkeypatch, cpus, trial, list(range(6)))
+        with pytest.raises(ValueError) as info:
+            run_on(monkeypatch, cpus, trial, list(range(6)))
         assert_no_child_left()
-        assert [ok for ok, _ in outcomes] == [True] * first + [False]
-        assert [v for _, v in outcomes[:-1]] == list(range(first))
-        error = outcomes[-1][1]
-        assert (type(error), str(error)) == (ValueError, f"failed at {first}")
+        assert (type(info.value), str(info.value)) == (ValueError, f"failed at {first}")
 
 
 def test_child_that_dies_is_reported_and_reaped(monkeypatch):
