@@ -16,8 +16,7 @@ from pathlib import Path
 from . import clustering, corpus, embedding, expansion, pipeline
 from .config import ExperimentConfig, coerce_value, load_config
 from .errors import ConfigError, DataFormatError, NumericError, check_range, open_text
-from .nn import ClassifierConfig, TrainConfig, build_model, evaluate, load_model
-from .nn import save_model, train_classifier
+from .nn import ClassifierConfig, TrainConfig, load_model, save_model
 
 logger = logging.getLogger(__name__)
 
@@ -100,21 +99,19 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def _embedded_dataset(args, max_len):
+def _vectors_and_dataset(args):
+    """The ``--vectors`` table and the dataset encoded over its vocabulary."""
     emb = embedding.load_embeddings(args.vectors)
     user_dict = _load_dictionary(args)
     raw = corpus.load_labeled_file(args.dataset)
-    dataset = corpus.encode_dataset(raw, emb.vocabulary, user_dict)
-    x, mask, y = expansion.embed_dataset(dataset, emb.input_vectors, max_len)
-    return dataset, x, mask, y
+    return emb.input_vectors, corpus.encode_dataset(raw, emb.vocabulary, user_dict)
 
 
 def cmd_train(args) -> int:
     shape = ClassifierConfig(**_given(args, ClassifierConfig))
     config = TrainConfig(**_given(args, TrainConfig))
-    dataset, x, mask, y = _embedded_dataset(args, shape.max_len)
-    model = build_model(shape, x.shape[2], dataset.num_classes, config.seed)
-    log = train_classifier(model, x, mask, y, config)
+    table, dataset = _vectors_and_dataset(args)
+    model, log = pipeline.fit(shape, config, dataset, table)
     save_model(model, args.output)
     print(
         f"final epoch loss {log.epoch_losses[-1]:.6f} "
@@ -126,17 +123,18 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     max_len = ClassifierConfig(**_given(args, ClassifierConfig)).max_len
     model = load_model(args.model_file)
-    dataset, x, mask, y = _embedded_dataset(args, getattr(model, "max_len", max_len))
-    if x.shape[2] != model.input_width:
+    table, dataset = _vectors_and_dataset(args)
+    if table.shape[1] != model.input_width:
         raise DataFormatError(
-            f"{args.vectors}: vectors have width {x.shape[2]}, "
+            f"{args.vectors}: vectors have width {table.shape[1]}, "
             f"but {args.model_file} expects {model.input_width}"
         )
     if dataset.num_classes != model.num_classes:
-        raise ConfigError(
-            f"dataset has {dataset.num_classes} classes, model expects {model.num_classes}"
+        raise DataFormatError(
+            f"{args.dataset}: dataset has {dataset.num_classes} classes, "
+            f"but {args.model_file} expects {model.num_classes}"
         )
-    result = evaluate(model, x, mask, y)
+    result = pipeline.score(model, dataset, table, getattr(model, "max_len", max_len))
     for line in result.summary_lines(dataset.label_names):
         print(line)
     return 0

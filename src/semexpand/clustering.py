@@ -98,12 +98,10 @@ class ClusterAssignment:
             raise ValueError("words and assignment lengths differ")
 
 
-def compute_centroids(assign, vectors, k: int | None = None) -> np.ndarray:
-    """Arithmetic mean of member vectors per cluster, ascending-id order."""
+def compute_centroids(assign, vectors, k: int) -> np.ndarray:
+    """Arithmetic mean of member vectors per cluster 0..k-1, ascending-id order."""
     assign = np.asarray(assign, dtype=int)
     vectors = np.asarray(vectors, dtype=float)
-    if k is None:
-        k = int(assign.max()) + 1 if assign.size else 0
     centroids = np.empty((k, vectors.shape[1]))
     for c in range(k):
         members = np.flatnonzero(assign == c)

@@ -79,7 +79,6 @@ class LabeledDataset:
     num_classes: int
     oov_marker: int
     label_names: list[str] = field(default_factory=list)
-    skipped_empty: int = 0
 
     def __post_init__(self):
         if self.num_classes < 2:
@@ -121,9 +120,6 @@ class SynonymTable:
                 if s not in kept:
                     kept.append(s)
             self.pairs[word] = kept
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
     def get(self, token: str) -> list[str]:
         return self.pairs.get(token, [])
@@ -215,7 +211,6 @@ def encode_dataset(
         num_classes=len(label_names),
         oov_marker=oov,
         label_names=label_names,
-        skipped_empty=skipped,
     )
 
 

@@ -137,10 +137,6 @@ class CnnClassifier(_Classifier):
             "fc_b": (num_classes,),
         }
 
-    @property
-    def flat_width(self) -> int:
-        return self.params["fc_w"].shape[0]
-
     def _forward_cache(self, x, mask):
         p = self.params
         kw = self.kernel_width

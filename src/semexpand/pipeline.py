@@ -28,7 +28,8 @@ import numpy as np
 from . import clustering, corpus, embedding, expansion
 from .config import ExperimentConfig
 from .errors import ConfigError, DataFormatError, SemexpandError, open_text
-from .nn import build_model, evaluate, save_model, train_classifier
+from .nn import ClassifierConfig, TrainConfig, build_model, evaluate, save_model
+from .nn import train_classifier
 from .sidebyside import run_side_by_side
 
 logger = logging.getLogger(__name__)
@@ -191,16 +192,20 @@ def _stage(name: str, timings: dict):
         timings[name] = timings.get(name, 0.0) + (time.perf_counter() - start)
 
 
-def _fit(cfg, source, train_ds, seed):
-    """Train a fresh classifier on train_ds; returns (model, train log)."""
-    x, m, y = expansion.embed_dataset(train_ds, source, cfg.max_len)
-    model = build_model(cfg.classifier_config(), x.shape[2], train_ds.num_classes, seed)
-    log = train_classifier(model, x, m, y, cfg.train_config(seed))
+def fit(shape: ClassifierConfig, train_config: TrainConfig, dataset, table):
+    """Train a fresh ``shape`` classifier on ``dataset``, embedded through ``table``.
+
+    The model is initialized from ``train_config.seed``. Returns (model, train log).
+    """
+    x, m, y = expansion.embed_dataset(dataset, table, shape.max_len)
+    model = build_model(shape, x.shape[2], dataset.num_classes, train_config.seed)
+    log = train_classifier(model, x, m, y, train_config)
     return model, log
 
 
-def _score(cfg, model, source, ds):
-    x, m, y = expansion.embed_dataset(ds, source, cfg.max_len)
+def score(model, dataset, table, max_len: int):
+    """Evaluate ``model`` on ``dataset``, embedded through ``table`` at ``max_len``."""
+    x, m, y = expansion.embed_dataset(dataset, table, max_len)
     return evaluate(model, x, m, y)
 
 
@@ -223,9 +228,10 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
         if cfg.dictionary:
             user_dict = corpus.load_dictionary_file(cfg.dictionary)
         raw_examples = corpus.load_labeled_file(cfg.dataset)
-        sentences = corpus.load_sentence_file(cfg.corpus, user_dict) if cfg.corpus else []
 
     if not cfg.embeddings:
+        with _stage("tokenize", timings):
+            sentences = corpus.load_sentence_file(cfg.corpus, user_dict)
         with _stage("vocabulary", timings):
             vocab = corpus.build_vocabulary(sentences, cfg.min_count)
             encoded_corpus = corpus.encode_corpus(sentences, vocab)
@@ -247,11 +253,11 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
     train_ds, val_ds, test_ds = (_subset(dataset, i) for i in (idx_train, idx_val, idx_test))
     fingerprint = split_fingerprint(idx_test, len(dataset))
 
+    shape = cfg.classifier_config()
     dendrogram = None
     grid_rows: list = []
     if cfg.no_expansion:
         chosen_k = 0
-        chosen_seed = seed_for(cfg.seed, 0)
     else:
         with _stage("cluster", timings):
             grid = cfg.grid_values(len(vocab))
@@ -265,8 +271,9 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
         def trial(k: int) -> float:
             try:
                 _, trial_source = source_for(k)
-                trial_model, _ = _fit(cfg, trial_source, train_ds, seed_for(cfg.seed, k))
-                return _score(cfg, trial_model, trial_source, val_ds).accuracy
+                trial_config = cfg.train_config(seed_for(cfg.seed, k))
+                trial_model, _ = fit(shape, trial_config, train_ds, trial_source)
+                return score(trial_model, val_ds, trial_source, cfg.max_len).accuracy
             except SemexpandError as exc:
                 raise type(exc)(f"k={k}: {exc}") from None
 
@@ -277,7 +284,6 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
             logger.info("grid k=%d validation accuracy %.4f", k, accuracy)
         # the grid ascends, so a tie goes to the smallest k
         chosen_k = grid[accuracies.index(max(accuracies))]
-        chosen_seed = seed_for(cfg.seed, chosen_k)
 
     with _stage("expand", timings):
         if cfg.no_expansion:
@@ -289,10 +295,10 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
 
     with _stage("train", timings):
         final_train = _subset(dataset, list(idx_train) + list(idx_val))
-        model, log = _fit(cfg, source, final_train, chosen_seed)
+        model, log = fit(shape, cfg.train_config(seed_for(cfg.seed, chosen_k)), final_train, source)
         save_model(model, paths["model"])
     with _stage("evaluate", timings):
-        test_result = _score(cfg, model, source, test_ds)
+        test_result = score(model, test_ds, source, cfg.max_len)
 
     report = ExperimentReport(
         config={f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)},

@@ -106,8 +106,8 @@ def test_criterion_2_similarity_linkage_centroid_formulas():
         assert abs(average_linkage([0], [1], vectors) - pair_similarity(u, v)) < 1e-12
 
         tri = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
-        assert np.max(np.abs(compute_centroids([0, 0, 0], tri) - [[1.0, 1.0]])) < 1e-12
-        assert np.max(np.abs(compute_centroids([0], tri[:1]) - tri[:1])) < 1e-12
+        assert np.max(np.abs(compute_centroids([0, 0, 0], tri, k=1) - [[1.0, 1.0]])) < 1e-12
+        assert np.max(np.abs(compute_centroids([0], tri[:1], k=1) - tri[:1])) < 1e-12
 
         rng = np.random.default_rng(22)
         for _ in range(1000):

@@ -1,8 +1,10 @@
 """nn.build_model is the one way the package constructs a classifier, and a
 ClassifierConfig the one way to describe it: only nn/models.py spells the
-checkpoint's architecture dict. sidebyside.run_side_by_side is the one way it
-runs work in parallel: only sidebyside.py forks or imports a module that
-starts processes or threads."""
+checkpoint's architecture dict. pipeline.fit and pipeline.score are the one
+way it builds, trains and scores a classifier: only pipeline.py calls
+build_model, train_classifier or evaluate. sidebyside.run_side_by_side is the
+one way it runs work in parallel: only sidebyside.py forks or imports a module
+that starts processes or threads."""
 
 import ast
 from pathlib import Path
@@ -10,6 +12,13 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "semexpand"
 CLASSIFIERS = {"CnnClassifier", "LstmClassifier"}
 OWNER = Path("nn") / "models.py"
+FIT_CALLS = {"build_model", "train_classifier", "evaluate"}
+FITTER = Path("pipeline.py")
+# The planted benchmark's two arms still build, train and score their own
+# classifiers. ROADMAP direction 3 moves them onto pipeline.fit and
+# pipeline.score once the benchmark's layer trace stops counting
+# synthetic.train_classifier and synthetic.evaluate.
+PLANTED = "synthetic.py"
 RUNNER = Path("sidebyside.py")
 PARALLEL_MODULES = ("multiprocessing", "concurrent.futures", "subprocess", "threading")
 
@@ -19,13 +28,23 @@ def _called_name(call: ast.Call):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
-def classifier_calls(source: str) -> list[str]:
-    """Names of the classifier classes that ``source`` calls, bare or as an attribute."""
-    names = []
+def _calls(source: str, names) -> list[str]:
+    """The calls in ``source`` of a name in ``names``, bare or as an attribute."""
+    found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call) and _called_name(node) in CLASSIFIERS:
-            names.append(_called_name(node))
-    return names
+        if isinstance(node, ast.Call) and _called_name(node) in names:
+            found.append(_called_name(node))
+    return found
+
+
+def classifier_calls(source: str) -> list[str]:
+    """Names of the classifier classes that ``source`` calls."""
+    return _calls(source, CLASSIFIERS)
+
+
+def fit_calls(source: str) -> list[str]:
+    """Calls in ``source`` of build_model, train_classifier or evaluate."""
+    return _calls(source, FIT_CALLS)
 
 
 def _is_kind(node) -> bool:
@@ -122,6 +141,25 @@ def test_check_flags_kind_keys_and_dict_descriptors():
         'kind = arch["kind"]\n'
     )
     assert architecture_dicts(source) == [1, 2, 3, 4, 5]
+
+
+def test_only_the_pipeline_builds_trains_and_scores_classifiers():
+    found = _outside_owner(fit_calls, FITTER)
+    found.pop(PLANTED, None)
+    assert found == {}
+    assert fit_calls((PACKAGE / FITTER).read_text(encoding="utf-8")) != []
+
+
+def test_check_flags_build_train_and_evaluate_calls():
+    source = (
+        "from .nn import build_model, evaluate\nfrom . import nn, pipeline\n"
+        "model = build_model(shape, 2, 2, seed)\n"
+        "log = nn.train_classifier(model, x, mask, y, config)\n"
+        "result = evaluate(model, x, mask, y)\n"
+        "model, log = pipeline.fit(shape, config, dataset, table)\n"
+        "result = pipeline.score(model, dataset, table, max_len)\n"
+    )
+    assert sorted(fit_calls(source)) == ["build_model", "evaluate", "train_classifier"]
 
 
 def test_only_the_side_by_side_runner_forks_or_starts_threads():

@@ -1,10 +1,11 @@
-"""Byte-level mutations of the artifacts a run writes never end in a traceback.
+"""Byte-level mutations of the files a run reads or writes never end in a traceback.
 
-One tiny run writes model.txt, a vector file, clusters.tsv and report.json.
-Each property mutates one of them and feeds it to the subcommand that reads
-it: ``cli.main`` must return an exit code from 0 to 3, and a failure must end
-in one ``error:`` line. config.txt is left out, because its sizes are user
-settings that may legitimately ask for much memory.
+One tiny run writes model.txt, a vector file, clusters.tsv with its centroids
+file, and report.json; its copy also holds the toy labeled dataset, dictionary
+and synonym table. Each property mutates one of these files and feeds it to
+the subcommand that reads it: ``cli.main`` must return an exit code from 0 to
+3, and a failure must end in one ``error:`` line. config.txt is left out,
+because its sizes are user settings that may legitimately ask for much memory.
 """
 
 import contextlib
@@ -21,6 +22,7 @@ from semexpand import cli
 from semexpand.pipeline import ARTIFACT_NAMES
 
 DATA = Path(__file__).resolve().parents[1] / "data" / "toy"
+INPUTS = ("dataset.tsv", "dict.txt", "synonyms.tsv")
 
 # Bytes that turn a number into another, a line into two, or a file into non-UTF-8.
 PIECES = [
@@ -47,6 +49,8 @@ def run_dir(tmp_path_factory):
     ]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
+    for name in INPUTS:
+        shutil.copy(DATA / name, out / name)
     return out
 
 
@@ -62,12 +66,12 @@ def mutate(data: bytes, edits) -> bytes:
     return data
 
 
-def exits_cleanly(run_dir, name, edits, command) -> None:
-    """Copy the run, mutate artifact ``name``, and run ``command(copy)`` through the CLI."""
+def exits_cleanly(run_dir, fname, edits, command) -> None:
+    """Copy the run, mutate its file ``fname``, and run ``command(copy)`` through the CLI."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "run"
         shutil.copytree(run_dir, copy)
-        target = copy / ARTIFACT_NAMES[name]
+        target = copy / fname
         target.write_bytes(mutate(target.read_bytes(), edits))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -88,7 +92,7 @@ FUZZ = settings(max_examples=40)
 @FUZZ
 @given(edits=EDITS)
 def test_mutated_checkpoint_exits_cleanly(run_dir, edits):
-    exits_cleanly(run_dir, "model", edits, lambda run: [
+    exits_cleanly(run_dir, ARTIFACT_NAMES["model"], edits, lambda run: [
         "evaluate", DATA / "dataset.tsv", "--vectors", artifact(run, "expanded"),
         "--model-file", artifact(run, "model"),
     ])
@@ -97,7 +101,7 @@ def test_mutated_checkpoint_exits_cleanly(run_dir, edits):
 @FUZZ
 @given(edits=EDITS)
 def test_mutated_vector_file_exits_cleanly(run_dir, edits):
-    exits_cleanly(run_dir, "embeddings", edits, lambda run: [
+    exits_cleanly(run_dir, ARTIFACT_NAMES["embeddings"], edits, lambda run: [
         "cluster", artifact(run, "embeddings"), "--k", 3, "--output", run / "clusters-again.tsv",
     ])
 
@@ -105,7 +109,7 @@ def test_mutated_vector_file_exits_cleanly(run_dir, edits):
 @FUZZ
 @given(edits=EDITS)
 def test_mutated_assignment_exits_cleanly(run_dir, edits):
-    exits_cleanly(run_dir, "assignment", edits, lambda run: [
+    exits_cleanly(run_dir, ARTIFACT_NAMES["assignment"], edits, lambda run: [
         "expand", artifact(run, "embeddings"), artifact(run, "assignment"),
         "--output", run / "expanded-again.txt",
     ])
@@ -114,6 +118,42 @@ def test_mutated_assignment_exits_cleanly(run_dir, edits):
 @FUZZ
 @given(edits=EDITS)
 def test_mutated_report_exits_cleanly(run_dir, edits):
-    exits_cleanly(run_dir, "report", edits, lambda run: [
+    exits_cleanly(run_dir, ARTIFACT_NAMES["report"], edits, lambda run: [
         "compare", run_dir / ARTIFACT_NAMES["report"], artifact(run, "report"),
+    ])
+
+
+@FUZZ
+@given(edits=EDITS)
+def test_mutated_centroids_file_exits_cleanly(run_dir, edits):
+    exits_cleanly(run_dir, ARTIFACT_NAMES["assignment"] + ".centroids", edits, lambda run: [
+        "expand", artifact(run, "embeddings"), artifact(run, "assignment"),
+        "--output", run / "expanded-again.txt",
+    ])
+
+
+@FUZZ
+@given(edits=EDITS)
+def test_mutated_dataset_exits_cleanly(run_dir, edits):
+    exits_cleanly(run_dir, "dataset.tsv", edits, lambda run: [
+        "evaluate", run / "dataset.tsv", "--vectors", artifact(run, "expanded"),
+        "--dictionary", run / "dict.txt", "--model-file", artifact(run, "model"),
+    ])
+
+
+@FUZZ
+@given(edits=EDITS)
+def test_mutated_dictionary_exits_cleanly(run_dir, edits):
+    exits_cleanly(run_dir, "dict.txt", edits, lambda run: [
+        "tokenize", DATA / "corpus.txt", "--dictionary", run / "dict.txt",
+        "--output", run / "tokens.txt",
+    ])
+
+
+@FUZZ
+@given(edits=EDITS)
+def test_mutated_synonym_table_exits_cleanly(run_dir, edits):
+    exits_cleanly(run_dir, "synonyms.tsv", edits, lambda run: [
+        "augment", run / "dataset.tsv", run / "synonyms.tsv", "--dictionary", run / "dict.txt",
+        "--output", run / "augmented.tsv",
     ])

@@ -407,6 +407,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "narrow.txt" in err and "width 3" in err and "expects 4" in err
 
+    def test_dataset_of_other_class_count_is_two(self, tiny, tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        assert run_cli(
+            "train-embeddings", tiny["corpus"], "--output", vectors, "--dim", 4, "--epochs", 1
+        ) == 0
+        model = tmp_path / "model.txt"
+        assert run_cli(
+            "train", tiny["dataset"], "--vectors", vectors, "--output", model,
+            "--hidden", 3, "--epochs", 1,
+        ) == 0
+        dataset = tmp_path / "three.tsv"
+        dataset.write_text(tiny["dataset"].read_text() + "other\tfever today\n")
+        capsys.readouterr()
+        code = run_cli("evaluate", dataset, "--vectors", vectors, "--model-file", model)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {dataset}: dataset has 3 classes, but {model} expects 2\n"
+
     def test_malformed_report_is_two(self, tmp_path, capsys):
         good = {
             "config": {}, "split_fingerprint": "ab" * 32, "label_names": ["x"], "chosen_k": 3,

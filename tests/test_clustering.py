@@ -114,12 +114,12 @@ class TestAverageLinkage:
 class TestCentroids:
     def test_hand_mean(self):
         vectors = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
-        centroids = compute_centroids([0, 0, 0], vectors)
+        centroids = compute_centroids([0, 0, 0], vectors, k=1)
         assert np.allclose(centroids, [[1.0, 1.0]], atol=1e-12)
 
     def test_singleton_equals_vector(self):
         vectors = np.array([[3.0, -1.0], [0.5, 2.0]])
-        centroids = compute_centroids([0, 1], vectors)
+        centroids = compute_centroids([0, 1], vectors, k=2)
         assert np.array_equal(centroids, vectors)
 
     def test_translation_equivariance(self):
@@ -130,8 +130,8 @@ class TestCentroids:
             if len(set(assign.tolist())) < 2:
                 assign[0], assign[1] = 0, 1
             shift = rng.normal(size=2)
-            base = compute_centroids(assign, vectors)
-            shifted = compute_centroids(assign, vectors + shift)
+            base = compute_centroids(assign, vectors, k=2)
+            shifted = compute_centroids(assign, vectors + shift, k=2)
             assert np.allclose(shifted, base + shift, atol=1e-9)
 
     def test_matches_direct_summation(self):
@@ -139,7 +139,7 @@ class TestCentroids:
         vectors = rng.normal(size=(12, 5))
         assign = rng.integers(0, 3, size=12)
         assign[:3] = [0, 1, 2]
-        centroids = compute_centroids(assign, vectors)
+        centroids = compute_centroids(assign, vectors, k=3)
         for cluster in range(3):
             members = np.flatnonzero(assign == cluster)
             direct = vectors[members].sum(axis=0) / len(members)

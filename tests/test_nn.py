@@ -341,7 +341,7 @@ class TestCnnModel:
         for name in ("conv1_w", "conv1_b", "conv2_w", "conv2_b"):
             longer.params[name] = short.params[name].copy()
         longer.params["fc_w"] = np.zeros_like(longer.params["fc_w"])
-        longer.params["fc_w"][: short.flat_width] = short.params["fc_w"]
+        longer.params["fc_w"][: short.params["fc_w"].shape[0]] = short.params["fc_w"]
         longer.params["fc_b"] = short.params["fc_b"].copy()
         x = rng.normal(size=(4, 20, 3))
         padded = np.concatenate([x, np.zeros((4, 8, 3))], axis=1)

@@ -301,6 +301,20 @@ class TestRunPipeline:
         rerun = run_pipeline(rerun_cfg)
         assert rerun.test_accuracy == report.test_accuracy
 
+    def test_pretrained_embeddings_leave_the_corpus_unread(self, base_run, tmp_path, monkeypatch):
+        cfg, report = base_run
+
+        def read_corpus(*args, **kwargs):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr(corpus, "load_sentence_file", read_corpus)
+        rerun_cfg = fast_config(
+            tmp_path / "pre",
+            corpus=str(tmp_path / "absent.txt"),
+            embeddings=str(Path(cfg.output_dir) / ARTIFACT_NAMES["embeddings"]),
+        )
+        assert run_pipeline(rerun_cfg).test_accuracy == report.test_accuracy
+
     def test_no_expansion_ablation(self, base_run, tmp_path):
         cfg, report = base_run
         ablated_cfg = fast_config(tmp_path / "plain", no_expansion=True)
@@ -432,15 +446,15 @@ def four_point_grid_run(path, monkeypatch, cpus):
 
 def fail_trials_at(monkeypatch, ks, error_type):
     """Make the trial fits of the given k raise ``error_type``."""
-    fit = pipeline._fit
+    fit, base_seed = pipeline.fit, fast_config("").seed
 
-    def failing_fit(cfg, source, train_ds, seed):
+    def failing_fit(shape, train_config, dataset, table):
         for k in ks:
-            if seed == seed_for(cfg.seed, k):
+            if train_config.seed == seed_for(base_seed, k):
                 raise error_type(f"injected at k={k}")
-        return fit(cfg, source, train_ds, seed)
+        return fit(shape, train_config, dataset, table)
 
-    monkeypatch.setattr(pipeline, "_fit", failing_fit)
+    monkeypatch.setattr(pipeline, "fit", failing_fit)
 
 
 class TestParallelGridTrials:
@@ -477,14 +491,14 @@ class TestParallelGridTrials:
         assert raised == [(error_type, f"{prefix}injected at k={k}")] * 3
 
     def test_child_that_dies_is_reported_and_reaped(self, tmp_path, monkeypatch):
-        fit, parent = pipeline._fit, os.getpid()
+        fit, parent, base_seed = pipeline.fit, os.getpid(), fast_config("").seed
 
-        def dying_fit(cfg, source, train_ds, seed):
-            if seed == seed_for(cfg.seed, 3) and os.getpid() != parent:
+        def dying_fit(shape, train_config, dataset, table):
+            if train_config.seed == seed_for(base_seed, 3) and os.getpid() != parent:
                 os._exit(7)
-            return fit(cfg, source, train_ds, seed)
+            return fit(shape, train_config, dataset, table)
 
-        monkeypatch.setattr(pipeline, "_fit", dying_fit)
+        monkeypatch.setattr(pipeline, "fit", dying_fit)
         with pytest.raises(RuntimeError, match="without a result \\(exit code 7\\)"):
             four_point_grid_run(tmp_path / "out", monkeypatch, 2)
         assert_no_child_left()
