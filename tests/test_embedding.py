@@ -15,6 +15,7 @@ from semexpand.corpus import (
     load_dictionary_file,
     load_sentence_file,
 )
+import oracles
 from oracles import (
     fstring_write_vector_file,
     loop_noise_distribution,
@@ -34,7 +35,6 @@ from semexpand.embedding import (
     load_embeddings,
     read_vector_file,
     save_embeddings,
-    softmax_pair_gradients,
     _noise_distribution,
     _pair_arrays,
     train_skipgram,
@@ -161,11 +161,11 @@ class TestPairGradients:
         inp = rng.normal(scale=0.5, size=(5, 3))
         out = rng.normal(scale=0.5, size=(5, 3))
         center, context = 2, 4
-        _, grad_v, grad_out = softmax_pair_gradients(inp, out, center, context)
+        _, grad_v, grad_out = loop_softmax_pair_gradients(inp, out, center, context)
         h = 1e-4
 
         def logp(inp_m, out_m):
-            return softmax_pair_gradients(inp_m, out_m, center, context)[0]
+            return loop_softmax_pair_gradients(inp_m, out_m, center, context)[0]
 
         for j in range(3):
             bumped = inp.copy()
@@ -183,35 +183,6 @@ class TestPairGradients:
                 numeric = (logp(inp, bumped) - logp(inp, dipped)) / (2 * h)
                 denom = max(abs(numeric), 1e-8)
                 assert abs(grad_out[i, j] - numeric) / denom < 1e-4
-
-    def test_exact_softmax_rounds_as_the_textbook_form(self):
-        # np.array_equal on grad_out: the k = 1 product may turn a -0.0 entry into
-        # +0.0 where exp underflows, the one bit pattern allowed to differ
-        rng = np.random.default_rng(8)
-        sizes = [2, 3, 127, 300, *rng.integers(4, 300, size=12).tolist()]
-        underflows = 0
-        for vocab_size in sizes:
-            for dim in (1, 3, 16, 50):
-                for context in (0, vocab_size - 1):
-                    for near_700 in (False, True):
-                        inp = rng.normal(scale=0.5, size=(vocab_size, dim))
-                        out = rng.normal(scale=0.5, size=(vocab_size, dim))
-                        center = int(rng.integers(vocab_size))
-                        if near_700:
-                            # scores of about +-700: exp overflows without the max
-                            # shift, and the -700 rows underflow after it
-                            v = inp[center]
-                            target = rng.choice([-700.0, 700.0], size=vocab_size)
-                            target += rng.normal(scale=3.0, size=vocab_size)
-                            out = np.outer(target, v) / (v @ v) + 1e-3 * out
-                        fast = softmax_pair_gradients(inp, out, center, context)
-                        slow = loop_softmax_pair_gradients(inp, out, center, context)
-                        assert math.isfinite(fast[0])
-                        assert fast[0] == slow[0]
-                        assert fast[1].tobytes() == slow[1].tobytes()
-                        assert np.array_equal(fast[2], slow[2])
-                        underflows += near_700 and bool((slow[2] == 0).any())
-        assert underflows > 0
 
     def test_negative_sampling_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -420,6 +391,42 @@ class TestBlockedTrainingParity:
         assert _pair_arrays(corpus.sentences, cfg.window)[0].size > 2 * PAIR_BLOCK
         fast = train_skipgram(corpus, cfg)
         slow = loop_train_skipgram(corpus, cfg)
+        assert np.array_equal(fast.input_vectors, slow.input_vectors)
+        assert np.array_equal(fast.output_vectors, slow.output_vectors)
+
+    @pytest.mark.parametrize("dim", [1, 3, 50])
+    @pytest.mark.parametrize("vocab_size", [2, 3, 300])
+    def test_exact_mode_across_vocabulary_and_width(self, vocab_size, dim):
+        pairs = 2 * PAIR_BLOCK + 222
+        corpus = corpus_with_pairs(np.random.default_rng(vocab_size + dim), pairs, vocab_size)
+        assert len(corpus.vocabulary) == vocab_size
+        cfg = SkipGramConfig(
+            window=1, dim=dim, epochs=2, learning_rate=0.3, final_learning_rate=0.01, seed=dim
+        )
+        fast = train_skipgram(corpus, cfg)
+        slow = loop_train_skipgram(corpus, cfg)
+        assert np.array_equal(fast.input_vectors, slow.input_vectors)
+        assert np.array_equal(fast.output_vectors, slow.output_vectors)
+
+    def test_exact_mode_where_probabilities_underflow(self, monkeypatch):
+        # at this rate the vectors grow until exp(scores - m) reaches 0 for some words,
+        # so the +0.0 that the outer product gives for -0.0 is exercised too
+        underflows = []
+        textbook_step = oracles.loop_softmax_pair_gradients
+
+        def counting_step(inp, out, center, context):
+            scores = out @ inp[center]
+            underflows.append(bool((np.exp(scores - scores.max()) == 0).any()))
+            return textbook_step(inp, out, center, context)
+
+        monkeypatch.setattr(oracles, "loop_softmax_pair_gradients", counting_step)
+        corpus = corpus_with_pairs(np.random.default_rng(3), 200, 3)
+        cfg = SkipGramConfig(
+            window=1, dim=2, epochs=2, learning_rate=1.5, final_learning_rate=1.5, seed=1
+        )
+        fast = train_skipgram(corpus, cfg)
+        slow = loop_train_skipgram(corpus, cfg)
+        assert any(underflows)
         assert np.array_equal(fast.input_vectors, slow.input_vectors)
         assert np.array_equal(fast.output_vectors, slow.output_vectors)
 
