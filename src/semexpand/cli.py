@@ -54,12 +54,11 @@ def cmd_augment(args) -> int:
     check_range("--max-new", args.max_new, 0)
     user_dict = _load_dictionary(args)
     table = corpus.load_synonym_file(args.synonyms)
-    raw = corpus.load_labeled_file(args.dataset)
-    tokenized = [(label, corpus.tokenize(text, user_dict)) for label, text in raw]
-    augmented = corpus.augment_with_synonyms(tokenized, table, args.max_new)
+    examples = corpus.load_labeled_file(args.dataset, user_dict)
+    augmented = corpus.augment_with_synonyms(examples, table, args.max_new)
     lines = [f"{label}\t{' '.join(tokens)}" for label, tokens in augmented]
     _write_or_print(lines, args.output)
-    logger.info("augmented %d examples to %d", len(raw), len(augmented))
+    logger.info("augmented %d examples to %d", len(examples), len(augmented))
     return 0
 
 
@@ -102,9 +101,8 @@ def cmd_expand(args) -> int:
 def _vectors_and_dataset(args):
     """The ``--vectors`` table and the dataset encoded over its vocabulary."""
     emb = embedding.load_embeddings(args.vectors)
-    user_dict = _load_dictionary(args)
-    raw = corpus.load_labeled_file(args.dataset)
-    return emb.input_vectors, corpus.encode_dataset(raw, emb.vocabulary, user_dict)
+    examples = corpus.load_labeled_file(args.dataset, _load_dictionary(args))
+    return emb.input_vectors, corpus.encode_dataset(examples, emb.vocabulary)
 
 
 def cmd_train(args) -> int:

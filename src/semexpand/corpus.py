@@ -1,10 +1,16 @@
 """Tokenization, vocabulary construction, labeled-dataset loading and
 synonym-replacement augmentation.
 
-File formats handled here:
-  * labeled dataset: one ``label<TAB>text`` per line, ``#`` lines ignored
+File formats handled here, all written by hand:
+  * corpus:          one sentence per line
+  * labeled dataset: one ``label<TAB>text`` per line
   * user dictionary: one multi-token term per line
   * synonym table:   one ``word<TAB>synonym`` pair per line
+
+Text becomes tokens once, where these files are read. All four share one
+comment rule: a blank line, or one whose first non-blank character is ``#``,
+is skipped. The files the tool writes for its own stages (vector files,
+``clusters.tsv``, ``model.txt``) have no comment rule, because ``#`` is a token.
 """
 
 from __future__ import annotations
@@ -180,34 +186,34 @@ def encode_corpus(sentences, vocabulary: Vocabulary) -> TokenizedCorpus:
     return TokenizedCorpus(encoded, vocabulary)
 
 
-def encode_dataset(
-    raw, vocabulary: Vocabulary, user_dict: UserDictionary | None = None
-) -> LabeledDataset:
-    """Encode (label, text) pairs against a vocabulary.
+def encode_dataset(examples, vocabulary: Vocabulary) -> LabeledDataset:
+    """Encode (label, tokens) pairs against a vocabulary.
 
     Labels are mapped to contiguous integers in lexicographic order of their
     string form. Unknown tokens become the OOV marker; examples whose tokens
-    are all OOV are kept. Empty texts are skipped with a warning count.
+    are all OOV are kept. Empty examples are skipped with a warning count.
+    Text in place of a token list raises TypeError.
     """
-    raw = list(raw)
-    label_names = sorted({str(label) for label, _ in raw})
+    examples = list(examples)
+    label_names = sorted({str(label) for label, _ in examples})
     if len(label_names) < 2:
         raise DataFormatError(f"need at least 2 distinct labels, got {label_names}")
     label_ids = {name: i for i, name in enumerate(label_names)}
     oov = len(vocabulary)
-    examples = []
+    encoded = []
     skipped = 0
-    for label, text in raw:
-        tokens = tokenize(text, user_dict)
+    for label, tokens in examples:
+        if isinstance(tokens, str):
+            raise TypeError(f"expected a list of tokens, got the text {tokens!r}")
         if not tokens:
             skipped += 1
             continue
         ids = [vocabulary.index_of(t) if t in vocabulary else oov for t in tokens]
-        examples.append((ids, label_ids[str(label)]))
+        encoded.append((ids, label_ids[str(label)]))
     if skipped:
         logger.warning("skipped %d empty example(s) while encoding", skipped)
     return LabeledDataset(
-        examples=examples,
+        examples=encoded,
         num_classes=len(label_names),
         oov_marker=oov,
         label_names=label_names,
@@ -241,42 +247,41 @@ def augment_with_synonyms(dataset, table: SynonymTable, max_new_per_example: int
     return out
 
 
-def load_labeled_file(path) -> list[tuple[str, str]]:
-    """Read ``label<TAB>text`` lines; ``#`` lines and blank lines are skipped."""
-    pairs = []
+def _content_lines(fh):
+    """(line number, line without its newline) for each line of ``fh`` that is
+    not blank and whose first non-blank character is not ``#``."""
+    for lineno, line in enumerate(fh, start=1):
+        line = line.rstrip("\n")
+        first = line.lstrip()[:1]
+        if first and first != "#":
+            yield lineno, line
+
+
+def load_labeled_file(path, user_dict: UserDictionary | None = None) -> list[tuple[str, list[str]]]:
+    """Read ``label<TAB>text`` lines as (label, tokens) pairs."""
+    examples = []
     with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            if "\t" not in line:
+        for lineno, line in _content_lines(fh):
+            label, tab, text = line.partition("\t")
+            if not tab:
                 raise DataFormatError(f"{path}:{lineno}: expected label<TAB>text")
-            label, text = line.split("\t", 1)
-            pairs.append((label, text))
-    if not pairs:
+            examples.append((label, tokenize(text, user_dict)))
+    if not examples:
         raise DataFormatError(f"{path}: no examples found")
-    return pairs
+    return examples
 
 
 def load_dictionary_file(path) -> UserDictionary:
     """Read one dictionary term per line."""
-    terms = []
     with open_text(path) as fh:
-        for line in fh:
-            term = line.strip()
-            if term and not term.startswith("#"):
-                terms.append(term)
-    return UserDictionary(terms)
+        return UserDictionary([line.strip() for _, line in _content_lines(fh)])
 
 
 def load_synonym_file(path) -> SynonymTable:
     """Read ``word<TAB>synonym`` pairs, one per line; each word is one token."""
     pairs: dict[str, list[str]] = {}
     with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
+        for lineno, line in _content_lines(fh):
             parts = line.split("\t")
             if len(parts) != 2 or parts[0].split() != [parts[0]] or not parts[1]:
                 raise DataFormatError(
@@ -289,14 +294,8 @@ def load_synonym_file(path) -> SynonymTable:
 
 def load_sentence_file(path, user_dict: UserDictionary | None = None) -> list[list[str]]:
     """Tokenize a plain-text corpus, one sentence per line."""
-    sentences = []
     with open_text(path) as fh:
-        for line in fh:
-            if line.startswith("#"):
-                continue
-            tokens = tokenize(line, user_dict)
-            if tokens:
-                sentences.append(tokens)
+        sentences = [tokenize(line, user_dict) for _, line in _content_lines(fh)]
     if not sentences:
         raise DataFormatError(f"{path}: no sentences found")
     return sentences

@@ -53,12 +53,12 @@ def check_range(key: str, value, low, high=math.inf, low_open: bool = False) -> 
 
 @contextmanager
 def open_text(path):
-    """Open a UTF-8 text input for reading.
+    """Open a UTF-8 text input for reading; a byte-order mark at its start is dropped.
 
     A decode error inside the ``with`` block becomes a DataFormatError naming
     the file and the first line that is not valid UTF-8.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

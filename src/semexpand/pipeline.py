@@ -189,7 +189,7 @@ def _stage(name: str, timings: dict):
     except SemexpandError as exc:
         raise type(exc)(f"{name}: {exc}") from None
     finally:
-        timings[name] = timings.get(name, 0.0) + (time.perf_counter() - start)
+        timings[name] = time.perf_counter() - start
 
 
 def fit(shape: ClassifierConfig, train_config: TrainConfig, dataset, table):
@@ -223,15 +223,12 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
     timings: dict = {}
     total_start = time.perf_counter()
 
-    user_dict = None
     with _stage("tokenize", timings):
-        if cfg.dictionary:
-            user_dict = corpus.load_dictionary_file(cfg.dictionary)
-        raw_examples = corpus.load_labeled_file(cfg.dataset)
-
-    if not cfg.embeddings:
-        with _stage("tokenize", timings):
+        user_dict = corpus.load_dictionary_file(cfg.dictionary) if cfg.dictionary else None
+        examples = corpus.load_labeled_file(cfg.dataset, user_dict)
+        if not cfg.embeddings:
             sentences = corpus.load_sentence_file(cfg.corpus, user_dict)
+    if not cfg.embeddings:
         with _stage("vocabulary", timings):
             vocab = corpus.build_vocabulary(sentences, cfg.min_count)
             encoded_corpus = corpus.encode_corpus(sentences, vocab)
@@ -243,15 +240,15 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
         embedding.save_embeddings(emb, paths["embeddings"])
     vocab = emb.vocabulary
 
-    with _stage("tokenize", timings):
-        dataset = corpus.encode_dataset(raw_examples, vocab, user_dict)
-    fractions = (cfg.train_fraction, cfg.validation_fraction, cfg.test_fraction)
-    labels = [label for _, label in dataset.examples]
-    idx_train, idx_val, idx_test = stratified_split_indices(
-        labels, dataset.label_names, fractions, cfg.seed
-    )
-    train_ds, val_ds, test_ds = (_subset(dataset, i) for i in (idx_train, idx_val, idx_test))
-    fingerprint = split_fingerprint(idx_test, len(dataset))
+    with _stage("split", timings):
+        dataset = corpus.encode_dataset(examples, vocab)
+        fractions = (cfg.train_fraction, cfg.validation_fraction, cfg.test_fraction)
+        labels = [label for _, label in dataset.examples]
+        idx_train, idx_val, idx_test = stratified_split_indices(
+            labels, dataset.label_names, fractions, cfg.seed
+        )
+        train_ds, val_ds, test_ds = (_subset(dataset, i) for i in (idx_train, idx_val, idx_test))
+        fingerprint = split_fingerprint(idx_test, len(dataset))
 
     shape = cfg.classifier_config()
     dendrogram = None
@@ -279,11 +276,11 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
 
         with _stage("grid_search", timings):
             accuracies = run_side_by_side(trial, grid)
-        for k, accuracy in zip(grid, accuracies):
-            grid_rows.append({"k": k, "validation_accuracy": accuracy})
-            logger.info("grid k=%d validation accuracy %.4f", k, accuracy)
-        # the grid ascends, so a tie goes to the smallest k
-        chosen_k = grid[accuracies.index(max(accuracies))]
+            for k, accuracy in zip(grid, accuracies):
+                grid_rows.append({"k": k, "validation_accuracy": accuracy})
+                logger.info("grid k=%d validation accuracy %.4f", k, accuracy)
+            # the grid ascends, so a tie goes to the smallest k
+            chosen_k = grid[accuracies.index(max(accuracies))]
 
     with _stage("expand", timings):
         if cfg.no_expansion:

@@ -135,8 +135,10 @@ def run_benchmark(seed: int) -> BenchmarkResult:
     _, assignment = clustering.hac_cluster(emb.input_vectors, cfg.k, words=vocab.words)
     expanded = expansion.expand(emb, assignment)
 
-    train_ds = corpus.encode_dataset(bench.train, vocab)
-    test_ds = corpus.encode_dataset(bench.test, vocab)
+    train_ds, test_ds = (
+        corpus.encode_dataset([(label, corpus.tokenize(text)) for label, text in rows], vocab)
+        for rows in (bench.train, bench.test)
+    )
 
     def arm(source) -> float:
         x_train, m_train, y_train = expansion.embed_dataset(train_ds, source, cfg.max_len)

@@ -4,7 +4,8 @@ checkpoint's architecture dict. pipeline.fit and pipeline.score are the one
 way it builds, trains and scores a classifier: only pipeline.py calls
 build_model, train_classifier or evaluate. sidebyside.run_side_by_side is the
 one way it runs work in parallel: only sidebyside.py forks or imports a module
-that starts processes or threads."""
+that starts processes or threads. Text becomes tokens where corpus.py reads it:
+only corpus.py calls tokenize."""
 
 import ast
 from pathlib import Path
@@ -21,6 +22,11 @@ FITTER = Path("pipeline.py")
 PLANTED = "synthetic.py"
 RUNNER = Path("sidebyside.py")
 PARALLEL_MODULES = ("multiprocessing", "concurrent.futures", "subprocess", "threading")
+TOKENIZER = Path("corpus.py")
+# `semexpand tokenize` prints the tokens of every line, comments too, so it
+# tokenizes in cli.py, once; the planted benchmark tokenizes text it generates
+# itself and reads from no file.
+TOKENIZE_EXCEPTIONS = {"cli.py": ["tokenize"], "synthetic.py": None}
 
 
 def _called_name(call: ast.Call):
@@ -45,6 +51,11 @@ def classifier_calls(source: str) -> list[str]:
 def fit_calls(source: str) -> list[str]:
     """Calls in ``source`` of build_model, train_classifier or evaluate."""
     return _calls(source, FIT_CALLS)
+
+
+def tokenize_calls(source: str) -> list[str]:
+    """Calls in ``source`` of tokenize."""
+    return _calls(source, {"tokenize"})
 
 
 def _is_kind(node) -> bool:
@@ -191,3 +202,24 @@ def test_check_flags_forks_and_parallel_imports():
         (6, "os.fork"),
         (7, "os.fork"),
     ]
+
+
+def test_only_the_corpus_readers_tokenize():
+    found = _outside_owner(tokenize_calls, TOKENIZER)
+    for module, allowed in TOKENIZE_EXCEPTIONS.items():
+        calls = found.pop(module, [])
+        assert allowed is None or calls == allowed, (module, calls)
+    assert found == {}
+    assert tokenize_calls((PACKAGE / TOKENIZER).read_text(encoding="utf-8")) != []
+
+
+def test_check_flags_tokenize_calls():
+    source = (
+        "from .corpus import tokenize\nfrom . import corpus\n"
+        "tokens = tokenize(text)\n"
+        "tokens = corpus.tokenize(line, user_dict)\n"
+        "examples = corpus.load_labeled_file(path, user_dict)\n"
+        "sentences = corpus.load_sentence_file(path, user_dict)\n"
+        "tokenizer = corpus.tokenize\n"
+    )
+    assert tokenize_calls(source) == ["tokenize", "tokenize"]

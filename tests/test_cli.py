@@ -138,6 +138,31 @@ class TestStageCommands:
         assert out.startswith("accuracy ")
         assert "class pain:" in out
 
+    def test_stage_chain_reproduces_run_vectors_and_clusters(self, tmp_path, capsys):
+        # `cluster` reads the vector file's 8 significant digits, so its centroids,
+        # and the expanded vectors built from them, differ from the run's by design
+        run = tmp_path / "run"
+        inputs = ("--corpus", DATA / "corpus.txt", "--dataset", DATA / "dataset.tsv")
+        code = run_cli(
+            "run", "--config", DATA / "config.txt", *inputs,
+            "--dictionary", DATA / "dict.txt", "--embed-epochs", 2, "--output-dir", run,
+        )
+        assert code == 0
+        tokens, vectors, clusters = (tmp_path / n for n in ("tokens.txt", "vectors.txt", "c.tsv"))
+        code = run_cli(
+            "tokenize", DATA / "corpus.txt", "--dictionary", DATA / "dict.txt", "--output", tokens
+        )
+        assert code == 0
+        code = run_cli(
+            "train-embeddings", tokens, "--dim", 16, "--window", 2, "--epochs", 2,
+            "--seed", 7, "--output", vectors,
+        )
+        assert code == 0
+        assert run_cli("cluster", vectors, "--k", 6, "--output", clusters) == 0
+        capsys.readouterr()
+        assert vectors.read_bytes() == (run / ARTIFACT_NAMES["embeddings"]).read_bytes()
+        assert clusters.read_bytes() == (run / ARTIFACT_NAMES["assignment"]).read_bytes()
+
 
 @pytest.fixture(scope="module")
 def toy_run(tmp_path_factory):

@@ -195,6 +195,11 @@ class TestLoadConfig:
         cfg = load_config(path, overrides={"seed": 7})
         assert (cfg.k, cfg.model, cfg.seed) == (4, "cnn", 7)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "config.txt"
+        path.write_text("\ufeffk = 4\n", encoding="utf-8")
+        assert load_config(path).k == 4
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_config(tmp_path / "absent.txt")

@@ -113,13 +113,13 @@ class TestEncodeCorpus:
 class TestEncodeDataset:
     def test_oov_marker_mapping(self):
         vocab = build_vocabulary([["a"]])
-        ds = encode_dataset([("0", "a b"), ("1", "a")], vocab)
+        ds = encode_dataset([("0", ["a", "b"]), ("1", ["a"])], vocab)
         assert ds.oov_marker == len(vocab)
         assert ds.examples[0][0] == [vocab.index_of("a"), ds.oov_marker]
 
     def test_label_lexicographic_mapping(self):
         vocab = build_vocabulary([["x"]])
-        ds = encode_dataset([("slight", "x"), ("heavy", "x")], vocab)
+        ds = encode_dataset([("slight", ["x"]), ("heavy", ["x"])], vocab)
         assert ds.label_names == ["heavy", "slight"]
         assert ds.examples[0][1] == 1  # "slight"
         assert ds.examples[1][1] == 0  # "heavy"
@@ -127,18 +127,18 @@ class TestEncodeDataset:
     def test_empty_text_skipped_with_warning(self, caplog):
         vocab = build_vocabulary([["x"]])
         with caplog.at_level(logging.WARNING):
-            ds = encode_dataset([("a", "x"), ("b", ""), ("b", "x")], vocab)
+            ds = encode_dataset([("a", ["x"]), ("b", []), ("b", ["x"])], vocab)
         assert "skipped 1 empty example(s)" in caplog.text
         assert len(ds) == 2
 
     def test_all_oov_example_kept(self):
         vocab = build_vocabulary([["x"]])
-        ds = encode_dataset([("a", "zzz yyy"), ("b", "x")], vocab)
+        ds = encode_dataset([("a", ["zzz", "yyy"]), ("b", ["x"])], vocab)
         assert ds.examples[0][0] == [ds.oov_marker, ds.oov_marker]
 
     def test_order_preserved(self):
         vocab = build_vocabulary([["x", "y"]])
-        ds = encode_dataset([("b", "x"), ("a", "y"), ("b", "y x")], vocab)
+        ds = encode_dataset([("b", ["x"]), ("a", ["y"]), ("b", ["y", "x"])], vocab)
         assert [ids for ids, _ in ds.examples] == [
             [vocab.index_of("x")],
             [vocab.index_of("y")],
@@ -148,7 +148,13 @@ class TestEncodeDataset:
     def test_single_label_rejected(self):
         vocab = build_vocabulary([["x"]])
         with pytest.raises(DataFormatError):
-            encode_dataset([("a", "x"), ("a", "x")], vocab)
+            encode_dataset([("a", ["x"]), ("a", ["x"])], vocab)
+
+    def test_text_in_place_of_tokens_rejected(self):
+        # iterating a str would encode its characters
+        vocab = build_vocabulary([["a"]])
+        with pytest.raises(TypeError, match="list of tokens"):
+            encode_dataset([("0", ["a"]), ("1", "a b")], vocab)
 
 
 class TestAugmentation:
@@ -196,7 +202,43 @@ class TestFileLoaders:
     def test_labeled_file(self, tmp_path):
         path = tmp_path / "d.tsv"
         path.write_text("# comment\na\tx y\nb\tz\n", encoding="utf-8")
-        assert load_labeled_file(path) == [("a", "x y"), ("b", "z")]
+        assert load_labeled_file(path) == [("a", ["x", "y"]), ("b", ["z"])]
+
+    def test_labeled_file_with_dictionary(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_text("a\tChest pain again\nb\t\n", encoding="utf-8")
+        d = UserDictionary(["chest pain"])
+        assert load_labeled_file(path, d) == [("a", ["chest_pain", "again"]), ("b", [])]
+
+    def test_one_comment_rule_for_every_hand_written_file(self, tmp_path):
+        # blank lines, and lines whose first non-blank character is `#`
+        skipped = "  # chest pain fever\n\t#\tcold\n \t\n#\n"
+        files = {
+            name: tmp_path / name
+            for name in ("corpus.txt", "dataset.tsv", "dict.txt", "synonyms.tsv")
+        }
+        files["corpus.txt"].write_text(skipped + "fever # cough\n", encoding="utf-8")
+        files["dataset.tsv"].write_text(skipped + "a\tx # y\nb\tz\n", encoding="utf-8")
+        files["dict.txt"].write_text(skipped + "chest pain\n", encoding="utf-8")
+        files["synonyms.tsv"].write_text(skipped + "flu\tcold\n", encoding="utf-8")
+        assert load_sentence_file(files["corpus.txt"]) == [["fever", "#", "cough"]]
+        assert load_labeled_file(files["dataset.tsv"]) == [("a", ["x", "#", "y"]), ("b", ["z"])]
+        d = load_dictionary_file(files["dict.txt"])
+        assert ("chest", "pain") in d and d.max_len == 2
+        assert load_synonym_file(files["synonyms.tsv"]).pairs == {"flu": ["cold"]}
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        dataset, sentences = tmp_path / "d.tsv", tmp_path / "c.txt"
+        dataset.write_text("\ufeffpos\tgood\nneg\tbad\npos\tfine\n", encoding="utf-8")
+        sentences.write_text("\ufefffever cough\n", encoding="utf-8")
+        assert [label for label, _ in load_labeled_file(dataset)] == ["pos", "neg", "pos"]
+        assert load_sentence_file(sentences) == [["fever", "cough"]]
+
+    def test_decode_error_after_a_byte_order_mark_names_its_line(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_bytes("\ufefffever\n".encode("utf-8") + "caf\xe9\n".encode("latin-1"))
+        with pytest.raises(DataFormatError, match="c.txt:2: .*0xe9"):
+            load_sentence_file(path)
 
     def test_labeled_file_missing_tab(self, tmp_path):
         path = tmp_path / "d.tsv"

@@ -250,13 +250,41 @@ class TestRunPipeline:
         monkeypatch.setattr(corpus, "build_vocabulary", slow_build_vocabulary)
         timings = run_pipeline(fast_config(tmp_path / "run")).timings
         assert list(timings) == [
-            "tokenize", "vocabulary", "embeddings", "cluster", "grid_search",
+            "tokenize", "vocabulary", "embeddings", "split", "cluster", "grid_search",
             "expand", "train", "evaluate", "total",
         ]
         assert timings["vocabulary"] >= 0.2
         stages = sum(seconds for name, seconds in timings.items() if name != "total")
         # each value is rounded to 1e-6 s
         assert stages <= timings["total"] + 1e-5
+
+    def test_each_stage_is_timed_once(self, tmp_path, monkeypatch):
+        # the inputs are read in one `tokenize` span, the dataset encoded and
+        # split in one `split` span; a second span would replace the first
+        def slowed(function):
+            def slow(*args, **kwargs):
+                time.sleep(0.1)
+                return function(*args, **kwargs)
+
+            return slow
+
+        for name in ("load_labeled_file", "load_sentence_file", "encode_dataset"):
+            monkeypatch.setattr(corpus, name, slowed(getattr(corpus, name)))
+        timings = run_pipeline(fast_config(tmp_path / "run")).timings
+        assert timings["tokenize"] >= 0.2
+        assert timings["split"] >= 0.1
+
+    def test_timings_name_only_the_stages_that_ran(self, base_run, tmp_path):
+        cfg, _ = base_run
+        embeddings = str(Path(cfg.output_dir) / ARTIFACT_NAMES["embeddings"])
+        plain = fast_config(tmp_path / "plain", embeddings=embeddings, no_expansion=True)
+        timings = run_pipeline(plain).timings
+        assert list(timings) == [
+            "tokenize", "embeddings", "split", "expand", "train", "evaluate", "total",
+        ]
+        assert sum(seconds for name, seconds in timings.items() if name != "total") <= (
+            timings["total"] + 1e-5
+        )
 
     def test_saved_report_round_trips(self, base_run):
         cfg, report = base_run

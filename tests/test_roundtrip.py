@@ -1,16 +1,24 @@
 """Round-trip properties: every token tokenize() can emit, and every config
-that constructs, reads back from the files the tool writes exactly as written."""
+that constructs, reads back from the files the tool writes exactly as written;
+a corpus written out by `semexpand tokenize` reads back as the same sentences."""
 
 import dataclasses
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from semexpand import cli
 from semexpand.clustering import ClusterAssignment, load_assignment, save_assignment
 from semexpand.config import ExperimentConfig, parse_config_lines
-from semexpand.corpus import UserDictionary, Vocabulary, tokenize
+from semexpand.corpus import (
+    UserDictionary,
+    Vocabulary,
+    load_dictionary_file,
+    load_sentence_file,
+    tokenize,
+)
 from semexpand.embedding import MODE_EXACT, MODE_NEGATIVE, read_vector_file, write_vector_file
-from semexpand.errors import ConfigError
+from semexpand.errors import ConfigError, DataFormatError
 
 # Words built from letters, digits, `_`, punctuation and whitespace, so that
 # dictionary terms, literal `_` spellings and punctuation meet in one text.
@@ -72,6 +80,42 @@ def test_tokens_round_trip_through_cluster_assignments(tmp_path_factory, case, d
     assert (loaded.words, loaded.k) == (tokens, k)
     assert np.array_equal(loaded.assign, assign)
     assert np.array_equal(loaded.centroids, centroids)
+
+
+# Corpus lines: words, and `#` signs, spaces and tabs anywhere, at the start too.
+# Dictionary terms are words only: a term spelled with punctuation joins into a
+# token such as `covid_-_19`, which tokenize() splits again (see ROADMAP).
+LINE_WORDS = st.text(alphabet="ab_1é", min_size=1, max_size=4)
+
+
+@st.composite
+def corpora_with_dictionaries(draw):
+    words = draw(st.lists(LINE_WORDS, min_size=1, max_size=5))
+    pieces = st.one_of(st.sampled_from(words), st.text(alphabet=" \t#-.", max_size=3))
+    lines = draw(st.lists(st.lists(pieces, max_size=6).map(" ".join), min_size=1, max_size=6))
+    terms = st.lists(st.sampled_from(words), min_size=2, max_size=3).map(" ".join)
+    return lines, draw(st.lists(terms, max_size=3))
+
+
+def sentences_or_none(path, user_dict=None):
+    try:
+        return load_sentence_file(path, user_dict)
+    except DataFormatError:  # the file holds no sentence
+        return None
+
+
+@given(corpora_with_dictionaries())
+@example((["  # chest pain fever", "chest pain"], ["chest pain"]))
+def test_tokenized_corpus_reads_back_as_its_source(tmp_path_factory, case):
+    lines, terms = case
+    work = tmp_path_factory.mktemp("tokenize")
+    source, dictionary, tokens = work / "corpus.txt", work / "dict.txt", work / "tokens.txt"
+    source.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    dictionary.write_text("".join(term + "\n" for term in terms), encoding="utf-8")
+    for flags in ([], ["--dictionary", str(dictionary)]):
+        assert cli.main(["tokenize", str(source), *flags, "--output", str(tokens)]) == 0
+        user_dict = load_dictionary_file(dictionary) if flags else None
+        assert sentences_or_none(tokens) == sentences_or_none(source, user_dict)
 
 
 _KIND_VALUES = {

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import assert_no_child_left, make_separable_toyset, write_benchmark
 from semexpand import clustering, sidebyside, synthetic
-from semexpand.corpus import load_labeled_file, load_sentence_file
+from semexpand.corpus import load_labeled_file, load_sentence_file, tokenize
 from semexpand.errors import NumericError
 
 
@@ -83,9 +83,9 @@ class TestBenchmarkGenerator:
         sentences = load_sentence_file(paths["corpus"])
         assert len(sentences) == len(bench.unlabeled)
         train = load_labeled_file(paths["train"])
-        assert train == bench.train
+        assert train == [(label, tokenize(text)) for label, text in bench.train]
         test = load_labeled_file(paths["test"])
-        assert test == bench.test
+        assert test == [(label, tokenize(text)) for label, text in bench.test]
 
 
 class TestBenchmarkResult:
