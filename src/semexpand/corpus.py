@@ -98,7 +98,12 @@ class LabeledDataset:
 
 
 class UserDictionary:
-    """Multi-token terms kept whole during tokenization via greedy longest match."""
+    """Multi-token terms kept whole during tokenization via greedy longest match.
+
+    A term whose ``_``-joined token tokenize() would split again, such as
+    ``covid-19`` (``covid_-_19``), is rejected: the token would not read back
+    from the files the tool writes.
+    """
 
     def __init__(self, terms):
         self._terms: set[tuple[str, ...]] = set()
@@ -106,6 +111,12 @@ class UserDictionary:
             toks = tuple(_TOKEN_RE.findall(term.lower()))
             if not toks:
                 raise DataFormatError(f"empty dictionary entry {term!r}")
+            joined = "_".join(toks)
+            if _TOKEN_RE.findall(joined) != [joined]:
+                raise DataFormatError(
+                    f"dictionary term {term!r} joins into {joined!r}, which does not read "
+                    "back as one token; spell it without punctuation"
+                )
             self._terms.add(toks)
         self.max_len = max(map(len, self._terms), default=0)
 

@@ -10,6 +10,13 @@ result depends only on (config, k, training split, validation split), so the
 number of processes cannot change a validation accuracy, the chosen k or any
 artifact. A failing trial names its k: the first failing k in grid order
 raises ``grid_search: k=<k>: ...``.
+
+When the grid has one value, the chosen k is known before its trial runs, so
+the final model trains beside the trial, in this process, within the same
+``grid_search`` stage; ``train`` then only writes it. The final fit returns
+what it raises instead of raising it, and ``train`` raises it, after
+``expand`` has written its files: a failing run fails as a serial one does,
+and when both fail, the trial's error wins.
 """
 
 from __future__ import annotations
@@ -248,11 +255,21 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
             labels, dataset.label_names, fractions, cfg.seed
         )
         train_ds, val_ds, test_ds = (_subset(dataset, i) for i in (idx_train, idx_val, idx_test))
+        final_train = _subset(dataset, list(idx_train) + list(idx_val))
         fingerprint = split_fingerprint(idx_test, len(dataset))
 
     shape = cfg.classifier_config()
+
+    def final_fit(k: int, table):
+        """(final model, training log), or the exception its training raised, for ``train``."""
+        try:
+            return fit(shape, cfg.train_config(seed_for(cfg.seed, k)), final_train, table)
+        except Exception as exc:
+            return exc
+
     dendrogram = None
     grid_rows: list = []
+    fitted = None
     if cfg.no_expansion:
         chosen_k = 0
     else:
@@ -265,17 +282,34 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
             assignment = clustering.assignment_from_cut(cut, emb.input_vectors, vocab.words)
             return assignment, expansion.expand(emb, assignment)
 
-        def trial(k: int) -> float:
+        def at_k(k: int, step, *args):
+            """``step(*args)``, naming k in the SemexpandError it raises."""
             try:
-                _, trial_source = source_for(k)
-                trial_config = cfg.train_config(seed_for(cfg.seed, k))
-                trial_model, _ = fit(shape, trial_config, train_ds, trial_source)
-                return score(trial_model, val_ds, trial_source, cfg.max_len).accuracy
+                return step(*args)
             except SemexpandError as exc:
                 raise type(exc)(f"k={k}: {exc}") from None
 
+        def validation_accuracy(k: int, table) -> float:
+            trial_model, _ = fit(shape, cfg.train_config(seed_for(cfg.seed, k)), train_ds, table)
+            return score(trial_model, val_ds, table, cfg.max_len).accuracy
+
+        def trial(k: int) -> float:
+            return at_k(k, lambda: validation_accuracy(k, source_for(k)[1]))
+
         with _stage("grid_search", timings):
-            accuracies = run_side_by_side(trial, grid)
+            if len(grid) == 1:
+                # k is chosen before its trial runs, so the final model fits beside it,
+                # in this process, which keeps the model unpickled
+                (k,) = grid
+                assignment, source = at_k(k, source_for, k)
+                tasks = [
+                    lambda: final_fit(k, source),
+                    lambda: at_k(k, validation_accuracy, k, source),
+                ]
+                fitted, accuracy = run_side_by_side(lambda task: task(), tasks)
+                accuracies = [accuracy]
+            else:
+                accuracies = run_side_by_side(trial, grid)
             for k, accuracy in zip(grid, accuracies):
                 grid_rows.append({"k": k, "validation_accuracy": accuracy})
                 logger.info("grid k=%d validation accuracy %.4f", k, accuracy)
@@ -286,13 +320,17 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
         if cfg.no_expansion:
             source = emb.input_vectors
         else:
-            assignment, source = source_for(chosen_k)
+            if fitted is None:
+                assignment, source = source_for(chosen_k)
             clustering.save_assignment(assignment, paths["assignment"])
             expansion.save_expanded(vocab.words, source, paths["expanded"])
 
     with _stage("train", timings):
-        final_train = _subset(dataset, list(idx_train) + list(idx_val))
-        model, log = fit(shape, cfg.train_config(seed_for(cfg.seed, chosen_k)), final_train, source)
+        if fitted is None:
+            fitted = final_fit(chosen_k, source)
+        if isinstance(fitted, Exception):
+            raise fitted
+        model, log = fitted
         save_model(model, paths["model"])
     with _stage("evaluate", timings):
         test_result = score(model, test_ds, source, cfg.max_len)

@@ -9,8 +9,19 @@ from its own seeded generators, reads no file and nothing another trial
 wrote, and makes the same numpy calls on the same arrays in whichever
 process runs it. So the number of processes cannot change a result: a run
 on eight CPUs gives the same results, and writes the same bytes, as a run on
-one. The pipeline's grid trials and the planted-topic benchmark's two arms
-are such trials.
+one. The pipeline's grid trials, a fixed-k run's trial and final model, and
+the planted-topic benchmark's two arms are such trials.
+
+Side by side, each process keeps one BLAS thread. OpenBLAS otherwise starts
+one thread per CPU in every process, and two processes on two CPUs then run
+four threads that slow each other down. So before it forks, the call sets
+the OpenBLAS that numpy loaded to one thread, reaching it through ``ctypes``;
+the children inherit the setting, and the previous count is restored before
+the call returns. Where it finds no such control, it runs in one process,
+unless ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``
+already pins BLAS to one thread. The thread count does not change the
+package's results: at the shapes it computes, OpenBLAS forms each output
+element the same way on one thread as on several.
 """
 
 from __future__ import annotations
@@ -18,12 +29,47 @@ from __future__ import annotations
 import os
 import pickle
 
+BLAS_PINNING_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Where numpy's Linux wheels keep their OpenBLAS, and what its thread getter and
+# setter are called: numpy 2 ships scipy-openblas, numpy 1.x its own 64-bit build.
+_OPENBLAS_BUILDS = (("libscipy_openblas*.so", "scipy_openblas_"), ("libopenblas*.so", "openblas_"))
+
 
 def _usable_cpus() -> int:
     """CPUs this process may run on; 1 where the platform cannot say (macOS, Windows)."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return 1
+
+
+def _blas_threads_control():
+    """``(get, set)`` for the thread count of the OpenBLAS numpy loaded, or None if not found.
+
+    The wheel's library is opened by the path numpy loaded it from, so the
+    calls reach numpy's own copy.
+    """
+    import ctypes
+    from pathlib import Path
+
+    import numpy
+
+    libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+    for pattern, prefix in _OPENBLAS_BUILDS:
+        for lib in sorted(libs.glob(pattern)):
+            try:
+                library = ctypes.CDLL(str(lib))
+                get = getattr(library, f"{prefix}get_num_threads64_")
+                set_ = getattr(library, f"{prefix}set_num_threads64_")
+            except (OSError, AttributeError):
+                continue
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return get, set_
+    return None
+
+
+def _blas_pinned_by_environment() -> bool:
+    return any(os.environ.get(name, "").strip() == "1" for name in BLAS_PINNING_VARIABLES)
 
 
 def _move_to_cpu(index: int) -> None:
@@ -100,11 +146,22 @@ def run_side_by_side(trial, values) -> list:
     KeyboardInterrupt included, the children left are killed and reaped.
     Forking is safe only if every library that started a thread here handles
     fork: the package starts none, and the OpenBLAS in numpy's wheels stops
-    its thread pool around fork.
+    its thread pool around fork. With more than one process, every process
+    runs its share on one BLAS thread, and this process's previous count is
+    restored before the call returns or raises; where that cannot be set (see
+    the module docstring), the call runs on this process alone.
     """
     n = min(len(values), _usable_cpus())
+    blas = _blas_threads_control() if n > 1 else None
+    if blas is None and not _blas_pinned_by_environment():
+        n = 1
     pids, pipes = [], []
+    if blas:
+        get_threads, set_threads = blas
+        threads = get_threads()
     try:
+        if blas:
+            set_threads(1)
         if n > 1:
             _move_to_cpu(0)
         for w in range(1, n):
@@ -130,6 +187,8 @@ def run_side_by_side(trial, values) -> list:
                 raise RuntimeError(f"process {pid} could not send its result: {share}")
             shares.append(share)
     finally:
+        if blas:
+            set_threads(threads)
         for pipe in pipes:
             pipe.close()
         if pids:

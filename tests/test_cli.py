@@ -572,6 +572,16 @@ def test_non_utf8_input_names_file_and_line(reader, tiny, tmp_path, capsys):
     assert err.startswith("error:") and f"{bad}:2: " in err and "0xe9" in err, err
 
 
+def test_punctuated_dictionary_term_is_named_and_exits_2(tiny, tmp_path, capsys):
+    dictionary = tmp_path / "dict.txt"
+    dictionary.write_text("chest pain\ncovid-19\n", encoding="utf-8")
+    argv = ["--dataset", tiny["dataset"], "--corpus", tiny["corpus"], "--dictionary", dictionary]
+    assert run_cli("run", *argv, "--k", 2, "--output-dir", tmp_path / "output") == 2
+    err = capsys.readouterr().err
+    named = "error: tokenize: dictionary term 'covid-19' joins into 'covid_-_19'"
+    assert err.startswith(named), err
+
+
 def checkout_env():
     """The parent's environment with this checkout's ``src`` first on PYTHONPATH."""
     env = dict(os.environ)

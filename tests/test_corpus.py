@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,11 @@ class TestTokenize:
     def test_dictionary_no_match_passthrough(self):
         d = UserDictionary(["stomach ache"])
         assert tokenize("head ache", d) == ["head", "ache"]
+
+    @pytest.mark.parametrize("term", ["covid-19", "u.s. army", "chest pain."])
+    def test_term_that_would_split_again_is_rejected_by_name(self, term):
+        with pytest.raises(DataFormatError, match=f"^dictionary term {re.escape(repr(term))} "):
+            UserDictionary(["chest pain", term])
 
     def test_deterministic(self):
         d = UserDictionary(["sore throat"])

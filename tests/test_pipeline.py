@@ -547,6 +547,110 @@ class TestParallelGridTrials:
         assert sidebyside._usable_cpus() == 1
 
 
+def fixed_k_run(path, monkeypatch, cpus):
+    """A run at the fixed k = 6, as if this process could use ``cpus`` CPUs."""
+    monkeypatch.setattr(sidebyside, "_usable_cpus", lambda: cpus)
+    return run_pipeline(fast_config(path))
+
+
+def final_training_size() -> int:
+    """Examples the final model of ``fast_config`` trains on: the training and validation parts."""
+    cfg = fast_config("")
+    examples = corpus.load_labeled_file(cfg.dataset)
+    # only the labels decide the split, so every token may be out of vocabulary
+    dataset = corpus.encode_dataset(examples, corpus.Vocabulary([]))
+    fractions = (cfg.train_fraction, cfg.validation_fraction, cfg.test_fraction)
+    train, validation, _ = split_dataset(dataset, fractions, cfg.seed)
+    return len(train) + len(validation)
+
+
+def before_each_fit(monkeypatch, action):
+    """Call ``action(role)`` before each fit; the role, "final" or "trial", is told by size."""
+    fit, final_size = pipeline.fit, final_training_size()
+
+    def patched_fit(shape, train_config, dataset, table):
+        action("final" if len(dataset) == final_size else "trial")
+        return fit(shape, train_config, dataset, table)
+
+    monkeypatch.setattr(pipeline, "fit", patched_fit)
+
+
+def fail_fits(monkeypatch, which, error_type):
+    """Make the trial's fit, the final fit or both raise ``error_type``."""
+
+    def fail(role):
+        if role in which:
+            raise error_type(f"injected in the {role} fit")
+
+    before_each_fit(monkeypatch, fail)
+
+
+class TestFinalFitBesideTheTrial:
+    """With one k, at 2 CPUs or more this process fits the final model while a
+    child runs the trial; at 1 CPU this process runs both."""
+
+    def test_artifacts_and_report_do_not_depend_on_cpu_count(self, tmp_path, monkeypatch):
+        runs = {}
+        out = tmp_path / "out"
+        for cpus in (1, 2, 3):
+            fixed_k_run(out, monkeypatch, cpus)
+            assert_no_child_left()
+            files = {
+                name: (out / ARTIFACT_NAMES[name]).read_bytes()
+                for name in ("model", "assignment", "expanded", "embeddings", "config")
+            }
+            files["centroids"] = (out / (ARTIFACT_NAMES["assignment"] + ".centroids")).read_bytes()
+            report = json.loads((out / ARTIFACT_NAMES["report"]).read_text(encoding="utf-8"))
+            del report["timings"]
+            summary = (out / ARTIFACT_NAMES["summary"]).read_text(encoding="utf-8").splitlines()
+            assert summary[-1].startswith("timings: ")
+            runs[cpus] = (files, report, summary[:-1])
+        assert [row["k"] for row in runs[1][1]["grid"]] == [6]
+        assert runs[2] == runs[1]
+        assert runs[3] == runs[1]
+
+    def test_this_process_fits_the_final_model_and_a_child_the_trial(self, tmp_path, monkeypatch):
+        fits = tmp_path / "fits"
+
+        def record(role):
+            # a file, not a list, so that a fit in a forked child shows too
+            with open(fits, "a", encoding="utf-8") as fh:
+                fh.write(f"{role} {os.getpid()}\n")
+
+        before_each_fit(monkeypatch, record)
+        fixed_k_run(tmp_path / "out", monkeypatch, 2)
+        assert_no_child_left()
+        pids = dict(line.split() for line in fits.read_text(encoding="utf-8").splitlines())
+        assert pids["final"] == str(os.getpid()) != pids["trial"]
+
+    @pytest.mark.parametrize("error_type", [NumericError, ValueError])
+    @pytest.mark.parametrize("which", [{"trial"}, {"final"}, {"trial", "final"}])
+    def test_failures_are_the_serial_runs(self, tmp_path, monkeypatch, error_type, which):
+        fail_fits(monkeypatch, which, error_type)
+        raised = []
+        for cpus in (1, 2, 3):
+            out = tmp_path / f"cpus{cpus}"
+            with pytest.raises(error_type) as info:
+                fixed_k_run(out, monkeypatch, cpus)
+            assert_no_child_left()
+            names = ("assignment", "expanded", "model")
+            written = [(out / ARTIFACT_NAMES[name]).is_file() for name in names]
+            raised.append((type(info.value), str(info.value), written))
+        # the trial's error wins when both fail; a failing final fit fails in
+        # `train`, after `expand` has written its files
+        role = "trial" if "trial" in which else "final"
+        prefix = {"trial": "grid_search: k=6: ", "final": "train: "}[role]
+        message = (prefix if error_type is NumericError else "") + f"injected in the {role} fit"
+        written = [role == "final", role == "final", False]
+        assert raised == [(error_type, message, written)] * 3
+
+    def test_interrupt_in_the_final_fit_kills_and_reaps_the_trial(self, tmp_path, monkeypatch):
+        fail_fits(monkeypatch, {"final"}, KeyboardInterrupt)
+        with pytest.raises(KeyboardInterrupt):
+            fixed_k_run(tmp_path / "out", monkeypatch, 2)
+        assert_no_child_left()
+
+
 class TestGridRecoversPlantedClusters:
     def test_chosen_k_within_factor_two_of_topic_count(self, tmp_path):
         bench = synthetic.make_benchmark(seed=1)

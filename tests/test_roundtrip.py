@@ -3,8 +3,10 @@ that constructs, reads back from the files the tool writes exactly as written;
 a corpus written out by `semexpand tokenize` reads back as the same sentences."""
 
 import dataclasses
+import re
 
 import numpy as np
+import pytest
 from hypothesis import example, given, strategies as st
 
 from semexpand import cli
@@ -32,7 +34,15 @@ def texts_with_dictionaries(draw):
     pieces = st.one_of(st.sampled_from(words), st.text(max_size=8))
     text = draw(st.lists(pieces, max_size=12).map(" ".join))
     entries = [" ".join(term) for term in terms if tokenize(" ".join(term))]
+    # UserDictionary rejects these; test_tokenized_corpus_reads_back_as_its_source checks how
+    entries = [entry for entry in entries if not splits_again(entry)]
     return text, UserDictionary(entries) if draw(st.booleans()) else None
+
+
+def splits_again(term: str) -> bool:
+    """Whether the token that tokenize() joins ``term`` into is split by tokenize() again."""
+    joined = "_".join(tokenize(term))
+    return tokenize(joined) != [joined]
 
 
 def distinct_tokens(text, user_dict) -> list:
@@ -83,9 +93,10 @@ def test_tokens_round_trip_through_cluster_assignments(tmp_path_factory, case, d
 
 
 # Corpus lines: words, and `#` signs, spaces and tabs anywhere, at the start too.
-# Dictionary terms are words only: a term spelled with punctuation joins into a
-# token such as `covid_-_19`, which tokenize() splits again (see ROADMAP).
+# Dictionary terms: words and the punctuation `-` and `.`, so that some of them
+# join into a token such as `covid_-_19`, which tokenize() would split again.
 LINE_WORDS = st.text(alphabet="ab_1é", min_size=1, max_size=4)
+PUNCTUATION = st.sampled_from(["-", ".", "-1", "a.b"])
 
 
 @st.composite
@@ -93,7 +104,8 @@ def corpora_with_dictionaries(draw):
     words = draw(st.lists(LINE_WORDS, min_size=1, max_size=5))
     pieces = st.one_of(st.sampled_from(words), st.text(alphabet=" \t#-.", max_size=3))
     lines = draw(st.lists(st.lists(pieces, max_size=6).map(" ".join), min_size=1, max_size=6))
-    terms = st.lists(st.sampled_from(words), min_size=2, max_size=3).map(" ".join)
+    term_pieces = st.one_of(st.sampled_from(words), PUNCTUATION)
+    terms = st.lists(term_pieces, min_size=2, max_size=3).map(" ".join)
     return lines, draw(st.lists(terms, max_size=3))
 
 
@@ -106,14 +118,24 @@ def sentences_or_none(path, user_dict=None):
 
 @given(corpora_with_dictionaries())
 @example((["  # chest pain fever", "chest pain"], ["chest pain"]))
+@example((["covid-19 test", "covid 19"], ["covid 19", "covid-19"]))
 def test_tokenized_corpus_reads_back_as_its_source(tmp_path_factory, case):
+    """Or, where a dictionary term would not read back, the dictionary is rejected naming it."""
     lines, terms = case
     work = tmp_path_factory.mktemp("tokenize")
     source, dictionary, tokens = work / "corpus.txt", work / "dict.txt", work / "tokens.txt"
     source.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     dictionary.write_text("".join(term + "\n" for term in terms), encoding="utf-8")
+    rejected = [term for term in terms if splits_again(term)]
     for flags in ([], ["--dictionary", str(dictionary)]):
-        assert cli.main(["tokenize", str(source), *flags, "--output", str(tokens)]) == 0
+        code = cli.main(["tokenize", str(source), *flags, "--output", str(tokens)])
+        if flags and rejected:
+            assert code == 2
+            named = f"^dictionary term {re.escape(repr(rejected[0]))} "
+            with pytest.raises(DataFormatError, match=named):
+                load_dictionary_file(dictionary)
+            continue
+        assert code == 0
         user_dict = load_dictionary_file(dictionary) if flags else None
         assert sentences_or_none(tokens) == sentences_or_none(source, user_dict)
 

@@ -1,5 +1,7 @@
 import os
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import assert_no_child_left
@@ -76,3 +78,63 @@ def test_exception_that_cannot_be_unpickled_names_the_trials_error(monkeypatch):
         run_on(monkeypatch, 2, trial, [0, 1])
     assert_no_child_left()
     assert info.match(r"^process \d+ could not send its result: TwoArgError: left and right$")
+
+
+@pytest.fixture
+def blas_threads():
+    """The OpenBLAS thread getter, with the count set to 2 for the test and restored after."""
+    if not (Path(np.__file__).resolve().parent.parent / "numpy.libs").is_dir():
+        pytest.skip("this numpy has no numpy.libs, so no wheel OpenBLAS to control")
+    control = sidebyside._blas_threads_control()
+    assert control is not None, "numpy.libs holds no OpenBLAS with a known thread getter"
+    get, set_ = control
+    before = get()
+    set_(2)
+    assert get() == 2
+    yield get
+    set_(before)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_each_share_runs_on_one_blas_thread(monkeypatch, blas_threads, cpus):
+    results = run_on(monkeypatch, cpus, lambda v: (os.getpid(), blas_threads()), list(range(cpus)))
+    assert_no_child_left()
+    assert len({pid for pid, _ in results}) == cpus
+    assert [threads for _, threads in results] == [1] * cpus
+    assert blas_threads() == 2
+
+
+@pytest.mark.parametrize(
+    "failing, error_type",
+    [(0, ValueError), (1, ValueError), (0, KeyboardInterrupt)],
+)
+def test_blas_threads_come_back_after_a_failure(monkeypatch, blas_threads, failing, error_type):
+    def trial(value):
+        if value == failing:
+            raise error_type(f"failed at {value}")
+        return value
+
+    with pytest.raises(error_type, match=f"failed at {failing}"):
+        run_on(monkeypatch, 2, trial, [0, 1])
+    assert_no_child_left()
+    assert blas_threads() == 2
+
+
+def test_one_process_where_blas_threads_cannot_be_set(monkeypatch):
+    monkeypatch.setattr(sidebyside, "_blas_threads_control", lambda: None)
+    for name in sidebyside.BLAS_PINNING_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert run_on(monkeypatch, 2, lambda v: os.getpid(), [0, 1]) == [os.getpid()] * 2
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("name", sidebyside.BLAS_PINNING_VARIABLES)
+def test_side_by_side_where_the_environment_pins_blas(monkeypatch, name):
+    monkeypatch.setattr(sidebyside, "_blas_threads_control", lambda: None)
+    for other in sidebyside.BLAS_PINNING_VARIABLES:
+        monkeypatch.delenv(other, raising=False)
+    monkeypatch.setenv(name, "1")
+    pids = run_on(monkeypatch, 2, lambda v: os.getpid(), [0, 1])
+    assert_no_child_left()
+    assert pids[0] == os.getpid() and pids[1] != os.getpid()
