@@ -282,10 +282,10 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
             assignment = clustering.assignment_from_cut(cut, emb.input_vectors, vocab.words)
             return assignment, expansion.expand(emb, assignment)
 
-        def at_k(k: int, step, *args):
-            """``step(*args)``, naming k in the SemexpandError it raises."""
+        def at_k(k: int, step):
+            """``step()``, naming k in the SemexpandError it raises."""
             try:
-                return step(*args)
+                return step()
             except SemexpandError as exc:
                 raise type(exc)(f"k={k}: {exc}") from None
 
@@ -301,10 +301,10 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
                 # k is chosen before its trial runs, so the final model fits beside it,
                 # in this process, which keeps the model unpickled
                 (k,) = grid
-                assignment, source = at_k(k, source_for, k)
+                assignment, source = at_k(k, lambda: source_for(k))
                 tasks = [
                     lambda: final_fit(k, source),
-                    lambda: at_k(k, validation_accuracy, k, source),
+                    lambda: at_k(k, lambda: validation_accuracy(k, source)),
                 ]
                 fitted, accuracy = run_side_by_side(lambda task: task(), tasks)
                 accuracies = [accuracy]
