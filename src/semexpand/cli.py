@@ -121,6 +121,13 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     max_len = ClassifierConfig(**_given(args, ClassifierConfig)).max_len
     model = load_model(args.model_file)
+    # a CNN model file records the length it was trained at; an LSTM's does not
+    max_len = getattr(model, "max_len", max_len)
+    if args.max_len not in (None, max_len):
+        raise ConfigError(
+            f"--max-len {args.max_len} differs from the max_len {max_len} "
+            f"that {args.model_file} was trained at"
+        )
     table, dataset = _vectors_and_dataset(args)
     if table.shape[1] != model.input_width:
         raise DataFormatError(
@@ -132,7 +139,7 @@ def cmd_evaluate(args) -> int:
             f"{args.dataset}: dataset has {dataset.num_classes} classes, "
             f"but {args.model_file} expects {model.num_classes}"
         )
-    result = pipeline.score(model, dataset, table, getattr(model, "max_len", max_len))
+    result = pipeline.score(model, dataset, table, max_len)
     for line in result.summary_lines(dataset.label_names):
         print(line)
     return 0
@@ -243,6 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             _add_field_flags(p, ClassifierConfig, names=("max_len",))
             p.add_argument("--model-file", required=True)
+            p.description = (
+                "A CNN model file records the max_len it was trained at, and --max-len, "
+                "if given, must equal it. An LSTM model file does not record its length: "
+                f"give the --max-len it was trained at, or {ClassifierConfig.max_len} applies."
+            )
         p.set_defaults(func=handler)
 
     p = sub.add_parser("run", help="run the full pipeline from a config")

@@ -2,9 +2,9 @@
 
 Training maximizes the average log probability of context words around each
 center word. The exact-softmax mode normalizes over the whole vocabulary every
-update and is the default at desk scale; its step is written once, inline in
-train_skipgram's loop, where per-call cost dominates. Negative sampling is the
-documented approximation for larger vocabularies.
+update and is the default at desk scale. Negative sampling is the documented
+approximation for larger vocabularies. Both steps are written once, inline in
+train_skipgram's loop, where per-call cost dominates.
 
 File format: first line ``<vocab_size> <dim>``, then one ``<word> <v1> .. <vd>``
 line per word. Words are written as they are: no token that tokenize() emits
@@ -80,26 +80,6 @@ class EmbeddingMatrix:
     @property
     def dim(self) -> int:
         return self.input_vectors.shape[1]
-
-
-def _sigmoid(x):
-    # tanh form avoids overflow for large |x|
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
-def _negative_sampling_gradients(input_vectors, output_vectors, center: int, rows):
-    """Scores and ascent gradients of one pair, over its gathered output rows.
-
-    ``rows`` is ``[context, *negatives]``. Returns ``(scores, grad_center_input,
-    grad_rows)`` where ``grad_rows[i]`` belongs to output row ``rows[i]``.
-    """
-    v = input_vectors[center]
-    w = output_vectors[rows]
-    x = w @ v
-    # label minus sigmoid: 1 for the context row, 0 for each negative
-    g = -_sigmoid(x)
-    g[0] += 1.0
-    return x, g @ w, np.dot(g[:, None], v[None, :])
 
 
 def _pair_arrays(sentences, window: int):
@@ -249,14 +229,18 @@ def train_skipgram(
             else:
                 draws = np.searchsorted(cumulative, rng.random((stop - start) * k))
                 for (center, context, lr), drawn in zip(block, draws.reshape(-1, k).tolist()):
-                    # the context row, then every draw that differs from it; scores unused
+                    # the context row, then every draw that differs from it
                     rows = [context, *(d for d in drawn if d != context)]
-                    _, grad_v, grad_rows = _negative_sampling_gradients(inp, out, center, rows)
-                    grad_v *= lr
-                    inp[center] += grad_v
-                    # grad_rows was formed before this update; repeated rows add up
+                    v = inp[center]
+                    w = out[rows]
+                    # label minus sigmoid, in tanh form so that no score overflows:
+                    # 1 for the context row, 0 for each draw
+                    g = -0.5 * (1.0 + np.tanh(0.5 * (w @ v)))
+                    g[0] += 1.0
+                    grad_rows = np.dot(g[:, None], v[None, :])  # formed before v moves
+                    v += (g @ w) * lr
                     grad_rows *= lr
-                    np.add.at(out, rows, grad_rows)
+                    np.add.at(out, rows, grad_rows)  # repeated rows add up, in list order
         if not (np.isfinite(inp).all() and np.isfinite(out).all()):
             raise NumericError(f"skip-gram training diverged at epoch {epoch}")
         if track_objective:

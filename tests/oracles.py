@@ -30,17 +30,23 @@ They are the reference for the hidden sequence and the gate gradients.
 loop_train_skipgram is the skip-gram loop that the blocked train_skipgram
 replaced: it walks the window pairs of every sentence again in every epoch,
 computes each learning rate in Python and draws each pair's negatives with its
-own rng.random(K) call, then updates the output rows one at a time from a dict
-of row gradients. It is the reference for the trained parameters. Its exact
-mode steps through loop_softmax_pair_gradients, the textbook form of the pair
-gradients (p = e / z, np.outer(-p, v)), which train_skipgram's loop computes
-inline with in-place numpy calls that round the same way. It also returns the
-pair's log probability, which the finite-difference checks differentiate.
+own rng.random(K) call. It is the reference for the trained parameters. Its
+exact mode steps through loop_softmax_pair_gradients, the textbook form of the
+pair gradients (p = e / z, np.outer(-p, v)), which train_skipgram's loop
+computes inline with in-place numpy calls that round the same way. It also
+returns the pair's log probability, which the finite-difference checks
+differentiate.
 
-negative_sampling_pair_gradients adds the pair loss to the scores and
-gradients of embedding._negative_sampling_gradients, the function that
-train_skipgram calls, so a finite-difference check of the loss checks the
-gradients training uses.
+A negative-sampling pair has two textbook forms. negative_sampling_pair_gradients
+is the list form: it gathers the rows [context, *negatives], takes label minus
+sigmoid of their scores and returns one gradient entry per listed row, which
+train_skipgram's inline step rounds the same way, up to the sign of an exact
+zero (0 - s against -s), which compares equal; the loop trainer with
+list_rows adds the entries to their rows in list order, as np.add.at does, so
+the two train bit for bit. dict_negative_sampling_pair_gradients sums a
+repeated row's entries in a dict first, so the loop trainer's default path
+agrees with train_skipgram only within rounding. Both forms return the pair
+loss, which the finite-difference checks differentiate.
 
 gradient_check compares a classifier's analytic gradients with central
 differences, bumping each entry of model.params in place and putting it back.
@@ -59,14 +65,7 @@ f-string. It is the reference for the bytes of every vector file.
 
 import numpy as np
 
-from semexpand.embedding import (
-    MODE_EXACT,
-    MODE_NEGATIVE,
-    EmbeddingMatrix,
-    _negative_sampling_gradients,
-    corpus_objective,
-)
-from semexpand.embedding import _sigmoid as _embedding_sigmoid
+from semexpand.embedding import MODE_EXACT, MODE_NEGATIVE, EmbeddingMatrix, corpus_objective
 from semexpand.errors import DataFormatError, NumericError
 from semexpand.nn import layers
 
@@ -333,7 +332,7 @@ def dict_negative_sampling_pair_gradients(
     ``(loss, grad_center_input, {row_id: grad_output_row})``.
     """
     v = input_vectors[center]
-    s_pos = _embedding_sigmoid(output_vectors[context] @ v)
+    s_pos = _sigmoid(output_vectors[context] @ v)
     loss = float(_log_sigmoid(output_vectors[context] @ v))
     grad_v = (1.0 - s_pos) * output_vectors[context]
     grad_rows = {context: (1.0 - s_pos) * v}
@@ -342,7 +341,7 @@ def dict_negative_sampling_pair_gradients(
             raise ValueError("negative sample equals the context word")
         x = output_vectors[n] @ v
         loss += float(_log_sigmoid(-x))
-        s_n = _embedding_sigmoid(x)
+        s_n = _sigmoid(x)
         grad_v = grad_v - s_n * output_vectors[n]
         grad_rows[n] = grad_rows.get(n, 0.0) - s_n * v
     return loss, grad_v, grad_rows
@@ -361,11 +360,14 @@ def negative_sampling_pair_gradients(
     if context in negatives:
         raise ValueError("negative sample equals the context word")
     rows = [context, *negatives]
-    x, grad_v, grad_rows = _negative_sampling_gradients(
-        input_vectors, output_vectors, center, rows
-    )
-    x[1:] *= -1.0
-    return float(_log_sigmoid(x).sum()), grad_v, rows, grad_rows
+    v = input_vectors[center]
+    w = output_vectors[rows]
+    x = w @ v
+    labels = np.zeros(len(rows))
+    labels[0] = 1.0
+    g = labels - _sigmoid(x)
+    loss = float(_log_sigmoid(x[0]) + _log_sigmoid(-x[1:]).sum())
+    return loss, g @ w, rows, np.outer(g, v)
 
 
 def loop_softmax_pair_gradients(input_vectors, output_vectors, center: int, context: int):
@@ -409,8 +411,14 @@ def loop_noise_distribution(corpus) -> np.ndarray:
     return weights / weights.sum()
 
 
-def loop_train_skipgram(corpus, config, track_objective: bool = False):
-    """Train skip-gram embeddings by per-pair stochastic gradient ascent."""
+def loop_train_skipgram(corpus, config, track_objective: bool = False, list_rows: bool = False):
+    """Train skip-gram embeddings by per-pair stochastic gradient ascent.
+
+    A negative-sampling pair steps through dict_negative_sampling_pair_gradients,
+    whose dict sums a repeated row's entries before the row is updated, or with
+    ``list_rows`` through negative_sampling_pair_gradients, adding each row
+    entry to its row in list order.
+    """
     vocab = corpus.vocabulary
     n = len(vocab)
     if n < 2:
@@ -455,11 +463,18 @@ def loop_train_skipgram(corpus, config, track_objective: bool = False):
                         cumulative, rng.random(config.negative_samples)
                     )
                     negatives = [int(d) for d in draws if d != context]
-                    _, grad_v, grad_rows = dict_negative_sampling_pair_gradients(
-                        inp, out, center, context, negatives
-                    )
+                    if list_rows:
+                        _, grad_v, rows, grad_rows = negative_sampling_pair_gradients(
+                            inp, out, center, context, negatives
+                        )
+                        row_entries = zip(rows, grad_rows)
+                    else:
+                        _, grad_v, grad_by_row = dict_negative_sampling_pair_gradients(
+                            inp, out, center, context, negatives
+                        )
+                        row_entries = grad_by_row.items()
                     inp[center] += lr * grad_v
-                    for row, g in grad_rows.items():
+                    for row, g in row_entries:
                         out[row] += lr * g
                 done += 1
         if not (np.isfinite(inp).all() and np.isfinite(out).all()):

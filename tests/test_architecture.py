@@ -5,7 +5,9 @@ way it builds, trains and scores a classifier: only pipeline.py calls
 build_model, train_classifier or evaluate. sidebyside.run_side_by_side is the
 one way it runs work in parallel: only sidebyside.py forks or imports a module
 that starts processes or threads. Text becomes tokens where corpus.py reads it:
-only corpus.py calls tokenize."""
+only corpus.py calls tokenize. Each reference implementation in
+tests/oracles.py stands apart from the code it checks: it reaches no
+_-prefixed name of the package."""
 
 import ast
 from pathlib import Path
@@ -27,6 +29,7 @@ TOKENIZER = Path("corpus.py")
 # tokenizes in cli.py, once; the planted benchmark tokenizes text it generates
 # itself and reads from no file.
 TOKENIZE_EXCEPTIONS = {"cli.py": ["tokenize"], "synthetic.py": None}
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 
 def _called_name(call: ast.Call):
@@ -106,6 +109,49 @@ def parallel_starts(source: str) -> list[tuple[int, str]]:
             found += [(node.lineno, name) for name in names if name == "os.fork"]
         elif isinstance(node, ast.Call) and _called_name(node) == "fork":
             found.append((node.lineno, "os.fork"))
+    return sorted(found)
+
+
+def _in_package(module) -> bool:
+    return module == PACKAGE.name or str(module).startswith(PACKAGE.name + ".")
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _dotted(node):
+    """``a.b.c`` for a chain of attributes on a name, else None."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(attrs)]) if isinstance(node, ast.Name) else None
+
+
+def private_package_names(source: str) -> list[tuple[int, str]]:
+    """(line, dotted name) of each _-prefixed package name that ``source`` imports,
+    or reads as an attribute of a package name it imported."""
+    tree = ast.parse(source)
+    found, bound = [], {}  # bound: local name -> the package name it stands for
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if _in_package(a.name):
+                    bound[a.asname or PACKAGE.name] = a.name if a.asname else PACKAGE.name
+                    if any(map(_private, a.name.split("."))):
+                        found.append((node.lineno, a.name))
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and _in_package(node.module):
+            for a in node.names:
+                name = f"{node.module}.{a.name}"
+                bound[a.asname or a.name] = name
+                if any(map(_private, name.split("."))):
+                    found.append((node.lineno, name))
+    for node in ast.walk(tree):
+        dotted = isinstance(node, ast.Attribute) and _private(node.attr) and _dotted(node.value)
+        if dotted and dotted.split(".")[0] in bound:
+            head, _, rest = dotted.partition(".")
+            found.append((node.lineno, ".".join(filter(None, [bound[head], rest, node.attr]))))
     return sorted(found)
 
 
@@ -223,3 +269,34 @@ def test_check_flags_tokenize_calls():
         "tokenizer = corpus.tokenize\n"
     )
     assert tokenize_calls(source) == ["tokenize", "tokenize"]
+
+
+def test_oracles_reach_no_private_package_name():
+    source = ORACLES.read_text(encoding="utf-8")
+    assert private_package_names(source) == []
+    assert any(_in_package(getattr(node, "module", None)) for node in ast.walk(ast.parse(source)))
+
+
+def test_check_flags_private_package_names():
+    source = (
+        "from semexpand.embedding import MODE_EXACT, _sigmoid\n"
+        "from semexpand.embedding import _sigmoid as sigmoid\n"
+        "import semexpand.embedding as emb\n"
+        "emb._negative_sampling_gradients(1)\n"
+        "from semexpand import nn, _hidden_module\n"
+        "nn.layers._helper\n"
+        "import semexpand._hidden\n"
+        "semexpand.embedding._pair_arrays\n"
+        "emb.train_skipgram, emb.__name__, np._core, sigmoid, MODE_EXACT\n"
+        "from .embedding import _sigmoid\n"
+        "from semexpand_other import _x\n"
+    )
+    assert private_package_names(source) == [
+        (1, "semexpand.embedding._sigmoid"),
+        (2, "semexpand.embedding._sigmoid"),
+        (4, "semexpand.embedding._negative_sampling_gradients"),
+        (5, "semexpand._hidden_module"),
+        (6, "semexpand.nn.layers._helper"),
+        (7, "semexpand._hidden"),
+        (8, "semexpand.embedding._pair_arrays"),
+    ]

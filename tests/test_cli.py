@@ -450,6 +450,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"error: {dataset}: dataset has 3 classes, but {model} expects 2\n"
 
+    def test_max_len_other_than_the_cnn_checkpoint_is_one(self, tiny, tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        assert run_cli(
+            "train-embeddings", tiny["corpus"], "--output", vectors, "--dim", 4, "--epochs", 1
+        ) == 0
+        model = tmp_path / "model.txt"
+        assert run_cli(
+            "train", tiny["dataset"], "--vectors", vectors, "--output", model, "--model", "cnn",
+            "--kernels", 2, "--kernel-width", 2, "--max-len", 8, "--epochs", 1,
+        ) == 0
+        evaluate = ("evaluate", tiny["dataset"], "--vectors", vectors, "--model-file", model)
+        capsys.readouterr()
+        for max_len in (3, 30):
+            assert run_cli(*evaluate, "--max-len", max_len) == 1
+            err = capsys.readouterr().err
+            assert err == (
+                f"error: --max-len {max_len} differs from the max_len 8 "
+                f"that {model} was trained at\n"
+            )
+        assert run_cli(*evaluate) == 0
+        accuracy = capsys.readouterr().out.splitlines()[0]
+        assert run_cli(*evaluate, "--max-len", 8) == 0
+        assert capsys.readouterr().out.splitlines()[0] == accuracy
+
     def test_malformed_report_is_two(self, tmp_path, capsys):
         good = {
             "config": {}, "split_fingerprint": "ab" * 32, "label_names": ["x"], "chosen_k": 3,

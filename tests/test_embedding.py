@@ -17,6 +17,7 @@ from semexpand.corpus import (
 )
 import oracles
 from oracles import (
+    dict_negative_sampling_pair_gradients,
     fstring_write_vector_file,
     loop_noise_distribution,
     loop_softmax_pair_gradients,
@@ -221,6 +222,33 @@ class TestPairGradients:
         out = np.ones((3, 2))
         with pytest.raises(ValueError):
             negative_sampling_pair_gradients(inp, out, 0, 1, [1])
+
+    def test_negative_sampling_dict_and_list_forms_agree_per_pair(self):
+        rng = np.random.default_rng(9)
+        repeated = 0
+        for vocab_size, dim in ((2, 1), (3, 2), (8, 4), (50, 16)):
+            inp = rng.normal(scale=0.5, size=(vocab_size, dim))
+            out = rng.normal(scale=0.5, size=(vocab_size, dim))
+            for _ in range(40):
+                center, context = (int(i) for i in rng.integers(vocab_size, size=2))
+                negatives = [int(n) for n in rng.integers(vocab_size, size=6) if n != context]
+                repeated += len(set(negatives)) < len(negatives)
+                loss, grad_v, by_row = dict_negative_sampling_pair_gradients(
+                    inp, out, center, context, negatives
+                )
+                list_loss, list_grad_v, rows, grad_rows = negative_sampling_pair_gradients(
+                    inp, out, center, context, negatives
+                )
+                assert rows == [context, *negatives] and set(by_row) == set(rows)
+                summed = np.zeros_like(out)
+                np.add.at(summed, rows, grad_rows)
+                expected = np.zeros_like(out)
+                for row, g in by_row.items():
+                    expected[row] = g
+                assert abs(list_loss - loss) <= 1e-12
+                assert np.abs(list_grad_v - grad_v).max() <= 1e-12
+                assert np.abs(summed - expected).max() <= 1e-12
+        assert repeated
 
 
 class TestTrainSkipgram:
@@ -466,6 +494,62 @@ class TestBlockedTrainingParity:
         slow = loop_train_skipgram(corpus, cfg)
         assert np.abs(fast.input_vectors - slow.input_vectors).max() <= 1e-12
         assert np.abs(fast.output_vectors - slow.output_vectors).max() <= 1e-12
+
+
+def negative_sampling_case(vocab_size: int, dim: int, negative_samples: int, window: int):
+    """A random corpus over ``vocab_size`` words and a negative-sampling config for it."""
+    pairs = max(2 * PAIR_BLOCK + 222, 2 * vocab_size)
+    corpus = corpus_with_pairs(np.random.default_rng(vocab_size + dim), pairs, vocab_size)
+    cfg = SkipGramConfig(
+        window=window, dim=dim, epochs=2, learning_rate=0.3, final_learning_rate=0.01,
+        seed=dim, mode=MODE_NEGATIVE, negative_samples=negative_samples,
+    )
+    return corpus, cfg
+
+
+class TestNegativeSamplingParity:
+    """train_skipgram's inline negative-sampling step against the loop trainer's
+    list path (oracles.negative_sampling_pair_gradients), bit for bit."""
+
+    # (V, d, K, window): K > V in the first two, where a pair's every draw can equal
+    # its context
+    CASES = (
+        (2, 1, 3, 1), (3, 2, 6, 1), (30, 8, 4, 3), (50, 8, 5, 2), (300, 16, 5, 1),
+        (1000, 32, 5, 1),
+    )
+
+    def test_cases_cover_the_edge_draws(self):
+        drawn = []
+        for case in self.CASES:
+            corpus, cfg = negative_sampling_case(*case)
+            assert _pair_arrays(corpus.sentences, cfg.window)[0].size > 2 * PAIR_BLOCK, case
+            drawn += [(n, cfg.negative_samples) for n in per_pair_negatives(corpus, cfg)]
+        assert any(len(set(n)) < len(n) for n, _ in drawn)  # a repeated negative
+        assert any(0 < len(n) < k for n, k in drawn)  # a dropped draw
+        assert any(n == [] for n, _ in drawn)  # every draw equal to the context
+        assert any(k > v for v, _, k, _ in self.CASES)
+
+    @pytest.mark.parametrize("case", CASES, ids="V{0[0]}-d{0[1]}-K{0[2]}-w{0[3]}".format)
+    def test_across_vocabulary_width_and_draws(self, case):
+        corpus, cfg = negative_sampling_case(*case)
+        assert len(corpus.vocabulary) == case[0]
+        fast = train_skipgram(corpus, cfg)
+        slow = loop_train_skipgram(corpus, cfg, list_rows=True)
+        assert np.array_equal(fast.input_vectors, slow.input_vectors)
+        assert np.array_equal(fast.output_vectors, slow.output_vectors)
+
+    @pytest.mark.parametrize("pairs", TestBlockedTrainingParity.PAIR_COUNTS)
+    def test_at_the_block_boundaries(self, pairs):
+        corpus = corpus_with_pairs(np.random.default_rng(pairs + 2), pairs, 5)
+        cfg = SkipGramConfig(
+            window=1, dim=4, epochs=3, learning_rate=0.5, final_learning_rate=0.01,
+            seed=pairs, mode=MODE_NEGATIVE, negative_samples=5,
+        )
+        fast = train_skipgram(corpus, cfg, track_objective=True)
+        slow = loop_train_skipgram(corpus, cfg, track_objective=True, list_rows=True)
+        assert np.array_equal(fast.input_vectors, slow.input_vectors)
+        assert np.array_equal(fast.output_vectors, slow.output_vectors)
+        assert fast.objective_history == slow.objective_history
 
 
 class TestSkipGramConfigValidation:
