@@ -119,15 +119,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    max_len = ClassifierConfig(**_given(args, ClassifierConfig)).max_len
     model = load_model(args.model_file)
-    # a CNN model file records the length it was trained at; an LSTM's does not
-    max_len = getattr(model, "max_len", max_len)
-    if args.max_len not in (None, max_len):
-        raise ConfigError(
-            f"--max-len {args.max_len} differs from the max_len {max_len} "
-            f"that {args.model_file} was trained at"
-        )
     table, dataset = _vectors_and_dataset(args)
     if table.shape[1] != model.input_width:
         raise DataFormatError(
@@ -139,7 +131,7 @@ def cmd_evaluate(args) -> int:
             f"{args.dataset}: dataset has {dataset.num_classes} classes, "
             f"but {args.model_file} expects {model.num_classes}"
         )
-    result = pipeline.score(model, dataset, table, max_len)
+    result = pipeline.score(model, dataset, table)
     for line in result.summary_lines(dataset.label_names):
         print(line)
     return 0
@@ -166,12 +158,10 @@ def _add_dictionary_flag(parser) -> None:
     parser.add_argument("--dictionary", help="user dictionary file, one term per line")
 
 
-def _add_field_flags(parser, config, names=None) -> None:
-    """One --flag per field of dataclass ``config`` (or per field in ``names``),
-    typed like the field; an absent flag parses to None, so the default applies."""
+def _add_field_flags(parser, config) -> None:
+    """One --flag per field of dataclass ``config``, typed like the field; an
+    absent flag parses to None, so the default applies."""
     for f in dataclasses.fields(config):
-        if names is not None and f.name not in names:
-            continue
         convert = functools.partial(coerce_value, f.name, config=config)
         extra = {"help": f"default: {f.default}"} if f.default != "" else {}
         if isinstance(f.default, bool):
@@ -248,13 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
             _add_field_flags(p, ClassifierConfig)
             _add_field_flags(p, TrainConfig)
         else:
-            _add_field_flags(p, ClassifierConfig, names=("max_len",))
             p.add_argument("--model-file", required=True)
-            p.description = (
-                "A CNN model file records the max_len it was trained at, and --max-len, "
-                "if given, must equal it. An LSTM model file does not record its length: "
-                f"give the --max-len it was trained at, or {ClassifierConfig.max_len} applies."
-            )
         p.set_defaults(func=handler)
 
     p = sub.add_parser("run", help="run the full pipeline from a config")

@@ -37,7 +37,8 @@ def cnn_output_lengths(max_len: int, kernel_width: int, pool_width: int):
 class ClassifierConfig:
     """Classifier kind and sizes; ``max_len`` is the padded input length.
 
-    build_model takes one; each kind keeps only its own sizes.
+    build_model takes one; each kind keeps only its own sizes. Every kind keeps
+    ``max_len``, so a model file records the length its inputs are embedded at.
     """
 
     model: str = "lstm"
@@ -169,7 +170,7 @@ class CnnClassifier(_Classifier):
 
 class LstmClassifier(_Classifier):
     kind = "lstm"
-    size_names = ("hidden",)
+    size_names = ("max_len", "hidden")
 
     @staticmethod
     def param_shapes(shape, input_width, num_classes):

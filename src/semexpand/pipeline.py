@@ -210,9 +210,9 @@ def fit(shape: ClassifierConfig, train_config: TrainConfig, dataset, table):
     return model, log
 
 
-def score(model, dataset, table, max_len: int):
-    """Evaluate ``model`` on ``dataset``, embedded through ``table`` at ``max_len``."""
-    x, m, y = expansion.embed_dataset(dataset, table, max_len)
+def score(model, dataset, table):
+    """Evaluate ``model`` on ``dataset``, embedded through ``table`` at ``model.max_len``."""
+    x, m, y = expansion.embed_dataset(dataset, table, model.max_len)
     return evaluate(model, x, m, y)
 
 
@@ -291,7 +291,7 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
 
         def validation_accuracy(k: int, table) -> float:
             trial_model, _ = fit(shape, cfg.train_config(seed_for(cfg.seed, k)), train_ds, table)
-            return score(trial_model, val_ds, table, cfg.max_len).accuracy
+            return score(trial_model, val_ds, table).accuracy
 
         def trial(k: int) -> float:
             return at_k(k, lambda: validation_accuracy(k, source_for(k)[1]))
@@ -333,7 +333,7 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
         model, log = fitted
         save_model(model, paths["model"])
     with _stage("evaluate", timings):
-        test_result = score(model, test_ds, source, cfg.max_len)
+        test_result = score(model, test_ds, source)
 
     report = ExperimentReport(
         config={f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)},
@@ -377,25 +377,25 @@ def grid_search_k(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def compare_runs(report_a: ExperimentReport, report_b: ExperimentReport) -> dict:
-    """Side-by-side deltas (a minus b); refuses runs with different test splits."""
+    """Side-by-side deltas (a minus b); refuses runs with different test splits or classes."""
     if report_a.split_fingerprint != report_b.split_fingerprint:
         raise ConfigError(
             "cannot compare runs with different test splits "
             f"({report_a.split_fingerprint[:12]} vs {report_b.split_fingerprint[:12]})"
         )
-    per_class = []
     by_label = {row["label"]: row for row in report_b.per_class}
-    for row in report_a.per_class:
-        other = by_label.get(row["label"])
-        if other is None:
-            raise DataFormatError(f"class {row['label']!r} missing from second report")
-        per_class.append(
-            {
-                "label": row["label"],
-                "precision_delta": row["precision"] - other["precision"],
-                "recall_delta": row["recall"] - other["recall"],
-            }
-        )
+    labels_a, labels_b = {row["label"] for row in report_a.per_class}, set(by_label)
+    for missing, which in ((labels_a - labels_b, "second"), (labels_b - labels_a, "first")):
+        if missing:
+            raise DataFormatError(f"class {min(missing)!r} missing from {which} report")
+    per_class = [
+        {
+            "label": row["label"],
+            "precision_delta": row["precision"] - by_label[row["label"]]["precision"],
+            "recall_delta": row["recall"] - by_label[row["label"]]["recall"],
+        }
+        for row in report_a.per_class
+    ]
     return {
         "accuracy_a": report_a.test_accuracy,
         "accuracy_b": report_b.test_accuracy,

@@ -214,7 +214,7 @@ def test_check_flags_build_train_and_evaluate_calls():
         "log = nn.train_classifier(model, x, mask, y, config)\n"
         "result = evaluate(model, x, mask, y)\n"
         "model, log = pipeline.fit(shape, config, dataset, table)\n"
-        "result = pipeline.score(model, dataset, table, max_len)\n"
+        "result = pipeline.score(model, dataset, table)\n"
     )
     assert sorted(fit_calls(source)) == ["build_model", "evaluate", "train_classifier"]
 

@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semexpand import cli, corpus, embedding
+from semexpand import cli, corpus, embedding, expansion
 from semexpand.config import ExperimentConfig
 from semexpand.embedding import read_vector_file, write_vector_file
+from semexpand.nn import evaluate, load_model
 from semexpand.pipeline import ARTIFACT_NAMES, REPORT_VERSION, load_report
 
 REPO = Path(__file__).resolve().parents[1]
@@ -137,6 +138,28 @@ class TestStageCommands:
         out = capsys.readouterr().out
         assert out.startswith("accuracy ")
         assert "class pain:" in out
+
+    def test_evaluate_scores_an_lstm_at_its_trained_max_len(self, stage_inputs, tmp_path, capsys):
+        vectors, _ = stage_inputs
+        model = tmp_path / "model.txt"
+        code = run_cli(
+            "train", DATA / "dataset.tsv", "--vectors", vectors, "--output", model,
+            "--hidden", 3, "--max-len", 3, "--epochs", 2,
+        )
+        assert code == 0
+        assert "max_len 3" in model.read_text().splitlines()
+        capsys.readouterr()
+        code = run_cli(
+            "evaluate", DATA / "dataset.tsv", "--vectors", vectors, "--model-file", model
+        )
+        assert code == 0
+        emb = embedding.load_embeddings(vectors)
+        dataset = corpus.encode_dataset(
+            corpus.load_labeled_file(DATA / "dataset.tsv"), emb.vocabulary
+        )
+        x, mask, y = expansion.embed_dataset(dataset, emb.input_vectors, 3)
+        at_three = evaluate(load_model(model), x, mask, y).summary_lines(dataset.label_names)
+        assert capsys.readouterr().out.splitlines() == at_three
 
     def test_stage_chain_reproduces_run_vectors_and_clusters(self, tmp_path, capsys):
         # `cluster` reads the vector file's 8 significant digits, so its centroids,
@@ -450,29 +473,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"error: {dataset}: dataset has 3 classes, but {model} expects 2\n"
 
-    def test_max_len_other_than_the_cnn_checkpoint_is_one(self, tiny, tmp_path, capsys):
-        vectors = tmp_path / "vectors.txt"
-        assert run_cli(
-            "train-embeddings", tiny["corpus"], "--output", vectors, "--dim", 4, "--epochs", 1
-        ) == 0
-        model = tmp_path / "model.txt"
-        assert run_cli(
-            "train", tiny["dataset"], "--vectors", vectors, "--output", model, "--model", "cnn",
-            "--kernels", 2, "--kernel-width", 2, "--max-len", 8, "--epochs", 1,
-        ) == 0
-        evaluate = ("evaluate", tiny["dataset"], "--vectors", vectors, "--model-file", model)
+    def test_evaluate_max_len_is_an_unrecognized_argument(self, stage_inputs, capsys):
+        vectors, model = stage_inputs
         capsys.readouterr()
-        for max_len in (3, 30):
-            assert run_cli(*evaluate, "--max-len", max_len) == 1
-            err = capsys.readouterr().err
-            assert err == (
-                f"error: --max-len {max_len} differs from the max_len 8 "
-                f"that {model} was trained at\n"
-            )
-        assert run_cli(*evaluate) == 0
-        accuracy = capsys.readouterr().out.splitlines()[0]
-        assert run_cli(*evaluate, "--max-len", 8) == 0
-        assert capsys.readouterr().out.splitlines()[0] == accuracy
+        code = run_cli(
+            "evaluate", DATA / "dataset.tsv", "--vectors", vectors, "--model-file", model,
+            "--max-len", 3,
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --max-len 3\n"
 
     def test_malformed_report_is_two(self, tmp_path, capsys):
         good = {
@@ -703,7 +712,6 @@ NUMERIC_FLAGS = {
         ),
         "--seed": NON_NEGATIVE,
     },
-    "evaluate": {"--max-len": POSITIVE},
     "run": _RUN_FLAGS,
     "grid-search": _RUN_FLAGS,
 }
@@ -742,14 +750,13 @@ def stage_inputs(tmp_path_factory):
 
 @pytest.mark.parametrize(("command", "flag", "value"), BAD_FLAG_CASES)
 def test_out_of_range_flag_is_one(command, flag, value, stage_inputs, tmp_path, capsys):
-    vectors, model = stage_inputs
+    vectors, _ = stage_inputs
     output = tmp_path / "output"
     argv = {
         "augment": [DATA / "dataset.tsv", DATA / "synonyms.tsv", "--output", output],
         "train-embeddings": [DATA / "corpus.txt", "--output", output],
         "cluster": [vectors, "--output", output],
         "train": [DATA / "dataset.tsv", "--vectors", vectors, "--output", output],
-        "evaluate": [DATA / "dataset.tsv", "--vectors", vectors, "--model-file", model],
         "run": ["--config", DATA / "config.txt", "--output-dir", output],
         "grid-search": ["--config", DATA / "config.txt", "--output-dir", output],
     }[command]

@@ -664,8 +664,17 @@ class TestCheckpoints:
     )
     def test_earlier_checkpoints_score_unchanged(self, tmp_path, name, shape, seed, confusion):
         """tests/data holds untrained models of ``shape`` from ``seed``, written before
-        build_model took a ClassifierConfig, and ``confusion`` is what they scored then."""
-        written = CHECKPOINTS / name
+        build_model took a ClassifierConfig, and ``confusion`` is what they scored then.
+
+        The LSTM file predates its ``max_len`` line: as written it is refused, and
+        with the line added after ``num_classes`` it is what today's writer makes."""
+        lines = (CHECKPOINTS / name).read_text().splitlines()
+        if shape.model == "lstm":
+            with pytest.raises(DataFormatError, match="missing architecture key 'max_len'"):
+                load_model(CHECKPOINTS / name)
+            lines.insert(lines.index("num_classes 2") + 1, f"max_len {shape.max_len}")
+        written = tmp_path / name
+        written.write_text("\n".join(lines) + "\n")
         fresh = build_model(shape, 2, 2, seed=seed)
         save_model(fresh, tmp_path / "model.txt")
         assert (tmp_path / "model.txt").read_bytes() == written.read_bytes()
@@ -687,3 +696,20 @@ class TestCheckpoints:
         path.write_text("\n".join([*lines[:2], "hidden 3", *lines[2:]]) + "\n")
         with pytest.raises(DataFormatError, match="key 'hidden' is not used by kind 'cnn'"):
             load_model(path)
+
+    def test_lstm_architecture_keys_must_match_the_kind(self, tmp_path):
+        path = tmp_path / "model.txt"
+        save_model(build_model(ClassifierConfig("lstm", max_len=7, hidden=2), 2, 2), path)
+        lines = path.read_text().splitlines()
+        arch = ["kind lstm", "input_width 2", "num_classes 2", "max_len 7", "hidden 2"]
+        assert lines[1:6] == arch
+        assert load_model(path).max_len == 7
+        for size in ("max_len", "hidden"):
+            path.write_text("\n".join(l for l in lines if not l.startswith(size + " ")) + "\n")
+            with pytest.raises(DataFormatError, match=f"missing architecture key '{size}'"):
+                load_model(path)
+        for unused in ("kernels", "kernel_width", "pool_width"):
+            path.write_text("\n".join([*lines[:2], f"{unused} 3", *lines[2:]]) + "\n")
+            message = f"key '{unused}' is not used by kind 'lstm'"
+            with pytest.raises(DataFormatError, match=message):
+                load_model(path)

@@ -213,8 +213,10 @@ class TestCompareRuns:
             label_names=["x"],
             per_class=[{"label": "x", "precision": 1.0, "recall": 0.5}],
         )
-        with pytest.raises(DataFormatError, match="'y'"):
+        with pytest.raises(DataFormatError, match="class 'y' missing from second report"):
             compare_runs(make_report(), short)
+        with pytest.raises(DataFormatError, match="class 'y' missing from first report"):
+            compare_runs(short, make_report())
 
     def test_comparison_lines_show_delta(self):
         a = make_report(test_accuracy=0.9)
