@@ -1,7 +1,8 @@
 """Command-line interface: one subcommand per pipeline stage.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 data or file-format
-error, 3 numeric failure during training.
+Exit codes: 0 success (also when the reader of stdout stops early, as
+``| head`` does), 1 usage or configuration error, 2 data or file-format error,
+3 numeric failure during training.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import dataclasses
 import functools
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -81,9 +83,7 @@ def cmd_train_embeddings(args) -> int:
 def cmd_cluster(args) -> int:
     emb = embedding.load_embeddings(args.embeddings)
     check_range("--k", args.k, 1, len(emb.vocabulary))
-    _, assignment = clustering.hac_cluster(
-        emb.input_vectors, args.k, words=emb.vocabulary.words
-    )
+    assignment = clustering.hac_cluster(emb.input_vectors, args.k, emb.vocabulary.words)
     clustering.save_assignment(assignment, args.output)
     print(f"assigned {len(emb.vocabulary)} words to {args.k} clusters -> {args.output}")
     return 0
@@ -91,7 +91,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_expand(args) -> int:
     emb = embedding.load_embeddings(args.embeddings)
-    assignment = clustering.load_assignment(args.assignment, vocabulary=emb.vocabulary)
+    assignment = clustering.load_assignment(args.assignment, emb.vocabulary)
     expanded = expansion.expand(emb, assignment)
     expansion.save_expanded(emb.vocabulary.words, expanded, args.output)
     print(f"wrote {len(emb.vocabulary)} x {expanded.shape[1]} expanded vectors -> {args.output}")
@@ -265,7 +265,16 @@ def main(argv=None) -> int:
             level=logging.INFO if args.verbose else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s",
         )
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone, which is no fault of the command; pointing stdout
+        # at devnull keeps the flush at interpreter exit from failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,25 +76,22 @@ class Dendrogram:
 class ClusterAssignment:
     """Final word -> cluster map with per-cluster centroids.
 
-    Cluster ids are 0..k-1 ordered by each cluster's smallest member id.
-    ``words`` carries the clustered token strings (index-aligned with
-    ``assign``) when the vectors came from a vocabulary.
+    ``words[i]`` belongs to cluster ``assign[i]``; the k = ``len(centroids)``
+    cluster ids are 0..k-1, ordered by each cluster's smallest member id.
     """
 
-    k: int
+    words: list[str]
     assign: np.ndarray
     centroids: np.ndarray
-    words: list[str] | None = None
 
     def __post_init__(self):
         self.assign = np.asarray(self.assign, dtype=int)
-        if self.assign.size and (self.assign.min() < 0 or self.assign.max() >= self.k):
+        k = len(self.centroids)
+        if self.assign.size and (self.assign.min() < 0 or self.assign.max() >= k):
             raise ValueError("cluster id outside 0..k-1")
-        if (np.bincount(self.assign, minlength=self.k) < 1).any():
+        if (np.bincount(self.assign, minlength=k) < 1).any():
             raise ValueError("empty cluster in assignment")
-        if self.centroids.shape[0] != self.k:
-            raise ValueError("centroid row count != k")
-        if self.words is not None and len(self.words) != len(self.assign):
+        if len(self.words) != len(self.assign):
             raise ValueError("words and assignment lengths differ")
 
 
@@ -230,29 +227,19 @@ def cut_dendrogram(dendrogram: Dendrogram, k: int) -> list[list[int]]:
     return clusters
 
 
-def assignment_from_cut(clusters, vectors, words=None) -> ClusterAssignment:
-    """Build a ClusterAssignment (with centroids) from cut member lists."""
+def assignment_from_cut(clusters, vectors, words) -> ClusterAssignment:
+    """Build the ClusterAssignment of ``words``, with centroids, from cut member lists."""
     vectors = np.asarray(vectors, dtype=float)
     assign = np.empty(vectors.shape[0], dtype=int)
     for cid, members in enumerate(clusters):
         assign[members] = cid
     centroids = compute_centroids(assign, vectors, k=len(clusters))
-    return ClusterAssignment(len(clusters), assign, centroids, words=words)
+    return ClusterAssignment(words, assign, centroids)
 
 
-def hac_cluster(vectors, k: int, words=None):
-    """Cluster vectors into k groups; returns the full dendrogram too.
-
-    The dendrogram covers the complete agglomeration so it can be re-cut at
-    any other k; the assignment corresponds to stopping at k clusters.
-    """
-    vectors = np.asarray(vectors, dtype=float)
-    n = vectors.shape[0]
-    if not (1 <= k <= n):
-        raise ValueError(f"k must be in 1..{n}, got {k}")
-    dendrogram = build_dendrogram(vectors)
-    clusters = cut_dendrogram(dendrogram, k)
-    return dendrogram, assignment_from_cut(clusters, vectors, words=words)
+def hac_cluster(vectors, k: int, words) -> ClusterAssignment:
+    """Cluster the vectors of ``words`` into k groups: the assignment after n-k merges."""
+    return assignment_from_cut(cut_dendrogram(build_dendrogram(vectors), k), vectors, words)
 
 
 def centroid_path_for(path) -> str:
@@ -264,19 +251,17 @@ _CLUSTER_TOKEN_RE = re.compile(r"^cluster_(\d+)$")
 
 def save_assignment(assignment: ClusterAssignment, path) -> None:
     """Write ``word<TAB>cluster_id`` lines plus a companion centroid file."""
-    if assignment.words is None:
-        raise ValueError("assignment has no words; cannot persist")
     with open(path, "w", encoding="utf-8") as fh:
         for word, cid in zip(assignment.words, assignment.assign):
             fh.write(f"{word}\t{int(cid)}\n")
-    labels = [f"cluster_{c}" for c in range(assignment.k)]
+    labels = [f"cluster_{c}" for c in range(len(assignment.centroids))]
     write_vector_file(centroid_path_for(path), labels, assignment.centroids)
 
 
-def load_assignment(path, vocabulary=None) -> ClusterAssignment:
+def load_assignment(path, vocabulary) -> ClusterAssignment:
     """Read an assignment and its companion centroid file.
 
-    With a vocabulary given, words absent from it are rejected. Cluster ids
+    Words absent from ``vocabulary`` are rejected. Cluster ids
     must cover 0..k-1 with no empty cluster; the centroid file must contain a
     ``cluster_<id>`` row for every id.
     """
@@ -300,7 +285,7 @@ def load_assignment(path, vocabulary=None) -> ClusterAssignment:
             if parts[0] in seen:
                 raise DataFormatError(f"{path}:{lineno}: duplicate word {parts[0]!r}")
             seen.add(parts[0])
-            if vocabulary is not None and parts[0] not in vocabulary:
+            if parts[0] not in vocabulary:
                 raise DataFormatError(f"{path}:{lineno}: unknown word {parts[0]!r}")
             words.append(parts[0])
             cids.append(cid)
@@ -328,4 +313,4 @@ def load_assignment(path, vocabulary=None) -> ClusterAssignment:
     if extra:
         raise DataFormatError(f"{cpath}: centroid row for unknown cluster {min(extra)}")
     ordered = centroids[[rows[c] for c in range(k)]]
-    return ClusterAssignment(k, np.array(cids), ordered, words=words)
+    return ClusterAssignment(words, np.array(cids), ordered)

@@ -24,7 +24,7 @@ logger = logging.getLogger(__name__)
 
 # Keys that config files and overrides may still name; they are skipped with a
 # warning, so snapshots written before their retirement still load.
-RETIRED_KEYS = ("synonyms",)
+RETIRED_KEYS = ("synonyms", "test_fraction")
 
 # The ExperimentConfig key of each stage-config field whose name differs; the
 # same map builds the stage config and names the key in its errors.
@@ -78,10 +78,9 @@ class ExperimentConfig:
     train_epochs: int = TrainConfig.epochs
     learning_rate: float = TrainConfig.learning_rate
 
-    # split protocol
+    # split protocol; the test part is the rest
     train_fraction: float = 0.8
     validation_fraction: float = 0.1
-    test_fraction: float = 0.1
 
     seed: int = 0
     no_expansion: bool = False
@@ -93,11 +92,13 @@ class ExperimentConfig:
             ):
                 reason = "must hold no '#', line break or leading or trailing whitespace"
                 raise ConfigError(f"{reason}, got {value!r}", name)
-        for name in ("train_fraction", "validation_fraction", "test_fraction"):
+        for name in ("train_fraction", "validation_fraction"):
             check_range(name, getattr(self, name), 0, 1, low_open=True)
-        fractions = (self.train_fraction, self.validation_fraction, self.test_fraction)
-        if abs(sum(fractions) - 1.0) > 1e-9:
-            raise ConfigError(f"split fractions must sum to 1, got {sum(fractions)!r}")
+        if not self.train_fraction + self.validation_fraction < 1:
+            raise ConfigError(
+                "train_fraction + validation_fraction must be below 1, leaving a test part, "
+                f"got {self.train_fraction} + {self.validation_fraction}"
+            )
         for name in ("k", "k_min", "k_max"):
             check_range(name, getattr(self, name), 0)
         if self.k == 0:

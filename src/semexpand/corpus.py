@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DataFormatError, EmptyVocabularyError, open_text
 
@@ -75,16 +75,15 @@ class TokenizedCorpus:
 
 @dataclass
 class LabeledDataset:
-    """Token-id sequences with integer class labels.
+    """Token-id sequences with integer class labels; label i is ``label_names[i]``.
 
     ``oov_marker`` is ``len(vocabulary)``: outside the valid id range, so an
     unguarded row lookup fails loudly instead of aliasing a real word.
     """
 
     examples: list[tuple[list[int], int]]
-    num_classes: int
     oov_marker: int
-    label_names: list[str] = field(default_factory=list)
+    label_names: list[str]
 
     def __post_init__(self):
         if self.num_classes < 2:
@@ -92,6 +91,10 @@ class LabeledDataset:
         for _, label in self.examples:
             if not (0 <= label < self.num_classes):
                 raise DataFormatError(f"label {label} outside 0..{self.num_classes - 1}")
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.label_names)
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -223,12 +226,7 @@ def encode_dataset(examples, vocabulary: Vocabulary) -> LabeledDataset:
         encoded.append((ids, label_ids[str(label)]))
     if skipped:
         logger.warning("skipped %d empty example(s) while encoding", skipped)
-    return LabeledDataset(
-        examples=encoded,
-        num_classes=len(label_names),
-        oov_marker=oov,
-        label_names=label_names,
-    )
+    return LabeledDataset(examples=encoded, oov_marker=oov, label_names=label_names)
 
 
 def augment_with_synonyms(dataset, table: SynonymTable, max_new_per_example: int):

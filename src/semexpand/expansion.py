@@ -22,8 +22,6 @@ def expand(emb: EmbeddingMatrix, assignment: ClusterAssignment) -> np.ndarray:
     centroid half. Values are copied from their sources, never re-derived.
     Centroids of another width than the vectors raise DataFormatError.
     """
-    if assignment.words is None:
-        raise ValueError("assignment carries no words; cannot align with vocabulary")
     d = emb.dim
     if assignment.centroids.shape[1] != d:
         raise DataFormatError(

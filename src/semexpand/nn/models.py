@@ -104,7 +104,7 @@ class _Classifier:
             raise ValueError(f"input width {x.shape[2]} != model width {self.input_width}")
         return x, mask
 
-    def forward(self, x, mask=None):
+    def forward(self, x, mask):
         logits, _ = self._forward_cache(*self._inputs(x, mask))
         return layers.softmax(logits)
 
@@ -191,10 +191,10 @@ class LstmClassifier(_Classifier):
         """x and mask cut after the last column that any row's mask marks valid.
 
         The recurrence is causal, so later columns never reach the pooled
-        state. A None mask marks every position valid.
+        state.
         """
         x, mask = super()._inputs(x, mask)
-        mask = np.ones(x.shape[:2]) if mask is None else np.asarray(mask, dtype=float)
+        mask = np.asarray(mask, dtype=float)
         used = np.flatnonzero(mask.any(axis=0))
         length = used[-1] + 1 if used.size else 0
         return x[:, :length], mask[:, :length]
@@ -226,7 +226,7 @@ class LstmClassifier(_Classifier):
 _CLASSES = {cls.kind: cls for cls in (CnnClassifier, LstmClassifier)}
 
 
-def build_model(shape: ClassifierConfig, input_width: int, num_classes: int, seed: int = 0):
+def build_model(shape: ClassifierConfig, input_width: int, num_classes: int, seed: int):
     """A freshly initialized classifier of kind ``shape.model`` with ``shape``'s sizes."""
     return _CLASSES[shape.model](shape, input_width, num_classes, seed)
 

@@ -59,8 +59,7 @@ def train_classifier(model, x, mask, y, config: TrainConfig) -> TrainLog:
         loss_sum = 0.0
         correct = 0
         for batch_index, batch in enumerate(_batches(count, config.batch_size, order)):
-            bmask = mask[batch] if mask is not None else None
-            loss, grads, probs = model.loss_and_grads(x[batch], bmask, y[batch])
+            loss, grads, probs = model.loss_and_grads(x[batch], mask[batch], y[batch])
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch + 1}, batch {batch_index + 1}"
@@ -89,14 +88,10 @@ class EvalResult:
     recall: np.ndarray
     confusion: np.ndarray
 
-    def summary_lines(self, label_names=None) -> list:
-        k = len(self.precision)
-        names = label_names if label_names is not None else [str(c) for c in range(k)]
+    def summary_lines(self, label_names) -> list:
         lines = [f"accuracy {self.accuracy:.4f}"]
-        for c in range(k):
-            lines.append(
-                f"class {names[c]}: precision {self.precision[c]:.4f} recall {self.recall[c]:.4f}"
-            )
+        for name, precision, recall in zip(label_names, self.precision, self.recall, strict=True):
+            lines.append(f"class {name}: precision {precision:.4f} recall {recall:.4f}")
         return lines
 
 
@@ -113,8 +108,7 @@ def evaluate(model, x, mask, y) -> EvalResult:
     confusion = np.zeros((k, k), dtype=int)
     order = np.arange(len(x))
     for batch in _batches(len(x), EVAL_BATCH_SIZE, order):
-        bmask = mask[batch] if mask is not None else None
-        probs = model.forward(x[batch], bmask)
+        probs = model.forward(x[batch], mask[batch])
         predicted = probs.argmax(axis=1)
         np.add.at(confusion, (y[batch], predicted), 1)
     correct = np.trace(confusion)

@@ -57,8 +57,9 @@ ARTIFACT_NAMES = {
 def stratified_split_indices(labels, label_names, fractions, seed: int):
     """Per-class shuffled index slices for (train, validation, test).
 
-    The first two parts take floor(fraction * class size); the last part gets
-    the remainder. Any empty part fails, naming the offending class.
+    ``fractions`` is (train, validation): those parts take floor(fraction *
+    class size), and the test part gets the remainder. Any empty part fails,
+    naming the offending class.
     """
     labels = np.asarray(labels, dtype=int)
     rng = np.random.default_rng(seed)
@@ -73,7 +74,7 @@ def stratified_split_indices(labels, label_names, fractions, seed: int):
         if any(len(s) == 0 for s in slices):
             raise ConfigError(
                 f"class {label_names[class_id]!r} has only {n} example(s), "
-                f"too few for a {fractions[0]}/{fractions[1]}/{fractions[2]} split"
+                f"too few for a {fractions[0]}/{fractions[1]}/rest split"
             )
         for part, s in zip(parts, slices):
             part.extend(int(i) for i in s)
@@ -83,7 +84,6 @@ def stratified_split_indices(labels, label_names, fractions, seed: int):
 def _subset(dataset: corpus.LabeledDataset, indices) -> corpus.LabeledDataset:
     return corpus.LabeledDataset(
         examples=[dataset.examples[i] for i in indices],
-        num_classes=dataset.num_classes,
         oov_marker=dataset.oov_marker,
         label_names=list(dataset.label_names),
     )
@@ -249,7 +249,7 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
 
     with _stage("split", timings):
         dataset = corpus.encode_dataset(examples, vocab)
-        fractions = (cfg.train_fraction, cfg.validation_fraction, cfg.test_fraction)
+        fractions = (cfg.train_fraction, cfg.validation_fraction)
         labels = [label for _, label in dataset.examples]
         idx_train, idx_val, idx_test = stratified_split_indices(
             labels, dataset.label_names, fractions, cfg.seed

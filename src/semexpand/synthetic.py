@@ -132,7 +132,7 @@ def run_benchmark(seed: int) -> BenchmarkResult:
     vocab = corpus.build_vocabulary(sentences)
     encoded = corpus.encode_corpus(sentences, vocab)
     emb = embedding.train_skipgram(encoded, cfg.skipgram_config())
-    _, assignment = clustering.hac_cluster(emb.input_vectors, cfg.k, words=vocab.words)
+    assignment = clustering.hac_cluster(emb.input_vectors, cfg.k, vocab.words)
     expanded = expansion.expand(emb, assignment)
 
     train_ds, test_ds = (

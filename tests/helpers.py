@@ -3,8 +3,9 @@
 make_separable_toyset is a tiny two-class set that either classifier can
 overfit; write_benchmark puts a planted-topic benchmark on disk in the
 pipeline's input formats; split_dataset applies the pipeline's stratified
-split to a whole dataset; assert_no_child_left checks that a side-by-side
-run reaped every process it forked.
+split to a whole dataset; word_names names vectors that come from no
+vocabulary; assert_no_child_left checks that a side-by-side run reaped every
+process it forked.
 """
 
 import os
@@ -58,10 +59,16 @@ def write_benchmark(bench: SyntheticBenchmark, out_dir) -> dict:
 
 
 def split_dataset(dataset: LabeledDataset, fractions, seed: int):
-    """Stratified (train, validation, test) split of a labeled dataset."""
+    """Stratified (train, validation, test) split of a labeled dataset at
+    (train, validation) ``fractions``; the test part is the rest."""
     labels = [label for _, label in dataset.examples]
     parts = stratified_split_indices(labels, dataset.label_names, fractions, seed)
     return tuple(_subset(dataset, indices) for indices in parts)
+
+
+def word_names(count: int) -> list:
+    """The words w0, w1, ... of ``count`` vectors, for a ClusterAssignment."""
+    return [f"w{i}" for i in range(count)]
 
 
 def assert_no_child_left():

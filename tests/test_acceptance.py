@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import make_separable_toyset
+from helpers import make_separable_toyset, word_names
 from oracles import (
     average_linkage,
     gradient_check,
@@ -25,6 +25,7 @@ from oracles import (
 )
 from semexpand.clustering import (
     assignment_from_cut,
+    build_dendrogram,
     compute_centroids,
     cut_dendrogram,
     hac_cluster,
@@ -32,7 +33,7 @@ from semexpand.clustering import (
     save_assignment,
 )
 from semexpand.config import ExperimentConfig, load_config
-from semexpand.corpus import build_vocabulary, encode_corpus
+from semexpand.corpus import Vocabulary, build_vocabulary, encode_corpus
 from semexpand.embedding import (
     MODE_EXACT,
     SkipGramConfig,
@@ -80,7 +81,7 @@ def test_criterion_1_clustering_matches_naive_oracle():
             d = int(rng.integers(1, 9))
             vectors = rng.normal(size=(n, d))
             merges, assignments = naive_hac(vectors)
-            dendrogram, coarsest = hac_cluster(vectors, 1)
+            dendrogram = build_dendrogram(vectors)
             assert [m[:2] + (m[3],) for m in dendrogram.merges] == [
                 (a, b, new_id) for a, b, _, new_id in merges
             ]
@@ -88,10 +89,11 @@ def test_criterion_1_clustering_matches_naive_oracle():
                 (m[2] for m in dendrogram.merges), (m[2] for m in merges)
             ):
                 assert abs(value - oracle) < 1e-9
-            assert coarsest.assign.tolist() == assignments[1]
+            assert hac_cluster(vectors, 1, word_names(n)).assign.tolist() == assignments[1]
             for k in range(2, n + 1):
                 cut = cut_dendrogram(dendrogram, k)
-                assert assignment_from_cut(cut, vectors).assign.tolist() == assignments[k]
+                assignment = assignment_from_cut(cut, vectors, word_names(n))
+                assert assignment.assign.tolist() == assignments[k]
         assert time.time() - start < 30.0
 
 
@@ -190,7 +192,7 @@ def test_criterion_3_gradients_match_finite_differences():
         cnn = build_model(shape, 3, 3, seed=3)
         x = rng.normal(size=(4, 10, 3))
         y = np.array([0, 1, 2, 1])
-        worst = max(worst, gradient_check(cnn, x, None, y))
+        worst = max(worst, gradient_check(cnn, x, np.ones((4, 10)), y))
 
         lstm = build_model(ClassifierConfig("lstm", hidden=5), 3, 3, seed=4)
         x = rng.normal(size=(4, 6, 3))
@@ -308,10 +310,10 @@ def test_criterion_8_round_trips_and_named_errors(tmp_path):
             write_vector_file(tmp_path / "spaced.txt", ["chest pain"], matrix[:1])
 
         vectors = rng.normal(size=(6, 3))
-        _, assignment = hac_cluster(vectors, 3, words=[f"w{i}" for i in range(6)])
+        assignment = hac_cluster(vectors, 3, word_names(6))
         assign_path = tmp_path / "clusters.tsv"
         save_assignment(assignment, assign_path)
-        restored = load_assignment(assign_path)
+        restored = load_assignment(assign_path, Vocabulary(assignment.words))
         assert restored.assign.tolist() == assignment.assign.tolist()
         assert restored.words == assignment.words
         assert np.max(np.abs(restored.centroids - assignment.centroids)) < 1e-6
@@ -338,7 +340,7 @@ def test_criterion_8_round_trips_and_named_errors(tmp_path):
         bad_id.write_text("w0\tzero\n")
         (tmp_path / "bad_id.tsv.centroids").write_text("1 1\ncluster_0 0.0\n")
         with pytest.raises(DataFormatError, match="cluster id must be an integer"):
-            load_assignment(bad_id)
+            load_assignment(bad_id, Vocabulary(["w0"]))
 
         bad_tag = tmp_path / "bad_tag.ckpt"
         bad_tag.write_text("some other format\n")

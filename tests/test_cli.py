@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import re
@@ -268,14 +269,27 @@ class TestExitCodes:
         assert cli.main(["no-such-command"]) == 1
         assert cli.main(["cluster", "missing-positional-output"]) == 1
         capsys.readouterr()
+        # test_fraction is retired: the test part is what the other two leave
+        assert run_cli("run", "--config", DATA / "config.txt", "--test-fraction", 0.1) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --test-fraction 0.1\n"
 
-    def test_config_error_is_one(self, tiny, capsys):
+    def test_config_error_is_one(self, tiny, tmp_path, capsys):
         code = run_cli(
             "run", "--dataset", tiny["dataset"], "--corpus", tiny["corpus"],
             "--k", "0",
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+        code = run_cli(
+            "run", "--dataset", tiny["dataset"], "--corpus", tiny["corpus"], "--k", 2,
+            "--train-fraction", 0.9, "--validation-fraction", 0.1, "--output-dir", tmp_path / "out",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: train_fraction + validation_fraction must be below 1, leaving a test part, "
+            "got 0.9 + 0.1\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_value_config_txt_cannot_hold_is_one(self, tiny, tmp_path, capsys):
         code = run_cli(
@@ -551,6 +565,34 @@ class TestExitCodes:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_closed_stdout_pipe_is_zero(self, failing, tiny, tmp_path, monkeypatch, capsys):
+        """A reader that leaves early, as ``| head -1`` does, is no failure: exit 0 and
+        nothing on stderr. stdout's descriptor then points at devnull, so the flush at
+        interpreter exit cannot fail again."""
+
+        class ClosedPipe:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                if failing == "write":
+                    raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+                return len(text)
+
+            def flush(self):
+                if failing == "flush":
+                    raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def fileno(self):
+                return self.fd
+
+        with open(tmp_path / "stdout.txt", "w") as held, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", ClosedPipe(held.fileno()))
+            assert run_cli("tokenize", tiny["corpus"]) == 0
+            assert os.path.samestat(os.fstat(held.fileno()), os.stat(os.devnull))
+        assert capsys.readouterr().err == ""
+
     def test_numeric_failure_is_three(self, tiny, tmp_path, capsys):
         with np.errstate(all="ignore"):
             code = run_cli(
@@ -683,7 +725,7 @@ _RUN_FLAGS = {
             "--min-count", "--window", "--dim", "--embed-epochs", "--embed-learning-rate",
             "--negative-samples", "--k", "--k-steps", "--hidden", "--kernels",
             "--kernel-width", "--pool-width", "--max-len", "--batch-size", "--train-epochs",
-            "--learning-rate", "--train-fraction", "--validation-fraction", "--test-fraction",
+            "--learning-rate", "--train-fraction", "--validation-fraction",
         ),
         POSITIVE,
     ),

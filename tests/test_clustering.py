@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import word_names
 from oracles import (
     average_linkage,
     loop_similarity_matrix,
@@ -19,6 +20,7 @@ from semexpand.clustering import (
     save_assignment,
     similarity_matrix,
 )
+from semexpand.corpus import Vocabulary
 from semexpand.errors import DataFormatError
 
 
@@ -153,38 +155,39 @@ class TestCentroids:
 class TestHacCluster:
     def test_one_dimensional_hand_case(self):
         vectors = np.array([[0.0], [1.0], [10.0], [12.0]])
-        dendrogram, assignment = hac_cluster(vectors, 2)
-        assert dendrogram.merges[0][:2] == (0, 1)
+        assert build_dendrogram(vectors).merges[0][:2] == (0, 1)
+        assignment = hac_cluster(vectors, 2, word_names(4))
         assert assignment.assign.tolist() == [0, 0, 1, 1]
+        assert assignment.words == ["w0", "w1", "w2", "w3"]
 
     def test_k_equals_n_identity(self):
         rng = np.random.default_rng(5)
         vectors = rng.normal(size=(5, 3))
-        _, assignment = hac_cluster(vectors, 5)
+        assignment = hac_cluster(vectors, 5, word_names(5))
         assert assignment.assign.tolist() == [0, 1, 2, 3, 4]
         assert np.array_equal(assignment.centroids, vectors)
 
     def test_k_one_global_mean(self):
         rng = np.random.default_rng(6)
         vectors = rng.normal(size=(7, 4))
-        _, assignment = hac_cluster(vectors, 1)
+        assignment = hac_cluster(vectors, 1, word_names(7))
         assert assignment.assign.tolist() == [0] * 7
         assert np.allclose(assignment.centroids[0], vectors.mean(axis=0), atol=1e-9)
 
     def test_k_out_of_range(self):
         vectors = np.zeros((3, 2))
         with pytest.raises(ValueError):
-            hac_cluster(vectors, 4)
+            hac_cluster(vectors, 4, word_names(3))
         with pytest.raises(ValueError):
-            hac_cluster(vectors, 0)
+            hac_cluster(vectors, 0, word_names(3))
 
     def test_tie_breaking_prefers_smallest_ids(self):
         # unit square: four equally similar edges at the first step
         vectors = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        dendrogram, assignment = hac_cluster(vectors, 2)
+        dendrogram = build_dendrogram(vectors)
         assert dendrogram.merges[0][:2] == (0, 1)
         assert dendrogram.merges[1][:2] == (2, 3)
-        assert assignment.assign.tolist() == [0, 0, 1, 1]
+        assert hac_cluster(vectors, 2, word_names(4)).assign.tolist() == [0, 0, 1, 1]
 
     def test_matches_naive_oracle_quick(self):
         rng = np.random.default_rng(7)
@@ -203,8 +206,8 @@ class TestHacCluster:
                 assert abs(value - oracle) < 1e-9
             for k in range(1, n + 1):
                 cut = cut_dendrogram(dendrogram, k)
-                assign = clustering.assignment_from_cut(cut, vectors).assign.tolist()
-                assert assign == assignments[k]
+                assignment = clustering.assignment_from_cut(cut, vectors, word_names(n))
+                assert assignment.assign.tolist() == assignments[k]
 
     def test_chosen_merge_is_maximal_each_step(self):
         rng = np.random.default_rng(8)
@@ -299,15 +302,14 @@ class TestAssignmentFiles:
         rng = np.random.default_rng(11)
         vectors = rng.normal(size=(5, 3))
         words = ["alpha", "beta", "gamma", "delta", "epsilon"]
-        _, assignment = hac_cluster(vectors, 2, words=words)
-        return assignment
+        return hac_cluster(vectors, 2, words)
 
     def test_round_trip(self, tmp_path):
         assignment = self._sample_assignment()
         path = tmp_path / "clusters.tsv"
         save_assignment(assignment, path)
-        loaded = load_assignment(path)
-        assert loaded.k == assignment.k
+        loaded = load_assignment(path, Vocabulary(assignment.words))
+        assert len(loaded.centroids) == len(assignment.centroids) == 2
         assert loaded.words == assignment.words
         assert np.array_equal(loaded.assign, assignment.assign)
         assert np.allclose(loaded.centroids, assignment.centroids, atol=1e-6)
@@ -316,7 +318,7 @@ class TestAssignmentFiles:
         assignment = self._sample_assignment()
         path = tmp_path / "clusters.tsv"
         save_assignment(assignment, path)
-        loaded = load_assignment(path)
+        loaded = load_assignment(path, Vocabulary(assignment.words))
         assert np.allclose(
             loaded.centroids,
             assignment.centroids,
@@ -333,41 +335,39 @@ class TestAssignmentFiles:
         trimmed = [f"{int(header[0]) - 1} {header[1]}"] + lines[1:-1]
         open(centroid_path, "w", encoding="utf-8").write("\n".join(trimmed) + "\n")
         with pytest.raises(DataFormatError, match="cluster 1"):
-            load_assignment(path)
+            load_assignment(path, Vocabulary(assignment.words))
 
     def test_unknown_word_rejected_against_vocabulary(self, tmp_path):
-        from semexpand.corpus import Vocabulary
-
         assignment = self._sample_assignment()
         path = tmp_path / "clusters.tsv"
         save_assignment(assignment, path)
         vocab = Vocabulary(["alpha", "beta"])
         with pytest.raises(DataFormatError, match="gamma"):
-            load_assignment(path, vocabulary=vocab)
+            load_assignment(path, vocab)
 
     def test_duplicate_word_rejected(self, tmp_path):
         path = tmp_path / "clusters.tsv"
         path.write_text("a\t0\na\t0\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match="duplicate"):
-            load_assignment(path)
+            load_assignment(path, Vocabulary(["a"]))
 
     def test_negative_and_noninteger_ids_rejected(self, tmp_path):
         path = tmp_path / "clusters.tsv"
         path.write_text("a\t-1\n", encoding="utf-8")
         with pytest.raises(DataFormatError):
-            load_assignment(path)
+            load_assignment(path, Vocabulary(["a"]))
         path.write_text("a\tx\n", encoding="utf-8")
         with pytest.raises(DataFormatError):
-            load_assignment(path)
+            load_assignment(path, Vocabulary(["a"]))
 
     def test_gap_in_cluster_ids_rejected(self, tmp_path):
         path = tmp_path / "clusters.tsv"
         path.write_text("a\t0\nb\t2\n", encoding="utf-8")
         with pytest.raises(DataFormatError):
-            load_assignment(path)
+            load_assignment(path, Vocabulary(["a", "b"]))
 
 
 class TestClusterAssignmentType:
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError, match="empty cluster"):
-            ClusterAssignment(k=3, assign=np.array([0, 2]), centroids=np.zeros((3, 1)))
+            ClusterAssignment(["a", "b"], np.array([0, 2]), np.zeros((3, 1)))

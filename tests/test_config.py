@@ -48,13 +48,18 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(k=-1)
 
-    def test_rejects_fractions_not_summing_to_one(self):
-        with pytest.raises(ConfigError, match="sum to 1"):
-            make_config(train_fraction=0.8, validation_fraction=0.1, test_fraction=0.2)
+    def test_rejects_train_and_validation_fractions_leaving_no_test_part(self):
+        for train, validation in ((0.9, 0.1), (0.8, 0.3), (1.0, 1.0)):
+            with pytest.raises(ConfigError) as caught:
+                make_config(train_fraction=train, validation_fraction=validation)
+            assert str(caught.value) == (
+                "train_fraction + validation_fraction must be below 1, leaving a test part, "
+                f"got {train} + {validation}"
+            )
 
     def test_rejects_nonpositive_fraction(self):
         with pytest.raises(ConfigError, match="positive"):
-            make_config(train_fraction=1.0, validation_fraction=0.0, test_fraction=0.0)
+            make_config(train_fraction=1.0, validation_fraction=0.0)
 
     def test_rejects_unknown_model(self):
         with pytest.raises(ConfigError, match="model"):
@@ -208,16 +213,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="unknown config key"):
             load_config(None, overrides={"k": 4, "mystery": 1})
 
-    def test_retired_synonyms_key_skipped_with_one_warning(self, tmp_path, caplog):
+    @pytest.mark.parametrize(
+        ("key", "in_file", "override"),
+        [("synonyms", "data/toy/synonyms.tsv", "syn.tsv"), ("test_fraction", "0.1", 0.2)],
+        ids=["synonyms", "test_fraction"],
+    )
+    def test_retired_key_skipped_with_one_warning(self, key, in_file, override, tmp_path, caplog):
         path = tmp_path / "config.txt"
-        path.write_text("k = 4\nsynonyms = data/toy/synonyms.tsv\n")
-        for source, overrides in ((path, None), (None, {"k": 4, "synonyms": "syn.tsv"})):
+        path.write_text(f"k = 4\n{key} = {in_file}\n")
+        for source, overrides in ((path, None), (None, {"k": 4, key: override})):
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="semexpand.config"):
                 cfg = load_config(source, overrides)
-            assert cfg.k == 4 and not hasattr(cfg, "synonyms")
+            assert cfg.k == 4 and not hasattr(cfg, key)
             assert len(caplog.records) == 1
-            assert "retired config key 'synonyms'" in caplog.records[0].getMessage()
+            assert f"retired config key {key!r}" in caplog.records[0].getMessage()
 
     def test_override_values_are_converted_and_checked(self):
         cfg = load_config(None, {"k": "4", "learning_rate": 1, "no_expansion": "yes"})

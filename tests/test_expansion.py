@@ -21,10 +21,9 @@ class TestExpand:
         vectors = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
         emb = make_embedding(words, vectors)
         assignment = ClusterAssignment(
-            k=2,
+            words=words,
             assign=[0, 0, 1, 1],
             centroids=np.array([[0.0, 0.5], [10.0, 0.5]]),
-            words=words,
         )
         table = expand(emb, assignment)
         assert table.shape == (4, 4)
@@ -36,7 +35,7 @@ class TestExpand:
         words = [f"w{i}" for i in range(6)]
         vectors = rng.normal(size=(6, 3))
         emb = make_embedding(words, vectors)
-        _, assignment = hac_cluster(vectors, k=2, words=words)
+        assignment = hac_cluster(vectors, k=2, words=words)
         table = expand(emb, assignment)
         for i, cid in enumerate(assignment.assign):
             assert np.array_equal(table[i, :3], vectors[i])
@@ -45,46 +44,36 @@ class TestExpand:
     def test_centroids_copied_not_recomputed(self):
         # a deliberately inconsistent centroid must pass through untouched
         emb = make_embedding(["a", "b"], [[1.0, 0.0], [3.0, 0.0]])
-        assignment = ClusterAssignment(
-            k=1, assign=[0, 0], centroids=np.array([[9.0, 9.0]]), words=["a", "b"]
-        )
+        assignment = ClusterAssignment(["a", "b"], assign=[0, 0], centroids=np.array([[9.0, 9.0]]))
         table = expand(emb, assignment)
         assert np.array_equal(table[:, 2:], [[9.0, 9.0], [9.0, 9.0]])
 
     def test_words_outside_assignment_get_zero_centroid(self):
         emb = make_embedding(["a", "b", "c"], np.ones((3, 2)))
-        assignment = ClusterAssignment(
-            k=1, assign=[0, 0], centroids=np.array([[1.0, 1.0]]), words=["a", "b"]
-        )
+        assignment = ClusterAssignment(["a", "b"], assign=[0, 0], centroids=np.array([[1.0, 1.0]]))
         table = expand(emb, assignment)
         assert np.array_equal(table[2], [1.0, 1.0, 0.0, 0.0])
 
     def test_clustered_word_missing_from_vocabulary_rejected(self):
         emb = make_embedding(["a", "b"], np.ones((2, 2)))
-        assignment = ClusterAssignment(
-            k=1, assign=[0, 0], centroids=np.ones((1, 2)), words=["a", "zzz"]
-        )
+        assignment = ClusterAssignment(["a", "zzz"], assign=[0, 0], centroids=np.ones((1, 2)))
         with pytest.raises(ValueError, match="zzz"):
             expand(emb, assignment)
 
     def test_assignment_without_words_rejected(self):
-        emb = make_embedding(["a", "b"], np.ones((2, 2)))
-        assignment = ClusterAssignment(k=1, assign=[0, 0], centroids=np.ones((1, 2)))
-        with pytest.raises(ValueError):
-            expand(emb, assignment)
+        with pytest.raises(TypeError, match="words"):
+            ClusterAssignment(assign=[0, 0], centroids=np.ones((1, 2)))
 
     def test_centroids_of_another_width_rejected(self):
         emb = make_embedding(["a", "b"], np.ones((2, 4)))
-        assignment = ClusterAssignment(
-            k=1, assign=[0, 0], centroids=np.ones((1, 3)), words=["a", "b"]
-        )
+        assignment = ClusterAssignment(["a", "b"], assign=[0, 0], centroids=np.ones((1, 3)))
         with pytest.raises(DataFormatError, match="width 3.*width 4"):
             expand(emb, assignment)
 
 
 def embed_one(token_ids, source, max_len, oov_marker=3):
     """embed_dataset on a one-example dataset; rows and mask of that example."""
-    dataset = LabeledDataset(examples=[(token_ids, 0)], num_classes=2, oov_marker=oov_marker)
+    dataset = LabeledDataset([(token_ids, 0)], oov_marker=oov_marker, label_names=["a", "b"])
     batch, masks, _ = embed_dataset(dataset, source, max_len)
     return batch[0], masks[0]
 
@@ -118,9 +107,7 @@ class TestEmbedSequence:
 
     def test_expanded_source(self):
         emb = make_embedding(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
-        assignment = ClusterAssignment(
-            k=1, assign=[0, 0], centroids=np.array([[0.5, 0.5]]), words=["a", "b"]
-        )
+        assignment = ClusterAssignment(["a", "b"], assign=[0, 0], centroids=np.array([[0.5, 0.5]]))
         out, _ = embed_one([1], expand(emb, assignment), max_len=1)
         assert np.array_equal(out, [[0.0, 1.0, 0.5, 0.5]])
 
@@ -139,7 +126,6 @@ class TestEmbedDataset:
         table = np.eye(3)
         dataset = LabeledDataset(
             examples=[([0, 1], 0), ([2], 1), ([1, 2, 0], 1)],
-            num_classes=2,
             oov_marker=3,
             label_names=["x", "y"],
         )
@@ -152,7 +138,7 @@ class TestEmbedDataset:
     def test_respects_dataset_oov_marker(self):
         table = np.ones((2, 2))
         dataset = LabeledDataset(
-            examples=[([0, 2, 1], 0), ([1], 1)], num_classes=2, oov_marker=2
+            examples=[([0, 2, 1], 0), ([1], 1)], oov_marker=2, label_names=["a", "b"]
         )
         batch, masks, _ = embed_dataset(dataset, table, max_len=3)
         assert np.array_equal(batch[0, 1], [0.0, 0.0])
@@ -182,7 +168,7 @@ class TestLoopParity:
                 ids = rng.integers(0, vocab_size, size=int(rng.integers(0, 15))).tolist()
                 ids = [oov if rng.random() < 0.2 else tok for tok in ids]
                 examples.append((ids, int(rng.integers(0, 3))))
-            dataset = LabeledDataset(examples=examples, num_classes=3, oov_marker=oov)
+            dataset = LabeledDataset(examples=examples, oov_marker=oov, label_names=["a", "b", "c"])
             self.assert_same(dataset, table, int(rng.integers(1, 12)))
 
     def test_wide_vocabulary(self):
@@ -192,15 +178,15 @@ class TestLoopParity:
             (rng.integers(0, 1001, size=int(rng.integers(0, 30))).tolist(), int(rng.integers(0, 2)))
             for _ in range(1500)
         ]
-        dataset = LabeledDataset(examples=examples, num_classes=2, oov_marker=1000)
+        dataset = LabeledDataset(examples=examples, oov_marker=1000, label_names=["a", "b"])
         self.assert_same(dataset, table, 20)
 
     def test_edge_cases(self):
         table = np.arange(12, dtype=float).reshape(4, 3)
         dataset = LabeledDataset(
             examples=[([], 1), ([4, 4, 4], 0), ([0, 1, 2, 3, 0, 1], 1), ([4], 0), ([3], 1)],
-            num_classes=2,
             oov_marker=4,
+            label_names=["a", "b"],
         )
         for max_len in (1, 2, 6, 9):
             self.assert_same(dataset, table, max_len)
@@ -209,9 +195,9 @@ class TestLoopParity:
         rng = np.random.default_rng(22)
         words = [f"w{i}" for i in range(8)]
         emb = make_embedding(words, rng.normal(size=(8, 3)))
-        _, assignment = hac_cluster(emb.input_vectors, k=3, words=words)
+        assignment = hac_cluster(emb.input_vectors, k=3, words=words)
         dataset = LabeledDataset(
-            examples=[([0, 8, 7, 1], 0), ([5, 5], 1), ([], 0)], num_classes=2, oov_marker=8
+            examples=[([0, 8, 7, 1], 0), ([5, 5], 1), ([], 0)], oov_marker=8, label_names=["a", "b"]
         )
         for source in (emb.input_vectors, expand(emb, assignment), emb.input_vectors.tolist()):
             self.assert_same(dataset, source, 3)
@@ -223,7 +209,7 @@ class TestSaveExpanded:
         words = ["chest_pain", "fever", "rash"]
         vectors = rng.normal(size=(3, 2))
         emb = make_embedding(words, vectors)
-        _, assignment = hac_cluster(vectors, k=2, words=words)
+        assignment = hac_cluster(vectors, k=2, words=words)
         table = expand(emb, assignment)
         path = tmp_path / "expanded.txt"
         save_expanded(words, table, path)

@@ -312,11 +312,12 @@ class TestStepLstmParity:
 class TestCnnModel:
     def test_rejects_too_short_max_len(self):
         with pytest.raises(ConfigError, match="max_len"):
-            build_model(ClassifierConfig("cnn", max_len=12, kernel_width=5, pool_width=2), 4, 2)
+            shape = ClassifierConfig("cnn", max_len=12, kernel_width=5, pool_width=2)
+            build_model(shape, 4, 2, seed=0)
 
     def test_rejects_wrong_input_width(self):
         for kind in ("cnn", "lstm"):
-            model = build_model(ClassifierConfig(kind, max_len=20), 4, 2)
+            model = build_model(ClassifierConfig(kind, max_len=20), 4, 2, seed=0)
             x, mask = np.zeros((1, 20, 5)), np.ones((1, 20))
             with pytest.raises(ValueError, match="input width 5 != model width 4"):
                 model.forward(x, mask)
@@ -326,8 +327,8 @@ class TestCnnModel:
     def test_output_rows_are_distributions(self):
         rng = np.random.default_rng(25)
         shape = ClassifierConfig("cnn", max_len=20, kernels=6, kernel_width=5, pool_width=2)
-        model = build_model(shape, 4, 3)
-        probs = model.forward(rng.normal(size=(5, 20, 4)))
+        model = build_model(shape, 4, 3, seed=0)
+        probs = model.forward(rng.normal(size=(5, 20, 4)), np.ones((5, 20)))
         assert probs.shape == (5, 3)
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
 
@@ -345,7 +346,9 @@ class TestCnnModel:
         longer.params["fc_b"] = short.params["fc_b"].copy()
         x = rng.normal(size=(4, 20, 3))
         padded = np.concatenate([x, np.zeros((4, 8, 3))], axis=1)
-        assert np.abs(short.forward(x) - longer.forward(padded)).max() < 1e-6
+        mask = np.ones((4, 20))
+        padded_mask = np.concatenate([mask, np.zeros((4, 8))], axis=1)
+        assert np.abs(short.forward(x, mask) - longer.forward(padded, padded_mask)).max() < 1e-6
 
 
 class TestCnnParity:
@@ -370,8 +373,10 @@ class TestCnnParity:
         x = rng.normal(size=(batch, max_len, width))
         x[:, max_len - 4 :, :] = 0.0  # trailing padding, as embed_dataset writes it
         y = rng.integers(3, size=batch)
-        loss, grads, probs = model.loss_and_grads(x, None, y)
-        ref_loss, ref_grads, ref_probs = full_cnn_loss_and_grads(model, x, None, y)
+        mask = np.ones((batch, max_len))
+        mask[:, max_len - 4 :] = 0.0
+        loss, grads, probs = model.loss_and_grads(x, mask, y)
+        ref_loss, ref_grads, ref_probs = full_cnn_loss_and_grads(model, x, mask, y)
         assert loss == ref_loss
         assert np.array_equal(probs, ref_probs)
         assert list(grads) == list(ref_grads)
@@ -386,7 +391,7 @@ class TestGradientChecks:
         model = build_model(shape, 3, 3, seed=3)
         x = rng.normal(size=(4, 10, 3))
         y = np.array([0, 1, 2, 1])
-        assert gradient_check(model, x, None, y) < 1e-4
+        assert gradient_check(model, x, np.ones((4, 10)), y) < 1e-4
 
     def test_lstm_gradients(self):
         rng = np.random.default_rng(28)
@@ -453,21 +458,6 @@ class TestTrainClassifier:
         assert all(np.array_equal(params[0][name], params[1][name]) for name in params[0])
         assert logs[0].epoch_losses == logs[1].epoch_losses
 
-    def test_lstm_trains_without_mask(self):
-        rng = np.random.default_rng(46)
-        x = rng.normal(size=(6, 4, 3))
-        y = np.array([0, 1, 0, 1, 1, 0])
-        model = build_model(ClassifierConfig("lstm", hidden=4), 3, 2, seed=0)
-        unmasked = model.loss_and_grads(x, None, y)
-        masked = model.loss_and_grads(x, np.ones((6, 4)), y)
-        assert unmasked[0] == masked[0]
-        for name in model.params:
-            assert np.array_equal(unmasked[1][name], masked[1][name])
-        log = train_classifier(
-            model, x, None, y, TrainConfig(batch_size=3, epochs=2, learning_rate=0.1)
-        )
-        assert np.isfinite(log.epoch_losses).all()
-
     def test_non_finite_loss_raises_with_location(self):
         x = np.zeros((4, 5, 3))
         x[0, 0, 0] = np.nan
@@ -481,9 +471,10 @@ class TestTrainClassifier:
             )
 
     def test_empty_dataset_rejected(self):
-        model = build_model(ClassifierConfig("lstm", hidden=2), 2, 2)
+        model = build_model(ClassifierConfig("lstm", hidden=2), 2, 2, seed=0)
+        x, mask, y = np.zeros((0, 3, 2)), np.zeros((0, 3)), np.zeros(0, dtype=int)
         with pytest.raises(ConfigError):
-            train_classifier(model, np.zeros((0, 3, 2)), None, np.zeros(0, dtype=int), TrainConfig())
+            train_classifier(model, x, mask, y, TrainConfig())
 
     def test_config_validation(self):
         for kwargs in ({"batch_size": 0}, {"epochs": 0}, {"learning_rate": 0.0}):
@@ -498,22 +489,23 @@ class _FixedModel:
         self.probs = np.asarray(probs, dtype=float)
         self.num_classes = self.probs.shape[1]
 
-    def forward(self, x, mask=None):
+    def forward(self, x, mask):
         idx = np.asarray(x)[:, 0, 0].astype(int)
         return self.probs[idx]
 
 
 def _index_inputs(count):
+    """Inputs of ``count`` one-token examples whose value is their index, and their mask."""
     x = np.zeros((count, 1, 1))
     x[:, 0, 0] = np.arange(count)
-    return x
+    return x, np.ones((count, 1))
 
 
 class TestEvaluate:
     def test_hand_confusion_matrix(self):
         # predictions 0,1,1,0 against labels 0,1,0,0
         probs = [[0.9, 0.1], [0.2, 0.8], [0.3, 0.7], [0.6, 0.4]]
-        result = evaluate(_FixedModel(probs), _index_inputs(4), None, np.array([0, 1, 0, 0]))
+        result = evaluate(_FixedModel(probs), *_index_inputs(4), np.array([0, 1, 0, 0]))
         assert result.confusion.tolist() == [[2, 1], [0, 1]]
         assert result.accuracy == 0.75
         assert result.precision.tolist() == [1.0, 0.5]
@@ -523,27 +515,27 @@ class TestEvaluate:
         rng = np.random.default_rng(30)
         probs = rng.dirichlet(np.ones(3), size=50)
         y = rng.integers(3, size=50)
-        result = evaluate(_FixedModel(probs), _index_inputs(50), None, y)
+        result = evaluate(_FixedModel(probs), *_index_inputs(50), y)
         assert result.confusion.sum() == 50
         for c in range(3):
             assert result.confusion[c].sum() == int((y == c).sum())
 
     def test_never_predicted_class_gets_zero_precision(self):
         probs = [[0.9, 0.1], [0.8, 0.2], [0.7, 0.3]]
-        result = evaluate(_FixedModel(probs), _index_inputs(3), None, np.array([0, 0, 1]))
+        result = evaluate(_FixedModel(probs), *_index_inputs(3), np.array([0, 0, 1]))
         assert result.precision.tolist() == [2 / 3, 0.0]
         assert result.recall.tolist() == [1.0, 0.0]
 
     def test_summary_lines_use_label_names(self):
         probs = [[0.9, 0.1], [0.2, 0.8]]
-        result = evaluate(_FixedModel(probs), _index_inputs(2), None, np.array([0, 1]))
+        result = evaluate(_FixedModel(probs), *_index_inputs(2), np.array([0, 1]))
         lines = result.summary_lines(["negative", "positive"])
         assert lines[0] == "accuracy 1.0000"
         assert any("positive" in line for line in lines)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
-            evaluate(_FixedModel([[1.0, 0.0]]), np.zeros((0, 1, 1)), None, np.zeros(0, dtype=int))
+            evaluate(_FixedModel([[1.0, 0.0]]), *_index_inputs(0), np.zeros(0, dtype=int))
 
 
 class TestCheckpoints:
@@ -574,8 +566,8 @@ class TestCheckpoints:
         loaded = load_model(path)
         assert loaded.arch() == model.arch()
         rng = np.random.default_rng(31)
-        x = rng.normal(size=(2, 14, 3))
-        assert np.abs(model.forward(x) - loaded.forward(x)).max() < 1e-12
+        x, mask = rng.normal(size=(2, 14, 3)), np.ones((2, 14))
+        assert np.abs(model.forward(x, mask) - loaded.forward(x, mask)).max() < 1e-12
 
     def test_wrong_tag_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
@@ -648,7 +640,7 @@ class TestCheckpoints:
 
     def test_build_model_rejects_unknown_kind(self):
         with pytest.raises(ConfigError):
-            build_model(ClassifierConfig("transformer"), 2, 2)
+            build_model(ClassifierConfig("transformer"), 2, 2, seed=0)
 
     @pytest.mark.parametrize(
         "name, shape, seed, confusion",
@@ -699,7 +691,7 @@ class TestCheckpoints:
 
     def test_lstm_architecture_keys_must_match_the_kind(self, tmp_path):
         path = tmp_path / "model.txt"
-        save_model(build_model(ClassifierConfig("lstm", max_len=7, hidden=2), 2, 2), path)
+        save_model(build_model(ClassifierConfig("lstm", max_len=7, hidden=2), 2, 2, seed=0), path)
         lines = path.read_text().splitlines()
         arch = ["kind lstm", "input_width 2", "num_classes 2", "max_len 7", "hidden 2"]
         assert lines[1:6] == arch

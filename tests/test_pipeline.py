@@ -78,7 +78,7 @@ class TestStratifiedSplit:
     def test_balanced_ninety_examples(self):
         labels = [0] * 30 + [1] * 30 + [2] * 30
         train, val, test = stratified_split_indices(
-            labels, ["a", "b", "c"], (0.8, 0.1, 0.1), seed=0
+            labels, ["a", "b", "c"], (0.8, 0.1), seed=0
         )
         assert (len(train), len(val), len(test)) == (72, 9, 9)
         for part in (train, val, test):
@@ -87,32 +87,30 @@ class TestStratifiedSplit:
 
     def test_parts_disjoint_and_cover(self):
         labels = [0] * 25 + [1] * 40
-        parts = stratified_split_indices(labels, ["a", "b"], (0.8, 0.1, 0.1), seed=4)
+        parts = stratified_split_indices(labels, ["a", "b"], (0.8, 0.1), seed=4)
         combined = sorted(i for part in parts for i in part)
         assert combined == list(range(65))
 
     def test_same_seed_is_identical(self):
         labels = [0] * 30 + [1] * 30
-        args = (labels, ["a", "b"], (0.8, 0.1, 0.1))
+        args = (labels, ["a", "b"], (0.8, 0.1))
         assert stratified_split_indices(*args, seed=5) == stratified_split_indices(*args, seed=5)
         assert stratified_split_indices(*args, seed=5) != stratified_split_indices(*args, seed=6)
 
     def test_degenerate_fractions_rejected(self):
         labels = [0] * 30 + [1] * 30
         with pytest.raises(ConfigError, match="class 'a'"):
-            stratified_split_indices(labels, ["a", "b"], (1.0, 0.0, 0.0), seed=0)
+            stratified_split_indices(labels, ["a", "b"], (1.0, 0.0), seed=0)
 
     def test_small_class_error_names_class(self):
         labels = [0] * 20 + [1] * 2
         with pytest.raises(ConfigError, match="rare"):
-            stratified_split_indices(labels, ["big", "rare"], (0.8, 0.1, 0.1), seed=0)
+            stratified_split_indices(labels, ["big", "rare"], (0.8, 0.1), seed=0)
 
     def test_split_dataset_preserves_examples(self):
         examples = [([i], i % 2) for i in range(40)]
-        dataset = LabeledDataset(
-            examples=examples, num_classes=2, oov_marker=99, label_names=["e", "o"]
-        )
-        train, val, test = split_dataset(dataset, (0.8, 0.1, 0.1), seed=1)
+        dataset = LabeledDataset(examples=examples, oov_marker=99, label_names=["e", "o"])
+        train, val, test = split_dataset(dataset, (0.8, 0.1), seed=1)
         assert (len(train), len(val), len(test)) == (32, 4, 4)
         assert train.label_names == ["e", "o"] and train.oov_marker == 99
         for part in (train, val, test):
@@ -561,7 +559,7 @@ def final_training_size() -> int:
     examples = corpus.load_labeled_file(cfg.dataset)
     # only the labels decide the split, so every token may be out of vocabulary
     dataset = corpus.encode_dataset(examples, corpus.Vocabulary([]))
-    fractions = (cfg.train_fraction, cfg.validation_fraction, cfg.test_fraction)
+    fractions = (cfg.train_fraction, cfg.validation_fraction)
     train, validation, _ = split_dataset(dataset, fractions, cfg.seed)
     return len(train) + len(validation)
 

@@ -1,20 +1,26 @@
-"""The README's stage-by-stage commands run as written."""
+"""The README's stage-by-stage commands and its library example run as written."""
 
 import re
 import shlex
 from pathlib import Path
 
 from semexpand import cli
+from semexpand.corpus import load_labeled_file
 from semexpand.embedding import read_vector_file
 
 REPO = Path(__file__).resolve().parents[1]
 
 
-def section_commands(heading: str) -> list:
-    """The commands of the first ``sh`` block under ``## heading``, continuations joined."""
+def section_block(heading: str, language: str) -> str:
+    """The first ``language`` code block under ``## heading``."""
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     section = readme.split(f"## {heading}\n", 1)[1]
-    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    return re.search(rf"```{language}\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def section_commands(heading: str) -> list:
+    """The commands of the first ``sh`` block under ``## heading``, continuations joined."""
+    block = section_block(heading, "sh")
     return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.strip()]
 
 
@@ -34,3 +40,15 @@ def test_running_stages_individually(tmp_path, monkeypatch, capsys):
         assert cli.main(argv[1:]) == 0, shlex.join(argv)
     capsys.readouterr()
     assert "chest_pain" in read_vector_file(tmp_path / "vectors.txt")[0]
+
+
+def test_library_use(tmp_path, monkeypatch):
+    for name in ("corpus.txt", "dataset.tsv"):
+        (tmp_path / name).symlink_to(REPO / "data" / "toy" / name)
+    monkeypatch.chdir(tmp_path)
+    names: dict = {}
+    exec(compile(section_block("Library use", "python"), "README.md", "exec"), names)
+    vocab, assignment = names["vocab"], names["assignment"]
+    assert assignment.words == vocab.words and len(assignment.centroids) == 40
+    assert names["expanded"].shape == (len(vocab), 64)
+    assert len(names["dataset"]) == len(load_labeled_file(tmp_path / "dataset.tsv"))

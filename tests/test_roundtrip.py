@@ -85,9 +85,9 @@ def test_tokens_round_trip_through_cluster_assignments(tmp_path_factory, case, d
     # eighths print exactly under the writer's %.8g
     eighths = data.draw(st.lists(st.integers(-999, 999), min_size=2 * k, max_size=2 * k))
     centroids = np.array(eighths).reshape(k, 2) / 8
-    save_assignment(ClusterAssignment(k, assign, centroids, words=words), work / "clusters.tsv")
-    loaded = load_assignment(work / "clusters.tsv", vocabulary=Vocabulary(tokens))
-    assert (loaded.words, loaded.k) == (tokens, k)
+    save_assignment(ClusterAssignment(words, assign, centroids), work / "clusters.tsv")
+    loaded = load_assignment(work / "clusters.tsv", Vocabulary(tokens))
+    assert loaded.words == tokens
     assert np.array_equal(loaded.assign, assign)
     assert np.array_equal(loaded.centroids, centroids)
 
