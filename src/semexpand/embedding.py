@@ -27,9 +27,10 @@ logger = logging.getLogger(__name__)
 MODE_EXACT = "exact-softmax"
 MODE_NEGATIVE = "negative-sampling"
 
-# Pairs per block of learning rates and negative draws in train_skipgram. Each
-# block's ids, rates and draws become Python lists; at 1024 pairs these raised
-# peak RSS on the negative-sampling benchmark by about 0.5 MiB.
+# Pairs per block of learning rates and negative draws in train_skipgram, and
+# the rows of its negative-sampling row table (context, then the K draws). Each
+# block's ids and rates become Python lists; at 1024 pairs the lists then made
+# per block raised peak RSS on the negative-sampling benchmark by about 0.5 MiB.
 PAIR_BLOCK = 256
 
 
@@ -160,6 +161,23 @@ def train_skipgram(
     is the sign of an exact zero in the output gradient: the k = 1 matrix
     product starts from +0, so a -0.0 product (an underflowed ``e``) comes out
     as +0.0, which no update ``out + lr * grad_out`` can tell apart.
+
+    A negative-sampling pair updates the output rows ``[context, *draws]``,
+    less every draw equal to the context, with ``g = label - sigmoid(w @ v)``
+    in the tanh form ``-0.5 * (1 + tanh(0.5 * x))`` plus 1 for the context,
+    ``v += (g @ w) * lr`` and ``lr`` times the outer product
+    ``dot(g[:, None], v[None, :])``, formed before ``v`` moves, added to the
+    rows. Each block's contexts and draws fill a ``(block, K + 1)`` row table,
+    and sorting it along axis 1 flags the pairs whose rows are distinct. Every
+    pair runs one fixed sequence of numpy calls on the first m rows of buffers
+    of K + 1 rows made once per call, m being its row count: ``take`` gathers
+    the rows and the step is computed in place. Only the write-back differs: a
+    pair whose rows are distinct updates each row once, so its rows are
+    written back whole; a pair with a repeated row or a dropped draw adds its
+    entries with ``np.add.at``, so a repeated row accumulates in list order.
+    Both round every stored value as the list form does. A draw is the first
+    word whose cumulative noise probability reaches the uniform; the last word
+    also owns whatever of [0, 1) lies above a cumulative sum that ends below 1.
     """
     vocab = corpus.vocabulary
     n = len(vocab)
@@ -188,10 +206,19 @@ def train_skipgram(
         return emb
     total_updates = config.epochs * pairs_per_epoch
 
-    k = config.negative_samples
-    cumulative = None
-    if config.mode == MODE_NEGATIVE:
-        cumulative = np.cumsum(_noise_distribution(corpus))
+    if not exact:
+        k = config.negative_samples
+        # searched without its last entry, so that the last word owns the top of
+        # [0, 1): a cumulative sum can end below 1, and a uniform above it gave V
+        cumulative = np.cumsum(_noise_distribution(corpus))[:-1]
+        w_all = np.empty((k + 1, config.dim))  # the rows, then the rows after the update
+        g_all = np.empty((k + 1, 1))  # the scores, then label minus sigmoid: a column
+        grad_all = np.empty((k + 1, config.dim))
+        grad_v = np.empty(config.dim)
+        # the first m rows of each buffer, for a pair that updates m rows
+        buffers = [(w_all[:m], g_all[:m], g_all[:m, 0], grad_all[:m]) for m in range(k + 2)]
+        # 0-d arrays, which a ufunc takes without converting a Python float each call
+        half, one, minus_half = np.array(0.5), np.array(1.0), np.array(-0.5)
 
     history = []
     if track_objective:
@@ -199,8 +226,8 @@ def train_skipgram(
 
     lr0 = config.learning_rate
     lr1 = config.final_learning_rate
-    add, add_reduce, divide, dot = np.add, np.add.reduce, np.divide, np.dot
-    exp, multiply, subtract = np.exp, np.multiply, np.subtract
+    add, add_at, add_reduce, divide, dot = np.add, np.add.at, np.add.reduce, np.divide, np.dot
+    exp, multiply, subtract, tanh = np.exp, np.multiply, np.subtract, np.tanh
     for epoch in range(1, config.epochs + 1):
         first = (epoch - 1) * pairs_per_epoch
         for start in range(0, pairs_per_epoch, PAIR_BLOCK):
@@ -228,19 +255,38 @@ def train_skipgram(
                     add(out, grad_out, out=out)
             else:
                 draws = np.searchsorted(cumulative, rng.random((stop - start) * k))
-                for (center, context, lr), drawn in zip(block, draws.reshape(-1, k).tolist()):
+                table = np.column_stack((contexts[start:stop], draws.reshape(-1, k)))
+                ordered = np.sort(table, axis=1)
+                distinct = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1).tolist()
+                for (center, context, lr), row, fast in zip(block, table, distinct):
                     # the context row, then every draw that differs from it
-                    rows = [context, *(d for d in drawn if d != context)]
-                    v = inp[center]
-                    w = out[rows]
+                    rows = row if fast else [
+                        context, *(d for d in row.tolist()[1:] if d != context)
+                    ]
+                    w, g, g_flat, grad_rows = buffers[len(rows)]
+                    v_row = inp[center:center + 1]
+                    v = v_row[0]
+                    out.take(rows, axis=0, out=w)
+                    dot(w, v, out=g_flat)
                     # label minus sigmoid, in tanh form so that no score overflows:
                     # 1 for the context row, 0 for each draw
-                    g = -0.5 * (1.0 + np.tanh(0.5 * (w @ v)))
-                    g[0] += 1.0
-                    grad_rows = np.dot(g[:, None], v[None, :])  # formed before v moves
-                    v += (g @ w) * lr
-                    grad_rows *= lr
-                    np.add.at(out, rows, grad_rows)  # repeated rows add up, in list order
+                    multiply(g_flat, half, out=g_flat)
+                    tanh(g_flat, out=g_flat)
+                    add(g_flat, one, out=g_flat)
+                    multiply(g_flat, minus_half, out=g_flat)
+                    g_flat[0] += 1.0
+                    dot(g, v_row, out=grad_rows)  # formed before v moves
+                    dot(g_flat, w, out=grad_v)
+                    multiply(grad_v, lr, out=grad_v)
+                    add(v, grad_v, out=v)
+                    multiply(grad_rows, lr, out=grad_rows)
+                    if fast:
+                        # no row repeats and no draw equals the context: each row is
+                        # updated once, so the updated rows are written back whole
+                        add(w, grad_rows, out=w)
+                        out[rows] = w
+                    else:
+                        add_at(out, rows, grad_rows)  # repeated rows add up, in list order
         if not (np.isfinite(inp).all() and np.isfinite(out).all()):
             raise NumericError(f"skip-gram training diverged at epoch {epoch}")
         if track_objective:

@@ -41,11 +41,15 @@ A negative-sampling pair has two textbook forms. negative_sampling_pair_gradient
 is the list form: it gathers the rows [context, *negatives], takes label minus
 sigmoid of their scores and returns one gradient entry per listed row, which
 train_skipgram's inline step rounds the same way, up to the sign of an exact
-zero (0 - s against -s), which compares equal; the loop trainer with
-list_rows adds the entries to their rows in list order, as np.add.at does, so
-the two train bit for bit. dict_negative_sampling_pair_gradients sums a
-repeated row's entries in a dict first, so the loop trainer's default path
-agrees with train_skipgram only within rounding. Both forms return the pair
+zero (0 - s against -s), which compares equal. The step writes the updated rows
+back whole when they are all distinct, and adds the entries with np.add.at when
+a row repeats or a draw was dropped. The loop trainer with list_rows adds the
+entries to their rows in list order, as np.add.at does, so the two train bit
+for bit. It caps each
+searchsorted draw at V - 1, where train_skipgram searches the cumulative sum
+less its last entry; the two draw alike. dict_negative_sampling_pair_gradients
+sums a repeated row's entries in a dict first, so the loop trainer's default
+path agrees with train_skipgram only within rounding. Both forms return the pair
 loss, which the finite-difference checks differentiate.
 
 gradient_check compares a classifier's analytic gradients with central
@@ -459,8 +463,9 @@ def loop_train_skipgram(corpus, config, track_objective: bool = False, list_rows
                     inp[center] += lr * grad_v
                     out += lr * grad_out
                 else:
-                    draws = np.searchsorted(
-                        cumulative, rng.random(config.negative_samples)
+                    # capped: a cumulative sum that ends below 1 leaves its top to the last word
+                    draws = np.minimum(
+                        np.searchsorted(cumulative, rng.random(config.negative_samples)), n - 1
                     )
                     negatives = [int(d) for d in draws if d != context]
                     if list_rows:

@@ -348,12 +348,29 @@ def per_pair_negatives(corpus, config) -> list:
     shape = (len(corpus.vocabulary), config.dim)
     rng.uniform(size=shape), rng.uniform(size=shape)  # the initial parameters
     cumulative = np.cumsum(loop_noise_distribution(corpus))
+    last = len(corpus.vocabulary) - 1  # owns the top of [0, 1) where the sum ends below 1
+    negatives = []
+    for _ in range(config.epochs):
+        for sent in corpus.sentences:
+            for _, context in window_pairs(sent, config.window):
+                u = rng.random(config.negative_samples)
+                draws = np.minimum(np.searchsorted(cumulative, u), last)
+                negatives.append([int(d) for d in draws if d != context])
+    return negatives
+
+
+def distinct_rows_by_block(negatives, config) -> list:
+    """Per PAIR_BLOCK of each epoch, whether each pair's K + 1 rows are distinct.
+
+    ``negatives`` are per_pair_negatives: a pair's rows are distinct when none
+    of its K draws was dropped for equalling the context and none repeats.
+    """
+    flags = [len(set(n)) == config.negative_samples for n in negatives]
+    per_epoch = len(flags) // config.epochs
     return [
-        [int(d) for d in np.searchsorted(cumulative, rng.random(config.negative_samples))
-         if d != context]
-        for _ in range(config.epochs)
-        for sent in corpus.sentences
-        for _, context in window_pairs(sent, config.window)
+        flags[first + start:first + min(start + PAIR_BLOCK, per_epoch)]
+        for first in range(0, len(flags), per_epoch)
+        for start in range(0, per_epoch, PAIR_BLOCK)
     ]
 
 
@@ -512,27 +529,61 @@ class TestNegativeSamplingParity:
     list path (oracles.negative_sampling_pair_gradients), bit for bit."""
 
     # (V, d, K, window): K > V in the first two, where a pair's every draw can equal
-    # its context
+    # its context; K = 1, a row table of width 2; and the wide-vocab benchmark's
+    # vocabulary, width, K and window last
     CASES = (
         (2, 1, 3, 1), (3, 2, 6, 1), (30, 8, 4, 3), (50, 8, 5, 2), (300, 16, 5, 1),
-        (1000, 32, 5, 1),
+        (1000, 32, 5, 1), (50, 8, 1, 2), (1000, 32, 5, 2),
     )
 
     def test_cases_cover_the_edge_draws(self):
         drawn = []
+        blocks = []
         for case in self.CASES:
             corpus, cfg = negative_sampling_case(*case)
             assert _pair_arrays(corpus.sentences, cfg.window)[0].size > 2 * PAIR_BLOCK, case
-            drawn += [(n, cfg.negative_samples) for n in per_pair_negatives(corpus, cfg)]
+            negatives = per_pair_negatives(corpus, cfg)
+            drawn += [(n, cfg.negative_samples) for n in negatives]
+            blocks += distinct_rows_by_block(negatives, cfg)
         assert any(len(set(n)) < len(n) for n, _ in drawn)  # a repeated negative
         assert any(0 < len(n) < k for n, k in drawn)  # a dropped draw
         assert any(n == [] for n, _ in drawn)  # every draw equal to the context
         assert any(k > v for v, _, k, _ in self.CASES)
+        # train_skipgram's two write-backs: a block that takes both, and one that
+        # takes only the whole-row one
+        assert any(any(flags) and not all(flags) for flags in blocks)
+        assert any(all(flags) for flags in blocks)
+        assert any(k == 1 for _, _, k, _ in self.CASES)
 
     @pytest.mark.parametrize("case", CASES, ids="V{0[0]}-d{0[1]}-K{0[2]}-w{0[3]}".format)
     def test_across_vocabulary_width_and_draws(self, case):
         corpus, cfg = negative_sampling_case(*case)
         assert len(corpus.vocabulary) == case[0]
+        fast = train_skipgram(corpus, cfg)
+        slow = loop_train_skipgram(corpus, cfg, list_rows=True)
+        assert np.array_equal(fast.input_vectors, slow.input_vectors)
+        assert np.array_equal(fast.output_vectors, slow.output_vectors)
+
+    def test_draw_above_a_noise_sum_that_ends_below_one(self, monkeypatch):
+        # the counts 8, 7, 6 give a cumulative noise sum of 1 - 2**-52, and every
+        # uniform here is the largest float below 1: each draw is the last word, so
+        # a pair's rows are written back whole unless that word is its context
+        corpus = make_corpus([["a", "b", "c"]] * 6 + [["a", "b"], ["a"]])
+        assert np.cumsum(_noise_distribution(corpus))[-1] < np.nextafter(1.0, 0)
+        seeded = np.random.default_rng
+
+        class TopUniforms:
+            def __init__(self, seed):
+                self.uniform = seeded(seed).uniform
+
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0))
+
+        monkeypatch.setattr(np.random, "default_rng", TopUniforms)
+        cfg = SkipGramConfig(
+            window=1, dim=3, epochs=2, learning_rate=0.3, final_learning_rate=0.01,
+            seed=5, mode=MODE_NEGATIVE, negative_samples=1,
+        )
         fast = train_skipgram(corpus, cfg)
         slow = loop_train_skipgram(corpus, cfg, list_rows=True)
         assert np.array_equal(fast.input_vectors, slow.input_vectors)
