@@ -4,7 +4,11 @@ Training maximizes the average log probability of context words around each
 center word. The exact-softmax mode normalizes over the whole vocabulary every
 update and is the default at desk scale. Negative sampling is the documented
 approximation for larger vocabularies. Both steps are written once, inline in
-train_skipgram's loop, where per-call cost dominates.
+train_skipgram's loop, where per-call cost dominates. In both, the current center
+word's input row is row 0 of one block, directly above the output rows that a
+pair updates, so that one multiply and one add apply the whole update. The row is
+copied into the block when the center word changes, and written back to the input
+vectors when it changes again and at the end of every epoch.
 
 File format: first line ``<vocab_size> <dim>``, then one ``<word> <v1> .. <vd>``
 line per word. Words are written as they are: no token that tokenize() emits
@@ -151,6 +155,17 @@ def train_skipgram(
     ``PAIR_BLOCK`` pairs. One ``rng.random(block * K)`` call yields the same
     draws as ``K`` per pair, so blocking changes no random number.
 
+    Pairs come center-major, so consecutive pairs mostly share a center. The
+    current center's input row ``v`` is row 0 of a block of rows, directly
+    above the output rows that the pair updates, and its gradient is row 0 of a
+    gradient block of the same layout: one in-place ``multiply`` by ``lr`` and
+    one ``add`` apply a pair's whole update. In exact mode the blocks are
+    ``(V + 1) x d`` and ``output_vectors`` is a view of rows 1..V; in negative
+    sampling they are ``(K + 2) x d`` and a pair uses rows 0..m. ``v`` is copied
+    into the block when the center word changes, and written back to
+    ``input_vectors`` when it changes again and at the end of every epoch, so
+    the finiteness check, the objective and the returned vectors all see it.
+
     An exact-softmax pair is a fixed sequence of numpy calls on buffers made
     once per call, since at desk-scale V and d the cost of a call, not its
     arithmetic, dominates. Every stored value is rounded as in the textbook
@@ -169,12 +184,12 @@ def train_skipgram(
     ``dot(g[:, None], v[None, :])``, formed before ``v`` moves, added to the
     rows. Each block's contexts and draws fill a ``(block, K + 1)`` row table,
     and sorting it along axis 1 flags the pairs whose rows are distinct. Every
-    pair runs one fixed sequence of numpy calls on the first m rows of buffers
-    of K + 1 rows made once per call, m being its row count: ``take`` gathers
-    the rows and the step is computed in place. Only the write-back differs: a
-    pair whose rows are distinct updates each row once, so its rows are
-    written back whole; a pair with a repeated row or a dropped draw adds its
-    entries with ``np.add.at``, so a repeated row accumulates in list order.
+    pair runs one fixed sequence of numpy calls on rows 0..m of the blocks, m
+    being its row count: ``take`` gathers its rows into rows 1..m and the step
+    is computed in place. Only the write-back differs: a pair whose rows are
+    distinct updates each row once, so its updated rows are written back whole;
+    a pair with a repeated row or a dropped draw adds its scaled gradients with
+    ``np.add.at``, so a repeated row accumulates in list order.
     Both round every stored value as the list form does. A draw is the first
     word whose cumulative noise probability reaches the uniform; the last word
     also owns whatever of [0, 1) lies above a cumulative sum that ends below 1.
@@ -184,17 +199,19 @@ def train_skipgram(
     if n < 2:
         raise DataFormatError("skip-gram needs a vocabulary of at least 2 words")
     exact = config.mode == MODE_EXACT
-    if exact:
-        # made before the parameters are drawn: where these sit on the heap moves
-        # peak RSS by tenths of a MiB, and this place kept the planted benchmark's low
-        negp = np.empty((n, 1))  # the scores, then -p: a column for the outer product
-        negp_flat = negp[:, 0]
-        grad_v = np.empty(config.dim)
-        grad_out = np.empty((n, config.dim))
     rng = np.random.default_rng(config.seed)
     bound = 0.5 / config.dim
     inp = rng.uniform(-bound, bound, size=(n, config.dim))
-    out = rng.uniform(-bound, bound, size=(n, config.dim))
+    if exact:
+        # the current center's input row, then every output row, so that one add
+        # applies a pair's whole update. Made before the draw: a draw made first and
+        # then copied in left a hole below the block, and the toy benchmark's peak
+        # RSS rose by 0.6 MiB
+        rows = np.empty((n + 1, config.dim))
+        rows[1:] = rng.uniform(-bound, bound, size=(n, config.dim))
+        out = rows[1:]
+    else:
+        out = rng.uniform(-bound, bound, size=(n, config.dim))
     emb = EmbeddingMatrix(vocab, inp, out)
 
     centers, contexts = _pair_arrays(corpus.sentences, config.window)
@@ -206,19 +223,35 @@ def train_skipgram(
         return emb
     total_updates = config.epochs * pairs_per_epoch
 
-    if not exact:
+    if exact:
+        negp = np.empty((n, 1))  # the scores, then -p: a column for the outer product
+        negp_flat = negp[:, 0]
+        grads = np.empty((n + 1, config.dim))  # the center's gradient, then every output row's
+        grad_v, grad_out = grads[0], grads[1:]
+    else:
         k = config.negative_samples
         # searched without its last entry, so that the last word owns the top of
         # [0, 1): a cumulative sum can end below 1, and a uniform above it gave V
         cumulative = np.cumsum(_noise_distribution(corpus))[:-1]
-        w_all = np.empty((k + 1, config.dim))  # the rows, then the rows after the update
+        # the center's input row, then the pair's output rows, the context's first;
+        # the update is made in place
+        rows = np.empty((k + 2, config.dim))
+        grads = np.empty((k + 2, config.dim))  # the center's gradient, then each row's
         g_all = np.empty((k + 1, 1))  # the scores, then label minus sigmoid: a column
-        grad_all = np.empty((k + 1, config.dim))
-        grad_v = np.empty(config.dim)
-        # the first m rows of each buffer, for a pair that updates m rows
-        buffers = [(w_all[:m], g_all[:m], g_all[:m, 0], grad_all[:m]) for m in range(k + 2)]
+        grad_v = grads[0]
+        # for a pair that updates m output rows: those rows and their gradients, the
+        # first m entries of g, and the first m + 1 rows of both blocks
+        buffers = [
+            (rows[1:m + 1], g_all[:m], g_all[:m, 0], grads[1:m + 1], rows[:m + 1], grads[:m + 1])
+            for m in range(k + 2)
+        ]
         # 0-d arrays, which a ufunc takes without converting a Python float each call
         half, one, minus_half = np.array(0.5), np.array(1.0), np.array(-0.5)
+    # the current center's input row, held in the block until the center changes
+    v_row = rows[:1]
+    v = rows[0]
+    current = int(centers[0])
+    v[:] = inp[current]
 
     history = []
     if track_objective:
@@ -234,59 +267,60 @@ def train_skipgram(
             stop = min(start + PAIR_BLOCK, pairs_per_epoch)
             done = np.arange(first + start, first + stop)
             rates = (lr0 + (lr1 - lr0) * (done / total_updates)).tolist()
-            block = zip(centers[start:stop].tolist(), contexts[start:stop].tolist(), rates)
+            pairs = zip(centers[start:stop].tolist(), contexts[start:stop].tolist(), rates)
             if exact:
-                for center, context, lr in block:
-                    v_row = inp[center:center + 1]
-                    v = v_row[0]
-                    dot(out, v, out=negp_flat)
+                for center, context, lr in pairs:
+                    if center != current:
+                        inp[current] = v
+                        v[:] = inp[center]
+                        current = center
+                    dot(out, v, negp_flat)
                     # the max through argmax: the same float, NaN included, at a third the cost
-                    subtract(negp_flat, negp_flat[negp_flat.argmax()], out=negp_flat)
-                    exp(negp_flat, out=negp_flat)
-                    divide(negp_flat, -add_reduce(negp_flat), out=negp_flat)
-                    dot(negp_flat, out, out=grad_v)
-                    add(out[context], grad_v, out=grad_v)
-                    dot(negp, v_row, out=grad_out)
+                    subtract(negp_flat, negp_flat[negp_flat.argmax()], negp_flat)
+                    exp(negp_flat, negp_flat)
+                    divide(negp_flat, -add_reduce(negp_flat), negp_flat)
+                    dot(negp_flat, out, grad_v)
+                    add(out[context], grad_v, grad_v)
+                    dot(negp, v_row, grad_out)
                     context_row = grad_out[context]
-                    add(context_row, v, out=context_row)
-                    multiply(grad_v, lr, out=grad_v)
-                    add(v, grad_v, out=v)
-                    multiply(grad_out, lr, out=grad_out)
-                    add(out, grad_out, out=out)
+                    add(context_row, v, context_row)
+                    multiply(grads, lr, grads)
+                    add(rows, grads, rows)
             else:
                 draws = np.searchsorted(cumulative, rng.random((stop - start) * k))
                 table = np.column_stack((contexts[start:stop], draws.reshape(-1, k)))
                 ordered = np.sort(table, axis=1)
                 distinct = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1).tolist()
-                for (center, context, lr), row, fast in zip(block, table, distinct):
+                for (center, context, lr), row, fast in zip(pairs, table, distinct):
+                    if center != current:
+                        inp[current] = v
+                        v[:] = inp[center]
+                        current = center
                     # the context row, then every draw that differs from it
-                    rows = row if fast else [
+                    pair_rows = row if fast else [
                         context, *(d for d in row.tolist()[1:] if d != context)
                     ]
-                    w, g, g_flat, grad_rows = buffers[len(rows)]
-                    v_row = inp[center:center + 1]
-                    v = v_row[0]
-                    out.take(rows, axis=0, out=w)
-                    dot(w, v, out=g_flat)
+                    w, g, g_flat, grad_rows, stacked, stacked_grads = buffers[len(pair_rows)]
+                    out.take(pair_rows, 0, w)
+                    dot(w, v, g_flat)
                     # label minus sigmoid, in tanh form so that no score overflows:
                     # 1 for the context row, 0 for each draw
-                    multiply(g_flat, half, out=g_flat)
-                    tanh(g_flat, out=g_flat)
-                    add(g_flat, one, out=g_flat)
-                    multiply(g_flat, minus_half, out=g_flat)
+                    multiply(g_flat, half, g_flat)
+                    tanh(g_flat, g_flat)
+                    add(g_flat, one, g_flat)
+                    multiply(g_flat, minus_half, g_flat)
                     g_flat[0] += 1.0
-                    dot(g, v_row, out=grad_rows)  # formed before v moves
-                    dot(g_flat, w, out=grad_v)
-                    multiply(grad_v, lr, out=grad_v)
-                    add(v, grad_v, out=v)
-                    multiply(grad_rows, lr, out=grad_rows)
+                    dot(g, v_row, grad_rows)  # formed before v moves
+                    dot(g_flat, w, grad_v)
+                    multiply(stacked_grads, lr, stacked_grads)
+                    add(stacked, stacked_grads, stacked)
                     if fast:
                         # no row repeats and no draw equals the context: each row is
                         # updated once, so the updated rows are written back whole
-                        add(w, grad_rows, out=w)
-                        out[rows] = w
+                        out[pair_rows] = w
                     else:
-                        add_at(out, rows, grad_rows)  # repeated rows add up, in list order
+                        add_at(out, pair_rows, grad_rows)  # repeated rows add up, in list order
+        inp[current] = v  # before the check and the objective read inp
         if not (np.isfinite(inp).all() and np.isfinite(out).all()):
             raise NumericError(f"skip-gram training diverged at epoch {epoch}")
         if track_objective:

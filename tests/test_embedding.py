@@ -298,10 +298,12 @@ class TestTrainSkipgram:
         assert np.array_equal(a.input_vectors, b.input_vectors)
         assert np.array_equal(a.output_vectors, b.output_vectors)
 
-    def test_divergence_raises_error_naming_epoch(self):
+    @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_NEGATIVE])
+    def test_divergence_raises_error_naming_epoch(self, mode):
         corpus = make_corpus(TOY_SENTENCES)
         cfg = SkipGramConfig(
-            window=2, dim=8, epochs=3, learning_rate=1e6, final_learning_rate=1e6, seed=0
+            window=2, dim=8, epochs=3, learning_rate=1e6, final_learning_rate=1e6, seed=0,
+            mode=mode, negative_samples=3,
         )
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="epoch 1"):
             train_skipgram(corpus, cfg)
@@ -474,6 +476,29 @@ class TestBlockedTrainingParity:
         assert any(underflows)
         assert np.array_equal(fast.input_vectors, slow.input_vectors)
         assert np.array_equal(fast.output_vectors, slow.output_vectors)
+
+    @pytest.mark.parametrize("mode", [MODE_EXACT, MODE_NEGATIVE])
+    def test_center_row_held_across_blocks_sentences_and_epochs(self, mode):
+        # train_skipgram holds the current center's input row in the block it updates
+        # and writes it back when the center changes and at the end of each epoch
+        filler = [[f"w{i % 5}", f"w{(i + 1) % 5}"] for i in range(PAIR_BLOCK // 2 - 2)]
+        sentences = [["a", "b"], *filler, ["c", "d", "c"], ["c", "e", "e"], ["e", "a"]]
+        corpus = make_corpus(sentences)
+        centers, contexts = _pair_arrays(corpus.sentences, 1)
+        assert centers[PAIR_BLOCK - 1] == centers[PAIR_BLOCK]  # one center across a block end
+        ends = [(s[-1], t[0]) for s, t in zip(corpus.sentences, corpus.sentences[1:])]
+        assert any(last == first for last, first in ends)  # a word ends one and starts the next
+        assert centers[-1] == centers[0]  # the last pair of an epoch and the first of the next
+        assert (centers == contexts).any()
+        cfg = SkipGramConfig(
+            window=1, dim=4, epochs=3, learning_rate=0.5, final_learning_rate=0.01,
+            seed=3, mode=mode, negative_samples=3,
+        )
+        fast = train_skipgram(corpus, cfg, track_objective=True)
+        slow = loop_train_skipgram(corpus, cfg, track_objective=True, list_rows=True)
+        assert np.array_equal(fast.input_vectors, slow.input_vectors)
+        assert np.array_equal(fast.output_vectors, slow.output_vectors)
+        assert fast.objective_history == slow.objective_history
 
     @pytest.mark.parametrize("pairs", PAIR_COUNTS)
     def test_negative_sampling_within_tolerance(self, pairs):
