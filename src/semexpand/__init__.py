@@ -18,11 +18,9 @@ from .clustering import (
 from .config import ExperimentConfig, load_config
 from .corpus import (
     LabeledDataset,
-    SynonymTable,
     TokenizedCorpus,
     UserDictionary,
     Vocabulary,
-    augment_with_synonyms,
     build_vocabulary,
     encode_corpus,
     encode_dataset,
@@ -44,12 +42,7 @@ from .errors import (
     SemexpandError,
 )
 from .expansion import embed_dataset, expand
-from .pipeline import (
-    ExperimentReport,
-    compare_runs,
-    grid_search_k,
-    run_pipeline,
-)
+from .pipeline import ExperimentReport, compare_runs, run_pipeline
 
 __version__ = "0.1.0"
 
@@ -66,11 +59,9 @@ __all__ = [
     "NumericError",
     "SemexpandError",
     "SkipGramConfig",
-    "SynonymTable",
     "TokenizedCorpus",
     "UserDictionary",
     "Vocabulary",
-    "augment_with_synonyms",
     "build_dendrogram",
     "build_vocabulary",
     "compare_runs",
@@ -81,7 +72,6 @@ __all__ = [
     "encode_corpus",
     "encode_dataset",
     "expand",
-    "grid_search_k",
     "hac_cluster",
     "load_config",
     "load_embeddings",

@@ -20,8 +20,6 @@ from .config import ExperimentConfig, coerce_value, load_config
 from .errors import ConfigError, DataFormatError, NumericError, check_range, open_text
 from .nn import ClassifierConfig, TrainConfig, load_model, save_model
 
-logger = logging.getLogger(__name__)
-
 
 class _Parser(argparse.ArgumentParser):
     """Raises ConfigError on usage problems so main() can map them to exit 1."""
@@ -30,37 +28,19 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _write_or_print(lines, output) -> None:
-    text = "\n".join(lines) + "\n"
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def _load_dictionary(args):
     return corpus.load_dictionary_file(args.dictionary) if args.dictionary else None
 
 
 def cmd_tokenize(args) -> int:
     user_dict = _load_dictionary(args)
-    lines = []
     with open_text(args.corpus) as fh:
-        for line in fh:
-            lines.append(" ".join(corpus.tokenize(line, user_dict)))
-    _write_or_print(lines, args.output)
-    return 0
-
-
-def cmd_augment(args) -> int:
-    check_range("--max-new", args.max_new, 0)
-    user_dict = _load_dictionary(args)
-    table = corpus.load_synonym_file(args.synonyms)
-    examples = corpus.load_labeled_file(args.dataset, user_dict)
-    augmented = corpus.augment_with_synonyms(examples, table, args.max_new)
-    lines = [f"{label}\t{' '.join(tokens)}" for label, tokens in augmented]
-    _write_or_print(lines, args.output)
-    logger.info("augmented %d examples to %d", len(examples), len(augmented))
+        lines = [" ".join(corpus.tokenize(line, user_dict)) for line in fh]
+    text = "\n".join(lines) + "\n"
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -138,9 +118,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    """``run``, and ``grid-search``, which also rejects a config without a k grid."""
-    run = pipeline.grid_search_k if args.command == "grid-search" else pipeline.run_pipeline
-    report = run(load_config(args.config, _given(args, ExperimentConfig)))
+    report = pipeline.run_pipeline(load_config(args.config, _given(args, ExperimentConfig)))
     for line in report.summary_lines():
         print(line)
     return 0
@@ -177,11 +155,6 @@ def _given(args, config) -> dict:
     return {name: value for name, value in values.items() if value is not None}
 
 
-def _add_config_overrides(parser) -> None:
-    parser.add_argument("--config", help="flat key = value config file")
-    _add_field_flags(parser.add_argument_group("config overrides"), ExperimentConfig)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="semexpand", description=__doc__)
     parser.add_argument("-v", "--verbose", action="store_true", help="log stage progress")
@@ -192,14 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dictionary_flag(p)
     p.add_argument("--output")
     p.set_defaults(func=cmd_tokenize)
-
-    p = sub.add_parser("augment", help="grow a labeled dataset by synonym substitution")
-    p.add_argument("dataset")
-    p.add_argument("synonyms")
-    p.add_argument("--max-new", type=int, default=1, help="new examples per original")
-    _add_dictionary_flag(p)
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("train-embeddings", help="train skip-gram word vectors on a corpus")
     p.add_argument("corpus")
@@ -242,11 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=handler)
 
     p = sub.add_parser("run", help="run the full pipeline from a config")
-    _add_config_overrides(p)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("grid-search", help="run the pipeline with a cluster-count grid")
-    _add_config_overrides(p)
+    p.add_argument("--config", help="flat key = value config file")
+    _add_field_flags(p.add_argument_group("config overrides"), ExperimentConfig)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compare", help="diff two run reports on the same test split")

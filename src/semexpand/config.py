@@ -106,6 +106,8 @@ class ExperimentConfig:
                 raise ConfigError("set k, or both k_min and k_max for a grid")
             if self.k_min > self.k_max:
                 raise ConfigError(f"need 1 <= k_min <= k_max, got {self.k_min}..{self.k_max}")
+            if self.no_expansion:
+                raise ConfigError("leaves a k grid (k = 0) nothing to choose; set k", "no_expansion")
         check_range("k_steps", self.k_steps, 1)
         self.skipgram_config()
         self.classifier_config()

@@ -1,13 +1,11 @@
-"""Tokenization, vocabulary construction, labeled-dataset loading and
-synonym-replacement augmentation.
+"""Tokenization, vocabulary construction and labeled-dataset loading.
 
 File formats handled here, all written by hand:
   * corpus:          one sentence per line
   * labeled dataset: one ``label<TAB>text`` per line
   * user dictionary: one multi-token term per line
-  * synonym table:   one ``word<TAB>synonym`` pair per line
 
-Text becomes tokens once, where these files are read. All four share one
+Text becomes tokens once, where these files are read. All three share one
 comment rule: a blank line, or one whose first non-blank character is ``#``,
 is skipped. The files the tool writes for its own stages (vector files,
 ``clusters.tsv``, ``model.txt``) have no comment rule, because ``#`` is a token.
@@ -127,24 +125,6 @@ class UserDictionary:
         return toks in self._terms
 
 
-class SynonymTable:
-    """Token -> ordered synonym list; a token never maps to itself."""
-
-    def __init__(self, pairs: dict[str, list[str]]):
-        self.pairs: dict[str, list[str]] = {}
-        for word, syns in pairs.items():
-            kept = []
-            for s in syns:
-                if s == word:
-                    raise DataFormatError(f"synonym table maps {word!r} to itself")
-                if s not in kept:
-                    kept.append(s)
-            self.pairs[word] = kept
-
-    def get(self, token: str) -> list[str]:
-        return self.pairs.get(token, [])
-
-
 def tokenize(text: str, user_dict: UserDictionary | None = None) -> list[str]:
     """Split lowercased text on whitespace/punctuation boundaries.
 
@@ -229,33 +209,6 @@ def encode_dataset(examples, vocabulary: Vocabulary) -> LabeledDataset:
     return LabeledDataset(examples=encoded, oov_marker=oov, label_names=label_names)
 
 
-def augment_with_synonyms(dataset, table: SynonymTable, max_new_per_example: int):
-    """Grow (label, tokens) examples by single-position synonym substitution.
-
-    For each example, positions are scanned left to right; each synonym of a
-    matched token yields one new example with only that position replaced,
-    until ``max_new_per_example`` new examples exist. Originals stay, labels
-    are copied unchanged.
-    """
-    if max_new_per_example < 0:
-        raise ValueError("max_new_per_example must be >= 0")
-    out = []
-    for label, tokens in dataset:
-        out.append((label, list(tokens)))
-        budget = max_new_per_example
-        for pos, token in enumerate(tokens):
-            if budget == 0:
-                break
-            for syn in table.get(token):
-                if budget == 0:
-                    break
-                variant = list(tokens)
-                variant[pos] = syn
-                out.append((label, variant))
-                budget -= 1
-    return out
-
-
 def _content_lines(fh):
     """(line number, line without its newline) for each line of ``fh`` that is
     not blank and whose first non-blank character is not ``#``."""
@@ -284,21 +237,6 @@ def load_dictionary_file(path) -> UserDictionary:
     """Read one dictionary term per line."""
     with open_text(path) as fh:
         return UserDictionary([line.strip() for _, line in _content_lines(fh)])
-
-
-def load_synonym_file(path) -> SynonymTable:
-    """Read ``word<TAB>synonym`` pairs, one per line; each word is one token."""
-    pairs: dict[str, list[str]] = {}
-    with open_text(path) as fh:
-        for lineno, line in _content_lines(fh):
-            parts = line.split("\t")
-            if len(parts) != 2 or parts[0].split() != [parts[0]] or not parts[1]:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected word<TAB>synonym, with the word one token"
-                    " as tokenize spells it (chest_pain)"
-                )
-            pairs.setdefault(parts[0], []).append(parts[1])
-    return SynonymTable(pairs)
 
 
 def load_sentence_file(path, user_dict: UserDictionary | None = None) -> list[list[str]]:

@@ -340,7 +340,7 @@ def write_vector_file(path, words, matrix) -> None:
     if bad:  # read_vector_file splits lines on whitespace: such a word would not read back
         raise ValueError(f"vector-file word {bad[0]!r} is empty or holds whitespace")
     matrix = np.asarray(matrix)
-    row_format = " ".join(["%.8g"] * matrix.shape[1])
+    row_format = " ".join(["%.17g"] * matrix.shape[1])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(words)} {matrix.shape[1]}\n")
         # row by row: a whole-matrix tolist() would hold every value as a Python float at once

@@ -367,15 +367,6 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def grid_search_k(cfg: ExperimentConfig) -> ExperimentReport:
-    """Pipeline run that must search a grid; rejects single-k configs."""
-    if not cfg.uses_grid():
-        raise ConfigError("grid search needs k_min and k_max (leave k unset)")
-    if cfg.no_expansion:
-        raise ConfigError("grid search is meaningless with --no-expansion")
-    return run_pipeline(cfg)
-
-
 def compare_runs(report_a: ExperimentReport, report_b: ExperimentReport) -> dict:
     """Side-by-side deltas (a minus b); refuses runs with different test splits or classes."""
     if report_a.split_fingerprint != report_b.split_fingerprint:

@@ -63,7 +63,7 @@ for the loss, probabilities and gradients. loop_conv1d_backward and
 loop_conv1d_input_grad are per-window loops for the split functions.
 
 fstring_write_vector_file is write_vector_file as it was before each row was
-formatted with one "%.8g" template: it formats every value with its own
+formatted with one "%.17g" template: it formats every value with its own
 f-string. It is the reference for the bytes of every vector file.
 """
 
@@ -613,5 +613,5 @@ def fstring_write_vector_file(path, words, matrix) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(words)} {matrix.shape[1]}\n")
         for word, row in zip(words, matrix):
-            vals = " ".join(f"{x:.8g}" for x in row)
+            vals = " ".join(f"{x:.17g}" for x in row)
             fh.write(f"{word} {vals}\n")

@@ -1,10 +1,10 @@
 """Byte-level mutations of the files a run reads or writes never end in a traceback.
 
 One tiny run writes model.txt, a vector file, clusters.tsv with its centroids
-file, and report.json; its copy also holds the toy labeled dataset, dictionary
-and synonym table. Each property mutates one of these files and feeds it to
-the subcommand that reads it: ``cli.main`` must return an exit code from 0 to
-3, and a failure must end in one ``error:`` line. config.txt is left out,
+file, and report.json; its copy also holds the toy labeled dataset and
+dictionary. Each property mutates one of these files and feeds it to the
+subcommand that reads it: ``cli.main`` must return an exit code from 0 to 3,
+and a failure must end in one ``error:`` line. config.txt is left out,
 because its sizes are user settings that may legitimately ask for much memory.
 """
 
@@ -22,7 +22,7 @@ from semexpand import cli
 from semexpand.pipeline import ARTIFACT_NAMES
 
 DATA = Path(__file__).resolve().parents[1] / "data" / "toy"
-INPUTS = ("dataset.tsv", "dict.txt", "synonyms.tsv")
+INPUTS = ("dataset.tsv", "dict.txt")
 
 # Bytes that turn a number into another, a line into two, or a file into non-UTF-8.
 PIECES = [
@@ -147,13 +147,4 @@ def test_mutated_dictionary_exits_cleanly(run_dir, edits):
     exits_cleanly(run_dir, "dict.txt", edits, lambda run: [
         "tokenize", DATA / "corpus.txt", "--dictionary", run / "dict.txt",
         "--output", run / "tokens.txt",
-    ])
-
-
-@FUZZ
-@given(edits=EDITS)
-def test_mutated_synonym_table_exits_cleanly(run_dir, edits):
-    exits_cleanly(run_dir, "synonyms.tsv", edits, lambda run: [
-        "augment", run / "dataset.tsv", run / "synonyms.tsv", "--dictionary", run / "dict.txt",
-        "--output", run / "augmented.tsv",
     ])

@@ -28,7 +28,6 @@ def tiny(tmp_path):
         "corpus": tmp_path / "corpus.txt",
         "dictionary": tmp_path / "dict.txt",
         "dataset": tmp_path / "data.tsv",
-        "synonyms": tmp_path / "syn.tsv",
     }
     files["corpus"].write_text(
         "the chest pain got worse\n"
@@ -43,7 +42,6 @@ def tiny(tmp_path):
         "cold\tfever and cough all night\n"
         "cold\tcough and fever this morning\n"
     )
-    files["synonyms"].write_text("fever\tchills\n")
     return files
 
 
@@ -62,16 +60,6 @@ class TestStageCommands:
         assert run_cli("tokenize", tiny["corpus"], "--output", out_file) == 0
         lines = out_file.read_text().splitlines()
         assert lines[0] == "the chest pain got worse"
-
-    def test_augment_adds_examples(self, tiny, tmp_path):
-        out_file = tmp_path / "augmented.tsv"
-        code = run_cli(
-            "augment", tiny["dataset"], tiny["synonyms"], "--output", out_file
-        )
-        assert code == 0
-        lines = out_file.read_text().splitlines()
-        assert len(lines) == 6  # 4 originals + 2 sentences containing "fever"
-        assert any("chills" in line for line in lines)
 
     def test_embeddings_cluster_expand_chain(self, tiny, tmp_path, capsys):
         vectors = tmp_path / "vectors.txt"
@@ -163,8 +151,8 @@ class TestStageCommands:
         assert capsys.readouterr().out.splitlines() == at_three
 
     def test_stage_chain_reproduces_run_vectors_and_clusters(self, tmp_path, capsys):
-        # `cluster` reads the vector file's 8 significant digits, so its centroids,
-        # and the expanded vectors built from them, differ from the run's by design
+        # vector files read back exactly, so the centroids that `cluster` computes
+        # from one, and `expand`'s vectors, are the run's, computed in memory
         run = tmp_path / "run"
         inputs = ("--corpus", DATA / "corpus.txt", "--dataset", DATA / "dataset.tsv")
         code = run_cli(
@@ -183,9 +171,15 @@ class TestStageCommands:
         )
         assert code == 0
         assert run_cli("cluster", vectors, "--k", 6, "--output", clusters) == 0
+        expanded = tmp_path / "expanded.txt"
+        assert run_cli("expand", vectors, clusters, "--output", expanded) == 0
         capsys.readouterr()
+        run_clusters = run / ARTIFACT_NAMES["assignment"]
         assert vectors.read_bytes() == (run / ARTIFACT_NAMES["embeddings"]).read_bytes()
-        assert clusters.read_bytes() == (run / ARTIFACT_NAMES["assignment"]).read_bytes()
+        assert clusters.read_bytes() == run_clusters.read_bytes()
+        centroids = Path(f"{clusters}.centroids").read_bytes()
+        assert centroids == Path(f"{run_clusters}.centroids").read_bytes()
+        assert expanded.read_bytes() == (run / ARTIFACT_NAMES["expanded"]).read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -300,14 +294,21 @@ class TestExitCodes:
         assert "error: output_dir must hold no '#'" in capsys.readouterr().err
         assert not (tmp_path / "exp#2").exists()
 
-    def test_synonym_word_with_whitespace_is_two(self, tiny, tmp_path, capsys):
-        tiny["synonyms"].write_text("chest pain\tangina\n")
+    def test_no_expansion_with_a_k_grid_is_one(self, tmp_path, capsys):
         code = run_cli(
-            "augment", tiny["dataset"], tiny["synonyms"], "--dictionary", tiny["dictionary"],
-            "--output", tmp_path / "augmented.tsv",
+            "run", "--config", DATA / "config.txt", "--no-expansion", "--k", 0, "--k-min", 2,
+            "--k-max", 4, "--output-dir", tmp_path / "out",
         )
-        assert code == 2
-        assert "as tokenize spells it (chest_pain)" in capsys.readouterr().err
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no_expansion ") and "Traceback" not in err, err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["augment", "grid-search"])
+    def test_retired_command_is_one(self, command, capsys):
+        assert run_cli(command, "--config", DATA / "config.txt") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"invalid choice: '{command}'" in err, err
 
     def test_missing_file_is_two(self, tmp_path, capsys):
         assert run_cli("tokenize", tmp_path / "absent.txt") == 2
@@ -604,7 +605,7 @@ class TestExitCodes:
         assert "diverged" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["tokenize", "train-embeddings", "augment", "cluster", "run"])
+@pytest.mark.parametrize("command", ["tokenize", "train-embeddings", "cluster", "run"])
 def test_non_utf8_input_is_two(command, tiny, tmp_path, capsys):
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes("caf\xe9\tcaf\xe9 au lait\n".encode("latin-1"))
@@ -612,7 +613,6 @@ def test_non_utf8_input_is_two(command, tiny, tmp_path, capsys):
     argv = {
         "tokenize": [latin1],
         "train-embeddings": [latin1, "--output", output],
-        "augment": [latin1, tiny["synonyms"], "--output", output],
         "cluster": [latin1, "--k", 1, "--output", output],
         "run": ["--dataset", latin1, "--corpus", tiny["corpus"], "--k", 2, "--output-dir", output],
     }[command]
@@ -624,7 +624,7 @@ def test_non_utf8_input_is_two(command, tiny, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "reader", ["corpus", "dictionary", "synonyms", "config", "assignment", "model", "report"]
+    "reader", ["corpus", "dictionary", "config", "assignment", "model", "report"]
 )
 def test_non_utf8_input_names_file_and_line(reader, tiny, tmp_path, capsys):
     bad = tmp_path / "bad.txt"
@@ -636,7 +636,6 @@ def test_non_utf8_input_names_file_and_line(reader, tiny, tmp_path, capsys):
     argv = {
         "corpus": [*run, "--corpus", bad],
         "dictionary": [*run, "--corpus", tiny["corpus"], "--dictionary", bad],
-        "synonyms": ["augment", tiny["dataset"], bad, "--output", output],
         "config": ["run", "--config", bad],
         "assignment": ["expand", vectors, bad, "--output", output],
         "model": ["evaluate", tiny["dataset"], "--vectors", vectors, "--model-file", bad],
@@ -716,7 +715,7 @@ class TestInstalledEntryPoints:
 
 
 # Every numeric flag of every subcommand, with the values its range forbids.
-# run and grid-search read the toy config, which sets no grid, so --k 0 fails too.
+# run reads the toy config, which sets no grid, so --k 0 fails too.
 POSITIVE = ("0", "-1", "nan", "inf")
 NON_NEGATIVE = ("-1", "nan", "inf")
 _RUN_FLAGS = {
@@ -732,7 +731,6 @@ _RUN_FLAGS = {
     **dict.fromkeys(("--embed-final-learning-rate", "--k-min", "--k-max", "--seed"), NON_NEGATIVE),
 }
 NUMERIC_FLAGS = {
-    "augment": {"--max-new": NON_NEGATIVE},
     "train-embeddings": {
         **dict.fromkeys(
             (
@@ -755,7 +753,6 @@ NUMERIC_FLAGS = {
         "--seed": NON_NEGATIVE,
     },
     "run": _RUN_FLAGS,
-    "grid-search": _RUN_FLAGS,
 }
 BAD_FLAG_CASES = [
     (command, flag, value)
@@ -795,12 +792,10 @@ def test_out_of_range_flag_is_one(command, flag, value, stage_inputs, tmp_path, 
     vectors, _ = stage_inputs
     output = tmp_path / "output"
     argv = {
-        "augment": [DATA / "dataset.tsv", DATA / "synonyms.tsv", "--output", output],
         "train-embeddings": [DATA / "corpus.txt", "--output", output],
         "cluster": [vectors, "--output", output],
         "train": [DATA / "dataset.tsv", "--vectors", vectors, "--output", output],
         "run": ["--config", DATA / "config.txt", "--output-dir", output],
-        "grid-search": ["--config", DATA / "config.txt", "--output-dir", output],
     }[command]
     capsys.readouterr()
     assert run_cli(command, *argv, f"{flag}={value}") == 1

@@ -40,6 +40,10 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(k_min=10, k_max=2)
 
+    def test_rejects_no_expansion_with_a_grid(self):
+        with pytest.raises(ConfigError, match="^no_expansion "):
+            ExperimentConfig(k=0, k_min=2, k_max=4, no_expansion=True)
+
     def test_rejects_nonpositive_k_steps(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(k_min=2, k_max=4, k_steps=0)

@@ -6,17 +6,14 @@ import pytest
 
 from semexpand import corpus
 from semexpand.corpus import (
-    SynonymTable,
     UserDictionary,
     Vocabulary,
-    augment_with_synonyms,
     build_vocabulary,
     encode_corpus,
     encode_dataset,
     load_dictionary_file,
     load_labeled_file,
     load_sentence_file,
-    load_synonym_file,
     tokenize,
 )
 from semexpand.errors import DataFormatError, EmptyVocabularyError
@@ -163,47 +160,6 @@ class TestEncodeDataset:
             encode_dataset([("0", ["a"]), ("1", "a b")], vocab)
 
 
-class TestAugmentation:
-    def test_paper_substitution(self):
-        table = SynonymTable({"flu": ["cold"]})
-        out = augment_with_synonyms([("slight", ["slightly", "flu"])], table, 1)
-        assert out == [
-            ("slight", ["slightly", "flu"]),
-            ("slight", ["slightly", "cold"]),
-        ]
-
-    def test_empty_table_identity(self):
-        data = [("a", ["x", "y"])]
-        assert augment_with_synonyms(data, SynonymTable({}), 3) == data
-
-    def test_cap_respected_in_table_order(self):
-        table = SynonymTable({"x": ["p", "q", "r"]})
-        out = augment_with_synonyms([("a", ["x"])], table, 2)
-        assert out == [("a", ["x"]), ("a", ["p"]), ("a", ["q"])]
-
-    def test_one_position_at_a_time(self):
-        table = SynonymTable({"x": ["p"]})
-        out = augment_with_synonyms([("a", ["x", "x"])], table, 4)
-        assert ("a", ["p", "x"]) in out
-        assert ("a", ["x", "p"]) in out
-        assert ("a", ["p", "p"]) not in out
-
-    def test_labels_unchanged_and_originals_kept(self):
-        rng = np.random.default_rng(1)
-        table = SynonymTable({"w0": ["w1"], "w2": ["w3", "w4"]})
-        data = [
-            (str(rng.integers(3)), [f"w{i}" for i in rng.integers(0, 6, size=4)])
-            for _ in range(30)
-        ]
-        cap = 2
-        out = augment_with_synonyms(data, table, cap)
-        assert len(out) <= len(data) * (1 + cap)
-        remaining = iter(out)
-        for example in data:
-            assert example in remaining  # originals survive, in order
-        assert {label for label, _ in out} <= {label for label, _ in data}
-
-
 class TestFileLoaders:
     def test_labeled_file(self, tmp_path):
         path = tmp_path / "d.tsv"
@@ -221,17 +177,15 @@ class TestFileLoaders:
         skipped = "  # chest pain fever\n\t#\tcold\n \t\n#\n"
         files = {
             name: tmp_path / name
-            for name in ("corpus.txt", "dataset.tsv", "dict.txt", "synonyms.tsv")
+            for name in ("corpus.txt", "dataset.tsv", "dict.txt")
         }
         files["corpus.txt"].write_text(skipped + "fever # cough\n", encoding="utf-8")
         files["dataset.tsv"].write_text(skipped + "a\tx # y\nb\tz\n", encoding="utf-8")
         files["dict.txt"].write_text(skipped + "chest pain\n", encoding="utf-8")
-        files["synonyms.tsv"].write_text(skipped + "flu\tcold\n", encoding="utf-8")
         assert load_sentence_file(files["corpus.txt"]) == [["fever", "#", "cough"]]
         assert load_labeled_file(files["dataset.tsv"]) == [("a", ["x", "#", "y"]), ("b", ["z"])]
         d = load_dictionary_file(files["dict.txt"])
         assert ("chest", "pain") in d and d.max_len == 2
-        assert load_synonym_file(files["synonyms.tsv"]).pairs == {"flu": ["cold"]}
 
     def test_byte_order_mark_is_dropped(self, tmp_path):
         dataset, sentences = tmp_path / "d.tsv", tmp_path / "c.txt"
@@ -258,40 +212,6 @@ class TestFileLoaders:
         d = load_dictionary_file(path)
         assert ("chest", "pain") in d
         assert ("sore", "throat") in d
-
-    def test_synonym_file(self, tmp_path):
-        path = tmp_path / "syn.tsv"
-        path.write_text("flu\tcold\nache\tpain\n", encoding="utf-8")
-        table = load_synonym_file(path)
-        assert table.get("flu") == ["cold"]
-
-    def test_synonym_file_malformed(self, tmp_path):
-        path = tmp_path / "syn.tsv"
-        path.write_text("justoneword\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match="syn.tsv:1"):
-            load_synonym_file(path)
-
-    def test_synonym_word_with_whitespace_rejected(self, tmp_path):
-        path = tmp_path / "syn.tsv"
-        path.write_text("ache\tpain\nchest pain\tangina\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match=r"syn.tsv:2: .*as tokenize spells it \(chest_pain\)"):
-            load_synonym_file(path)
-
-    def test_synonym_word_spelled_as_tokenize_matches(self, tmp_path):
-        path = tmp_path / "syn.tsv"
-        path.write_text("chest_pain\tangina pectoris\n", encoding="utf-8")
-        table = load_synonym_file(path)
-        tokens = tokenize("chest pain again", UserDictionary(["chest pain"]))
-        assert augment_with_synonyms([("c", tokens)], table, 1)[1] == (
-            "c",
-            ["angina pectoris", "again"],
-        )
-
-    def test_synonym_self_mapping_rejected(self, tmp_path):
-        path = tmp_path / "syn.tsv"
-        path.write_text("flu\tflu\n", encoding="utf-8")
-        with pytest.raises(DataFormatError):
-            load_synonym_file(path)
 
     def test_sentence_file_with_dictionary(self, tmp_path):
         path = tmp_path / "c.txt"

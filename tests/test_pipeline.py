@@ -19,7 +19,6 @@ from semexpand.pipeline import (
     ExperimentReport,
     compare_runs,
     comparison_lines,
-    grid_search_k,
     load_report,
     run_pipeline,
     save_report,
@@ -370,7 +369,7 @@ class TestRunPipeline:
 
     def test_grid_selection_rule(self, tmp_path):
         cfg = fast_config(tmp_path / "grid", k=0, k_min=2, k_max=8, k_steps=3)
-        report = grid_search_k(cfg)
+        report = run_pipeline(cfg)
         ks = [row["k"] for row in report.grid]
         assert ks == [2, 4, 8]
         best = max(row["validation_accuracy"] for row in report.grid)
@@ -411,14 +410,6 @@ class TestRunPipeline:
             with pytest.raises(ConfigError):
                 run_pipeline(fast_config(tmp_path / "never", **overrides))
             assert not (tmp_path / "never").exists()
-
-    def test_grid_search_guards(self, tmp_path):
-        with pytest.raises(ConfigError, match="grid"):
-            grid_search_k(fast_config(tmp_path / "x", k=5))
-        with pytest.raises(ConfigError, match="no-expansion"):
-            grid_search_k(
-                fast_config(tmp_path / "x", k=0, k_min=2, k_max=4, no_expansion=True)
-            )
 
 
 class TestToyCnnRun:
@@ -667,7 +658,7 @@ class TestGridRecoversPlantedClusters:
             k_steps=4,
             seed=1,
         )
-        report = grid_search_k(cfg)
+        report = run_pipeline(cfg)
         best = max(row["validation_accuracy"] for row in report.grid)
         winners = [row["k"] for row in report.grid if row["validation_accuracy"] == best]
         assert report.chosen_k == min(winners)

@@ -1,4 +1,5 @@
-"""The README's stage-by-stage commands and its library example run as written."""
+"""The README's stage-by-stage commands and its library example run as written,
+and every `semexpand` command in its shell blocks parses."""
 
 import re
 import shlex
@@ -22,6 +23,17 @@ def section_commands(heading: str) -> list:
     """The commands of the first ``sh`` block under ``## heading``, continuations joined."""
     block = section_block(heading, "sh")
     return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def test_every_command_parses():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.DOTALL)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line) for line in lines if line.startswith("semexpand")]
+    assert {"run", "compare", "tokenize"} <= {argv[1] for argv in commands}
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])  # a retired command or flag raises ConfigError
 
 
 def test_running_stages_individually(tmp_path, monkeypatch, capsys):

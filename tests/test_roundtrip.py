@@ -1,6 +1,7 @@
-"""Round-trip properties: every token tokenize() can emit, and every config
-that constructs, reads back from the files the tool writes exactly as written;
-a corpus written out by `semexpand tokenize` reads back as the same sentences."""
+"""Round-trip properties: every token tokenize() can emit, every finite vector
+and every config that constructs read back from the files the tool writes
+exactly as written; a corpus written out by `semexpand tokenize` reads back as
+the same sentences."""
 
 import dataclasses
 import re
@@ -8,6 +9,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from semexpand import cli
 from semexpand.clustering import ClusterAssignment, load_assignment, save_assignment
@@ -68,6 +70,19 @@ def test_tokens_round_trip_through_vector_files(tmp_path_factory, case):
     assert np.array_equal(loaded, matrix)
 
 
+@given(
+    arrays(
+        np.float64,
+        array_shapes(min_dims=2, max_dims=2, max_side=6),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    )
+)
+def test_finite_matrices_round_trip_through_vector_files(tmp_path_factory, matrix):
+    path = tmp_path_factory.mktemp("matrix") / "vectors.txt"
+    write_vector_file(path, [f"w{i}" for i in range(len(matrix))], matrix)
+    assert np.array_equal(read_vector_file(path)[1], matrix)
+
+
 @given(texts_with_dictionaries(), st.data())
 def test_tokens_round_trip_through_cluster_assignments(tmp_path_factory, case, data):
     """The `cluster` -> `expand` chain: words read from a vector file, clustered,
@@ -82,7 +97,6 @@ def test_tokens_round_trip_through_cluster_assignments(tmp_path_factory, case, d
     k = data.draw(st.integers(1, n))
     rest = data.draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
     assign = np.array(list(range(k)) + rest)
-    # eighths print exactly under the writer's %.8g
     eighths = data.draw(st.lists(st.integers(-999, 999), min_size=2 * k, max_size=2 * k))
     centroids = np.array(eighths).reshape(k, 2) / 8
     save_assignment(ClusterAssignment(words, assign, centroids), work / "clusters.tsv")
