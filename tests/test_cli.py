@@ -715,7 +715,9 @@ class TestInstalledEntryPoints:
 
 
 # Every numeric flag of every subcommand, with the values its range forbids.
-# run reads the toy config, which sets no grid, so --k 0 fails too.
+# run reads the toy config, which sets no grid, so --k 0 fails too. The
+# grid-search cases run the same config over a k grid (--k 0 --k-min 2
+# --k-max 4), where --k 0 is the grid itself and so not a bad value.
 POSITIVE = ("0", "-1", "nan", "inf")
 NON_NEGATIVE = ("-1", "nan", "inf")
 _RUN_FLAGS = {
@@ -753,10 +755,11 @@ NUMERIC_FLAGS = {
         "--seed": NON_NEGATIVE,
     },
     "run": _RUN_FLAGS,
+    "grid-search": {**_RUN_FLAGS, "--k": POSITIVE[1:]},
 }
 BAD_FLAG_CASES = [
-    (command, flag, value)
-    for command, flags in NUMERIC_FLAGS.items()
+    (case, flag, value)
+    for case, flags in NUMERIC_FLAGS.items()
     for flag, values in flags.items()
     for value in values
 ]
@@ -787,18 +790,20 @@ def stage_inputs(tmp_path_factory):
     return vectors, model
 
 
-@pytest.mark.parametrize(("command", "flag", "value"), BAD_FLAG_CASES)
-def test_out_of_range_flag_is_one(command, flag, value, stage_inputs, tmp_path, capsys):
+@pytest.mark.parametrize(("case", "flag", "value"), BAD_FLAG_CASES)
+def test_out_of_range_flag_is_one(case, flag, value, stage_inputs, tmp_path, capsys):
     vectors, _ = stage_inputs
     output = tmp_path / "output"
+    run = ["run", "--config", DATA / "config.txt", "--output-dir", output]
     argv = {
-        "train-embeddings": [DATA / "corpus.txt", "--output", output],
-        "cluster": [vectors, "--output", output],
-        "train": [DATA / "dataset.tsv", "--vectors", vectors, "--output", output],
-        "run": ["--config", DATA / "config.txt", "--output-dir", output],
-    }[command]
+        "train-embeddings": ["train-embeddings", DATA / "corpus.txt", "--output", output],
+        "cluster": ["cluster", vectors, "--output", output],
+        "train": ["train", DATA / "dataset.tsv", "--vectors", vectors, "--output", output],
+        "run": run,
+        "grid-search": [*run, "--k", 0, "--k-min", 2, "--k-max", 4],
+    }[case]
     capsys.readouterr()
-    assert run_cli(command, *argv, f"{flag}={value}") == 1
+    assert run_cli(*argv, f"{flag}={value}") == 1
     err = capsys.readouterr().err
     assert err.startswith("error:"), err
     assert flag in err or flag[2:].replace("-", "_") in err, err
