@@ -24,7 +24,6 @@ n = 1000 and 200 MB at n = 5000.
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,9 +245,6 @@ def centroid_path_for(path) -> str:
     return str(path) + ".centroids"
 
 
-_CLUSTER_TOKEN_RE = re.compile(r"^cluster_(\d+)$")
-
-
 def save_assignment(assignment: ClusterAssignment, path) -> None:
     """Write ``word<TAB>cluster_id`` lines plus a companion centroid file."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -262,8 +258,8 @@ def load_assignment(path, vocabulary) -> ClusterAssignment:
     """Read an assignment and its companion centroid file.
 
     Words absent from ``vocabulary`` are rejected. Cluster ids
-    must cover 0..k-1 with no empty cluster; the centroid file must contain a
-    ``cluster_<id>`` row for every id.
+    must cover 0..k-1 with no empty cluster; the centroid file must hold exactly
+    the rows ``cluster_0`` .. ``cluster_<k-1>``, as ``save_assignment`` names them.
     """
     words: list[str] = []
     seen: set[str] = set()
@@ -300,17 +296,15 @@ def load_assignment(path, vocabulary) -> ClusterAssignment:
 
     cpath = centroid_path_for(path)
     labels, centroids = read_vector_file(cpath)
-    rows = {}
-    for i, label in enumerate(labels):
-        m = _CLUSTER_TOKEN_RE.match(label)
-        if not m:
+    # the names save_assignment writes; read_vector_file refuses a repeated one
+    names = [f"cluster_{c}" for c in range(k)]
+    known = set(names)
+    for label in labels:
+        if label not in known:
             raise DataFormatError(f"{cpath}: unexpected centroid token {label!r}")
-        rows[int(m.group(1))] = i
-    for c in range(k):
-        if c not in rows:
+    rows = {label: i for i, label in enumerate(labels)}
+    for c, name in enumerate(names):
+        if name not in rows:
             raise DataFormatError(f"{cpath}: missing centroid row for cluster {c}")
-    extra = set(rows) - set(range(k))
-    if extra:
-        raise DataFormatError(f"{cpath}: centroid row for unknown cluster {min(extra)}")
-    ordered = centroids[[rows[c] for c in range(k)]]
+    ordered = centroids[[rows[name] for name in names]]
     return ClusterAssignment(words, np.array(cids), ordered)

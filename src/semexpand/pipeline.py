@@ -4,6 +4,11 @@ Every stochastic stage draws from the single config seed. Grid trials and the
 final model use a per-k seed derived with SeedSequence([seed, k]), so adding
 or removing grid points never perturbs the other points' results.
 
+The ``cluster`` stage makes each grid k's cut, assignment and |V| x 2d table
+once, in this process. Trials (forked ones copy-on-write), the final model and
+``expand``, which writes the chosen k's files, only read them. Together they
+hold no more floats than HAC's |V| x |V| matrix while |grid| * 2d <= |V|.
+
 Grid trials run side by side (``sidebyside.run_side_by_side``), which returns
 the validation accuracies in grid order, as a serial loop would. A trial's
 result depends only on (config, k, training split, validation split), so the
@@ -155,6 +160,8 @@ def load_report(path) -> ExperimentReport:
     if not isinstance(raw, dict):
         raise DataFormatError(f"{path}: expected a JSON object")
     version = raw.get("format_version")
+    if isinstance(version, bool) or not isinstance(version, int):
+        raise DataFormatError(f"{path}: report field format_version must be an integer")
     if version != REPORT_VERSION:
         raise DataFormatError(f"{path}: unsupported report version {version!r}")
     names = {f.name for f in dataclasses.fields(ExperimentReport)}
@@ -181,9 +188,13 @@ def _check_compared_fields(path, raw: dict) -> None:
     expect(is_number(raw["test_accuracy"]), "test_accuracy", "a number")
     rows = raw["per_class"]
     expect(isinstance(rows, list), "per_class", "a list")
+    labels: set = set()
     for i, row in enumerate(rows):
         expect(isinstance(row, dict), f"per_class[{i}]", "an object")
-        expect(isinstance(row.get("label"), str), f"per_class[{i}].label", "a string")
+        label = row.get("label")
+        expect(isinstance(label, str), f"per_class[{i}].label", "a string")
+        expect(label not in labels, f"per_class[{i}].label", f"unique, but {label!r} repeats")
+        labels.add(label)
         for key in ("precision", "recall"):
             expect(is_number(row.get(key)), f"per_class[{i}].{key}", "a number")
 
@@ -267,7 +278,6 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
         except Exception as exc:
             return exc
 
-    dendrogram = None
     grid_rows: list = []
     fitted = None
     if cfg.no_expansion:
@@ -276,36 +286,27 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
         with _stage("cluster", timings):
             grid = cfg.grid_values(len(vocab))
             dendrogram = clustering.build_dendrogram(emb.input_vectors)
-
-        def source_for(k: int):
-            cut = clustering.cut_dendrogram(dendrogram, k)
-            assignment = clustering.assignment_from_cut(cut, emb.input_vectors, vocab.words)
-            return assignment, expansion.expand(emb, assignment)
-
-        def at_k(k: int, step):
-            """``step()``, naming k in the SemexpandError it raises."""
-            try:
-                return step()
-            except SemexpandError as exc:
-                raise type(exc)(f"k={k}: {exc}") from None
-
-        def validation_accuracy(k: int, table) -> float:
-            trial_model, _ = fit(shape, cfg.train_config(seed_for(cfg.seed, k)), train_ds, table)
-            return score(trial_model, val_ds, table).accuracy
+            sources = {}
+            for k in grid:
+                cut = clustering.cut_dendrogram(dendrogram, k)
+                assignment = clustering.assignment_from_cut(cut, emb.input_vectors, vocab.words)
+                sources[k] = assignment, expansion.expand(emb, assignment)
 
         def trial(k: int) -> float:
-            return at_k(k, lambda: validation_accuracy(k, source_for(k)[1]))
+            """Validation accuracy at k, naming k in the SemexpandError it raises."""
+            table = sources[k][1]
+            try:
+                trial_model, _ = fit(shape, cfg.train_config(seed_for(cfg.seed, k)), train_ds, table)
+                return score(trial_model, val_ds, table).accuracy
+            except SemexpandError as exc:
+                raise type(exc)(f"k={k}: {exc}") from None
 
         with _stage("grid_search", timings):
             if len(grid) == 1:
                 # k is chosen before its trial runs, so the final model fits beside it,
                 # in this process, which keeps the model unpickled
                 (k,) = grid
-                assignment, source = at_k(k, lambda: source_for(k))
-                tasks = [
-                    lambda: final_fit(k, source),
-                    lambda: at_k(k, lambda: validation_accuracy(k, source)),
-                ]
+                tasks = [lambda: final_fit(k, sources[k][1]), lambda: trial(k)]
                 fitted, accuracy = run_side_by_side(lambda task: task(), tasks)
                 accuracies = [accuracy]
             else:
@@ -320,8 +321,7 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
         if cfg.no_expansion:
             source = emb.input_vectors
         else:
-            if fitted is None:
-                assignment, source = source_for(chosen_k)
+            assignment, source = sources[chosen_k]
             clustering.save_assignment(assignment, paths["assignment"])
             expansion.save_expanded(vocab.words, source, paths["expanded"])
 

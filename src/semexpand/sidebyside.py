@@ -151,7 +151,7 @@ def run_side_by_side(trial, values) -> list:
     restored before the call returns or raises; where that cannot be set (see
     the module docstring), the call runs on this process alone.
     """
-    n = min(len(values), _usable_cpus())
+    n = max(1, min(len(values), _usable_cpus()))
     blas = _blas_threads_control() if n > 1 else None
     if blas is None and not _blas_pinned_by_environment():
         n = 1

@@ -519,6 +519,8 @@ class TestExitCodes:
             ({"test_accuracy": None}, "test_accuracy"),
             ({"chosen_k": "3"}, "chosen_k"),
             ({"split_fingerprint": 7}, "split_fingerprint"),
+            ({"format_version": True}, "format_version"),
+            ({"format_version": float(REPORT_VERSION)}, "format_version"),
         ]
         capsys.readouterr()
         for change, field in cases:
@@ -527,6 +529,44 @@ class TestExitCodes:
             assert run_cli("compare", reference, bad) == 2, field
             err = capsys.readouterr().err
             assert err.startswith("error:") and f"report field {field} must be" in err
+
+    def test_repeated_class_in_report_is_two(self, toy_run, tmp_path, capsys):
+        good = toy_run[0] / ARTIFACT_NAMES["report"]
+        report = json.loads(good.read_text(encoding="utf-8"))
+        rows = report["per_class"]
+        label = rows[0]["label"]
+        rows.append(rows[0] | {"precision": 1 - rows[0]["precision"]})
+        bad = tmp_path / "repeated.json"
+        bad.write_text(json.dumps(report), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("compare", good, bad) == 2
+        field = f"per_class[{len(rows) - 1}].label"
+        message = f"error: {bad}: report field {field} must be unique, but {label!r} repeats\n"
+        assert capsys.readouterr() == ("", message)
+
+    # a row save_assignment never writes: a second spelling of cluster 1, and
+    # cluster 1 spelled with an Arabic-Indic digit in place of its own row
+    @pytest.mark.parametrize("token, replaces", [("cluster_01", False), ("cluster_\u0661", True)])
+    def test_centroid_row_of_another_name_is_two(self, token, replaces, tiny, tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        assert run_cli(
+            "train-embeddings", tiny["corpus"], "--output", vectors, "--dim", 4, "--epochs", 1
+        ) == 0
+        clusters = tmp_path / "clusters.tsv"
+        assert run_cli("cluster", vectors, "--k", 2, "--output", clusters) == 0
+        centroids = Path(f"{clusters}.centroids")
+        header, first, second = centroids.read_text(encoding="utf-8").splitlines()
+        assert second.startswith("cluster_1 ")
+        values = first.split(" ", 1)[1]
+        rows = [first, f"{token} {values}"] if replaces else [first, second, f"{token} {values}"]
+        dim = header.split()[1]
+        text = f"{len(rows)} {dim}\n" + "".join(f"{row}\n" for row in rows)
+        centroids.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        output = tmp_path / "expanded.txt"
+        assert run_cli("expand", vectors, clusters, "--output", output) == 2
+        assert capsys.readouterr().err == f"error: {centroids}: unexpected centroid token {token!r}\n"
+        assert not output.exists()
 
     def test_centroids_of_wrong_width_are_two(self, tiny, tmp_path, capsys):
         wide = tmp_path / "v4.txt"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import assert_no_child_left, split_dataset, write_benchmark
-from semexpand import corpus, pipeline, sidebyside, synthetic
+from semexpand import clustering, corpus, expansion, pipeline, sidebyside, synthetic
 from semexpand.config import ExperimentConfig, load_config, parse_config_lines
 from semexpand.corpus import LabeledDataset
 from semexpand.errors import ConfigError, DataFormatError, NumericError
@@ -494,6 +494,30 @@ class TestParallelGridTrials:
         assert [row["k"] for row in runs[1][0]] == [2, 3, 5, 8]
         assert runs[2] == runs[1]
         assert runs[3] == runs[1]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_each_cut_and_table_is_made_once_in_this_process(self, tmp_path, monkeypatch, cpus):
+        calls = tmp_path / "calls"
+
+        def recorded(name, original, k_of):
+            def call(*args):
+                # a file, not a list, so that a call in a forked child shows too
+                with open(calls, "a", encoding="utf-8") as fh:
+                    fh.write(f"{name} {k_of(*args)} {os.getpid()}\n")
+                return original(*args)
+
+            return call
+
+        cut, expand = clustering.cut_dendrogram, expansion.expand
+        monkeypatch.setattr(clustering, "cut_dendrogram", recorded("cut", cut, lambda d, k: k))
+        monkeypatch.setattr(
+            expansion, "expand", recorded("expand", expand, lambda e, a: len(a.centroids))
+        )
+        four_point_grid_run(tmp_path / "out", monkeypatch, cpus)
+        assert_no_child_left()
+        pid = os.getpid()
+        expected = [f"{name} {k} {pid}" for k in (2, 3, 5, 8) for name in ("cut", "expand")]
+        assert calls.read_text(encoding="utf-8").splitlines() == expected
 
     @pytest.mark.parametrize("error_type", [NumericError, ValueError])
     @pytest.mark.parametrize("failing", [{3}, {5}, {8}, {3, 5}, {5, 8}])

@@ -138,3 +138,13 @@ def test_side_by_side_where_the_environment_pins_blas(monkeypatch, name):
     pids = run_on(monkeypatch, 2, lambda v: os.getpid(), [0, 1])
     assert_no_child_left()
     assert pids[0] == os.getpid() and pids[1] != os.getpid()
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+def test_no_values_give_no_results(monkeypatch, pinned):
+    for name in sidebyside.BLAS_PINNING_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    if pinned:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert run_on(monkeypatch, 2, lambda v: v, []) == []
+    assert_no_child_left()
