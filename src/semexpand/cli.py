@@ -186,25 +186,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_expand)
 
-    for name, handler in (("train", cmd_train), ("evaluate", cmd_evaluate)):
-        p = sub.add_parser(
-            name,
-            help=(
-                "train a classifier on a labeled dataset"
-                if name == "train"
-                else "score a saved classifier on a labeled dataset"
-            ),
-        )
-        p.add_argument("dataset")
-        p.add_argument("--vectors", required=True, help="word or expanded vector file")
-        _add_dictionary_flag(p)
-        if name == "train":
-            p.add_argument("--output", required=True)
-            _add_field_flags(p, ClassifierConfig)
-            _add_field_flags(p, TrainConfig)
-        else:
-            p.add_argument("--model-file", required=True)
-        p.set_defaults(func=handler)
+    p = sub.add_parser("train", help="train a classifier on a labeled dataset")
+    p.add_argument("dataset")
+    p.add_argument("--vectors", required=True, help="word or expanded vector file")
+    _add_dictionary_flag(p)
+    p.add_argument("--output", required=True)
+    _add_field_flags(p, ClassifierConfig)
+    _add_field_flags(p, TrainConfig)
+    p.set_defaults(func=cmd_train)
+
+    p = sub.add_parser("evaluate", help="score a saved classifier on a labeled dataset")
+    p.add_argument("dataset")
+    p.add_argument("--vectors", required=True, help="word or expanded vector file")
+    _add_dictionary_flag(p)
+    p.add_argument("--model-file", required=True)
+    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("run", help="run the full pipeline from a config")
     p.add_argument("--config", help="flat key = value config file")

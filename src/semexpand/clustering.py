@@ -205,21 +205,20 @@ def build_dendrogram(vectors) -> Dendrogram:
 def cut_dendrogram(dendrogram: Dendrogram, k: int) -> list[list[int]]:
     """Member lists of the k clusters left after the first n-k merges.
 
-    Clusters are ordered by smallest contained leaf, members ascending.
+    Clusters are ordered by smallest contained leaf, members ascending. One
+    reverse pass over those merges gives every node its root: merge t creates
+    node n+t, so a node's parent comes later in the list and already knows its
+    root when the node is reached.
     """
     n = dendrogram.leaf_count
     if not (1 <= k <= n):
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    parent: dict[int, int] = {}
-    for a, b, _, new_id in dendrogram.merges[: n - k]:
-        parent[a] = new_id
-        parent[b] = new_id
+    root = list(range(2 * n - k))
+    for a, b, _, new_id in reversed(dendrogram.merges[: n - k]):
+        root[a] = root[b] = root[new_id]
     groups: dict[int, list[int]] = {}
     for leaf in range(n):
-        root = leaf
-        while root in parent:
-            root = parent[root]
-        groups.setdefault(root, []).append(leaf)
+        groups.setdefault(root[leaf], []).append(leaf)
     clusters = sorted(groups.values(), key=lambda m: m[0])
     if len(clusters) != k:
         raise ValueError(f"cut produced {len(clusters)} clusters, expected {k}")
@@ -255,15 +254,17 @@ def save_assignment(assignment: ClusterAssignment, path) -> None:
 
 
 def load_assignment(path, vocabulary) -> ClusterAssignment:
-    """Read an assignment and its companion centroid file.
+    """Read an assignment and its companion centroid file, as ``save_assignment`` writes them.
 
-    Words absent from ``vocabulary`` are rejected. Cluster ids
-    must cover 0..k-1 with no empty cluster; the centroid file must hold exactly
-    the rows ``cluster_0`` .. ``cluster_<k-1>``, as ``save_assignment`` names them.
+    Words absent from ``vocabulary`` are rejected. With k distinct cluster ids,
+    every id must be spelled ``0`` .. ``<k-1>`` exactly, so no cluster is empty
+    and no other spelling (``01``, ``+1``, a space, other digits) reads as an id.
+    The centroid file must hold the rows ``cluster_0`` .. ``cluster_<k-1>`` in
+    that order.
     """
     words: list[str] = []
     seen: set[str] = set()
-    cids: list[int] = []
+    lines_ids: list[tuple[int, str]] = []
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -272,39 +273,31 @@ def load_assignment(path, vocabulary) -> ClusterAssignment:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise DataFormatError(f"{path}:{lineno}: expected word<TAB>cluster_id")
-            try:
-                cid = int(parts[1])
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: cluster id must be an integer") from None
-            if cid < 0:
-                raise DataFormatError(f"{path}:{lineno}: negative cluster id")
             if parts[0] in seen:
                 raise DataFormatError(f"{path}:{lineno}: duplicate word {parts[0]!r}")
             seen.add(parts[0])
             if parts[0] not in vocabulary:
                 raise DataFormatError(f"{path}:{lineno}: unknown word {parts[0]!r}")
             words.append(parts[0])
-            cids.append(cid)
+            lines_ids.append((lineno, parts[1]))
     if not words:
         raise DataFormatError(f"{path}: empty assignment file")
-    k = max(cids) + 1
-    # the smallest unused id is at most len(used): nothing is allocated per id
-    used = set(cids)
-    empty = next(c for c in range(len(used) + 1) if c not in used)
-    if empty < k:
-        raise DataFormatError(f"{path}: cluster {empty} has no members")
+    k = len({cid for _, cid in lines_ids})
+    ids = {str(c): c for c in range(k)}
+    for lineno, cid in lines_ids:
+        if cid not in ids:
+            raise DataFormatError(
+                f"{path}:{lineno}: cluster id must be an integer in 0..{k - 1}, got {cid!r}"
+            )
 
     cpath = centroid_path_for(path)
     labels, centroids = read_vector_file(cpath)
-    # the names save_assignment writes; read_vector_file refuses a repeated one
     names = [f"cluster_{c}" for c in range(k)]
-    known = set(names)
-    for label in labels:
-        if label not in known:
-            raise DataFormatError(f"{cpath}: unexpected centroid token {label!r}")
-    rows = {label: i for i, label in enumerate(labels)}
-    for c, name in enumerate(names):
-        if name not in rows:
-            raise DataFormatError(f"{cpath}: missing centroid row for cluster {c}")
-    ordered = centroids[[rows[name] for name in names]]
-    return ClusterAssignment(words, np.array(cids), ordered)
+    if labels != names:
+        # the first row that differs, or the first row past the shorter list
+        c = min(len(labels), k)
+        c = next((i for i in range(c) if labels[i] != names[i]), c)
+        if c < len(labels):
+            raise DataFormatError(f"{cpath}: unexpected centroid token {labels[c]!r}")
+        raise DataFormatError(f"{cpath}: missing centroid row for cluster {c}")
+    return ClusterAssignment(words, np.array([ids[cid] for _, cid in lines_ids]), centroids)

@@ -260,6 +260,8 @@ def load_model(path) -> _Classifier:
         if len(fields) != 2:
             raise DataFormatError(f"{path}:{i + 1}: expected 'key value'")
         key, value = fields
+        if key in arch:
+            raise DataFormatError(f"{path}:{i + 1}: repeated architecture key {key!r}")
         if key != "kind" and not value.isdecimal():
             raise DataFormatError(f"{path}:{i + 1}: {key} must be a whole number, got {value!r}")
         arch[key] = value if key == "kind" else int(value)
@@ -287,6 +289,8 @@ def load_model(path) -> _Classifier:
         name, size = header[1], int(header[2])
         if name not in shapes:
             raise DataFormatError(f"{path}:{i + 1}: unexpected param {name!r}")
+        if name in params:
+            raise DataFormatError(f"{path}:{i + 1}: repeated param {name!r}")
         if size != math.prod(shapes[name]):
             raise DataFormatError(f"{path}:{i + 1}: param {name!r} size mismatch")
         if i + 1 >= len(lines):

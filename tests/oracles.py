@@ -12,6 +12,10 @@ ties, where naive_hac's different summation order can differ in the last ulp.
 Its similarities come from loop_similarity_matrix, the full row-by-row pass
 that the mirrored similarity_matrix replaced.
 
+walk_cut_dendrogram is the cut that cut_dendrogram's reverse pass replaced: it
+maps each merged node to its parent in a dict and walks every leaf up to its
+root, O(n * depth) in all. It is the reference for the cut's member lists.
+
 pair_similarity is the similarity formula 1 / (1 + ||u - v||) for one pair;
 similarity_matrix computes it for all pairs at once.
 
@@ -224,6 +228,30 @@ def slot_scan_hac(vectors):
         ids[slot_a] = new_id
         active[slot_b] = False
     return merges
+
+
+def walk_cut_dendrogram(dendrogram, k: int) -> list[list[int]]:
+    """Member lists of the k clusters left after the first n-k merges.
+
+    Clusters are ordered by smallest contained leaf, members ascending.
+    """
+    n = dendrogram.leaf_count
+    if not (1 <= k <= n):
+        raise ValueError(f"k must be in 1..{n}, got {k}")
+    parent: dict[int, int] = {}
+    for a, b, _, new_id in dendrogram.merges[: n - k]:
+        parent[a] = new_id
+        parent[b] = new_id
+    groups: dict[int, list[int]] = {}
+    for leaf in range(n):
+        root = leaf
+        while root in parent:
+            root = parent[root]
+        groups.setdefault(root, []).append(leaf)
+    clusters = sorted(groups.values(), key=lambda m: m[0])
+    if len(clusters) != k:
+        raise ValueError(f"cut produced {len(clusters)} clusters, expected {k}")
+    return clusters
 
 
 def _loop_embed_sequence(token_ids, table, max_len: int, oov_marker: int | None = None):

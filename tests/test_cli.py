@@ -394,8 +394,14 @@ class TestExitCodes:
         lines = model.read_text().splitlines()
         hidden = lines.index("hidden 3")
         fc_b = lines.index("param fc_b 2")
+        max_len = lines.index("max_len 20")
         cases = [
             (hidden, "hidden three", f"model.txt:{hidden + 1}: hidden"),
+            (
+                max_len,
+                "max_len 20\nmax_len 3",
+                f"model.txt:{max_len + 2}: repeated architecture key 'max_len'",
+            ),
             (hidden, None, "missing architecture key 'hidden'"),
             (hidden, "hidden 3\nkernels 3", "key 'kernels' is not used by kind 'lstm'"),
             (fc_b, "param fc_b two", f"model.txt:{fc_b + 1}:"),
@@ -434,7 +440,7 @@ class TestExitCodes:
         assert err == f"error: {model}:{gate_w + 1}: param 'gate_w' size mismatch\n"
 
     def test_cluster_id_beyond_the_word_count_is_two(self, tiny, tmp_path, capsys):
-        # counting members per id up to this one would take 6.4 PiB; numpy refuses that at once
+        # an id is checked as a string against 0..k-1: nothing is allocated per id
         vectors = tmp_path / "vectors.txt"
         assert run_cli(
             "train-embeddings", tiny["corpus"], "--output", vectors, "--dim", 4, "--epochs", 1
@@ -444,11 +450,36 @@ class TestExitCodes:
         rows = [line.split("\t") for line in clusters.read_text().splitlines()]
         rows[-1][1] = "900000000000000"
         clusters.write_text("".join(f"{word}\t{cid}\n" for word, cid in rows))
-        empty = min(set(range(len(rows))) - {int(cid) for _, cid in rows})
+        k = len({cid for _, cid in rows})
         capsys.readouterr()
         output = tmp_path / "expanded.txt"
         assert run_cli("expand", vectors, clusters, "--output", output) == 2
-        assert capsys.readouterr().err == f"error: {clusters}: cluster {empty} has no members\n"
+        assert capsys.readouterr().err == (
+            f"error: {clusters}:{len(rows)}: cluster id must be an integer in 0..{k - 1}, "
+            "got '900000000000000'\n"
+        )
+        assert not output.exists()
+
+    # cluster 1 spelled as save_assignment never writes it: with a leading zero,
+    # a sign, a space, an Arabic-Indic digit, or as 2, which leaves cluster 1 empty
+    @pytest.mark.parametrize("spelling", ["01", "+1", " 1", "\u0661", "2"])
+    def test_cluster_id_of_another_spelling_is_two(self, spelling, tiny, tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        assert run_cli(
+            "train-embeddings", tiny["corpus"], "--output", vectors, "--dim", 4, "--epochs", 1
+        ) == 0
+        clusters = tmp_path / "clusters.tsv"
+        assert run_cli("cluster", vectors, "--k", 2, "--output", clusters) == 0
+        rows = [line.split("\t") for line in clusters.read_text().splitlines()]
+        line = 1 + [cid for _, cid in rows].index("1")
+        text = "".join(f"{word}\t{spelling if cid == '1' else cid}\n" for word, cid in rows)
+        clusters.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        output = tmp_path / "expanded.txt"
+        assert run_cli("expand", vectors, clusters, "--output", output) == 2
+        assert capsys.readouterr().err == (
+            f"error: {clusters}:{line}: cluster id must be an integer in 0..1, got {spelling!r}\n"
+        )
         assert not output.exists()
 
     def test_vectors_of_wrong_width_are_two(self, tiny, tmp_path, capsys):
@@ -566,6 +597,24 @@ class TestExitCodes:
         output = tmp_path / "expanded.txt"
         assert run_cli("expand", vectors, clusters, "--output", output) == 2
         assert capsys.readouterr().err == f"error: {centroids}: unexpected centroid token {token!r}\n"
+        assert not output.exists()
+
+    def test_centroid_rows_out_of_order_are_two(self, tiny, tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        assert run_cli(
+            "train-embeddings", tiny["corpus"], "--output", vectors, "--dim", 4, "--epochs", 1
+        ) == 0
+        clusters = tmp_path / "clusters.tsv"
+        assert run_cli("cluster", vectors, "--k", 2, "--output", clusters) == 0
+        centroids = Path(f"{clusters}.centroids")
+        header, first, second = centroids.read_text(encoding="utf-8").splitlines()
+        centroids.write_text(f"{header}\n{second}\n{first}\n", encoding="utf-8")
+        capsys.readouterr()
+        output = tmp_path / "expanded.txt"
+        assert run_cli("expand", vectors, clusters, "--output", output) == 2
+        assert capsys.readouterr().err == (
+            f"error: {centroids}: unexpected centroid token 'cluster_1'\n"
+        )
         assert not output.exists()
 
     def test_centroids_of_wrong_width_are_two(self, tiny, tmp_path, capsys):

@@ -616,6 +616,12 @@ class TestCheckpoints:
             (hidden_line, "hidden 2\nkernels 2", "key 'kernels' is not used by kind 'lstm'"),
             (fc_b_line, "param fc_b two", f":{fc_b_line + 1}:"),
             (hidden_line, "hidden 0", "hidden must be >= 1"),
+            (
+                hidden_line,
+                "hidden 2\nhidden 3",
+                f":{hidden_line + 2}: repeated architecture key 'hidden'",
+            ),
+            (fc_b_line, "param fc_b 2\n0 0\nparam fc_b 2", f":{fc_b_line + 3}: repeated param 'fc_b'"),
             (lines.index("kind lstm"), "kind transformer", "transformer"),
             *[
                 (
