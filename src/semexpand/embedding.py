@@ -24,7 +24,14 @@ from itertools import chain
 import numpy as np
 
 from .corpus import MIN_COUNT, TokenizedCorpus, Vocabulary
-from .errors import ConfigError, DataFormatError, NumericError, check_range, open_text
+from .errors import (
+    ConfigError,
+    DataFormatError,
+    NumericError,
+    check_range,
+    format_floats,
+    open_text,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -340,12 +347,11 @@ def write_vector_file(path, words, matrix) -> None:
     if bad:  # read_vector_file splits lines on whitespace: such a word would not read back
         raise ValueError(f"vector-file word {bad[0]!r} is empty or holds whitespace")
     matrix = np.asarray(matrix)
-    row_format = " ".join(["%.17g"] * matrix.shape[1])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(words)} {matrix.shape[1]}\n")
         # row by row: a whole-matrix tolist() would hold every value as a Python float at once
         for word, row in zip(words, matrix):
-            fh.write(f"{word} {row_format % tuple(row.tolist())}\n")
+            fh.write(f"{word} {format_floats(row)}\n")
 
 
 def read_vector_file(path) -> tuple[list[str], np.ndarray]:

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, the one range check, and the
-one way to open a text input.
+"""Exception hierarchy shared across the package, the one range check, the
+one way to open a text input, and the one way to write floats as text.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataFormatError -> 2,
 NumericError -> 3.
@@ -63,6 +63,15 @@ def open_text(path):
             yield fh
         except UnicodeDecodeError as exc:
             raise DataFormatError(_decode_error_message(path, exc)) from None
+
+
+def format_floats(values) -> str:
+    """A 1-D array as space-separated "%.17g" text, which reads back to the same floats.
+
+    One template for the whole row formats it in one call, which is faster
+    than formatting each numpy scalar on its own.
+    """
+    return " ".join(["%.17g"] * len(values)) % tuple(values.tolist())
 
 
 def _decode_error_message(path, exc: UnicodeDecodeError) -> str:

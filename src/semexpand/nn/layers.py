@@ -5,6 +5,17 @@ upstream gradient plus that cache. The convolution's backward is split in
 two: conv1d_backward returns the weight and bias gradients, and
 conv1d_input_grad the input gradient, which a caller forms only where
 something upstream learns (the first conv layer reads static embeddings).
+
+conv1d_forward copies its windows into one C-contiguous (B, L-k+1, k*C)
+column array. A product on a strided window view pays numpy's overhead for
+the view on every call, and the backward then copied the columns again; the
+contiguous array multiplies as it is, and conv1d_backward reads it as rows
+through a free reshape. The forward product stays batched (3-D @ 2-D): one
+flattened 2-D product is faster still, but it rounds differently once k*C is
+large (500 at a TREC-like shape), and every output here is bit-identical to
+the window-view form. maxpool1d_forward caches a mask of each block's first
+max instead of argmax indices, which cost about four times the max itself.
+
 Arrays are float64 throughout so finite difference checks resolve below 1e-4
 relative error.
 """
@@ -44,20 +55,28 @@ def conv1d_forward(x, w, b, kernel_width: int):
 
     x: (B, L, C); w: (kernel_width * C, F); b: (F,). Output (B, L-k+1, F).
     Each window is flattened (time-major, then channel) to match w's layout.
+    The windows are copied into one C-contiguous column array, a slice of x
+    per kernel offset, which the cache keeps for conv1d_backward.
     """
     batch, length, channels = x.shape
     out_len = length - kernel_width + 1
     if out_len < 1:
         raise ValueError(f"sequence length {length} shorter than kernel {kernel_width}")
-    windows = np.lib.stride_tricks.sliding_window_view(x, kernel_width, axis=1)
-    # (B, out_len, C, k) -> (B, out_len, k*C)
-    cols = windows.transpose(0, 1, 3, 2).reshape(batch, out_len, kernel_width * channels)
-    out = cols @ w + b
+    cols = np.empty((batch, out_len, kernel_width * channels))
+    by_offset = cols.reshape(batch, out_len, kernel_width, channels)
+    for j in range(kernel_width):
+        by_offset[:, :, j] = x[:, j : j + out_len]
+    out = cols @ w  # batched: see the module docstring
+    out += b
     return out, (cols, x.shape)
 
 
 def conv1d_backward(dout, cache):
-    """(dw, db) of conv1d_forward for the upstream gradient dout (B, L-k+1, F)."""
+    """(dw, db) of conv1d_forward for the upstream gradient dout (B, L-k+1, F).
+
+    The cached columns are contiguous, so they reshape to (B * (L-k+1), k*C)
+    rows without a copy.
+    """
     cols, _ = cache
     dw = cols.reshape(-1, cols.shape[-1]).T @ dout.reshape(-1, dout.shape[-1])
     db = dout.sum(axis=(0, 1))
@@ -77,24 +96,37 @@ def conv1d_input_grad(dout, cache, w, kernel_width: int):
 
 
 def maxpool1d_forward(x, width: int):
-    """Non-overlapping max pooling along the sequence axis; floor on odd tails."""
+    """Non-overlapping max pooling along the sequence axis; floor on odd tails.
+
+    The cache holds a mask of each block's first max, where the backward sends
+    the gradient: a later position equal to the max is cleared once an earlier
+    one has been taken.
+    """
     batch, length, channels = x.shape
     pooled_len = length // width
     if pooled_len < 1:
         raise ValueError(f"sequence length {length} shorter than pool width {width}")
     blocks = x[:, : pooled_len * width, :].reshape(batch, pooled_len, width, channels)
-    # argmax is the first index of each block's max, where the backward sends the gradient
-    return blocks.max(axis=2), (blocks.argmax(axis=2), x.shape, width)
+    out = blocks.max(axis=2)
+    first = blocks == out[:, :, None, :]
+    taken = first[:, :, 0].copy()
+    for j in range(1, width):
+        first[:, :, j] &= ~taken
+        taken |= first[:, :, j]
+    return out, (first, x.shape, width)
 
 
 def maxpool1d_backward(dout, cache):
-    idx, x_shape, width = cache
+    first, x_shape, width = cache
     batch, length, channels = x_shape
     pooled_len = length // width
-    dblocks = np.zeros((batch, pooled_len, width, channels))
-    np.put_along_axis(dblocks, idx[:, :, None, :], dout[:, :, None, :], axis=2)
+    # every position that is not its block's first max, the tail included, stays +0.0
+    dblocks = np.where(first, dout[:, :, None, :], 0.0)
+    dblocks = dblocks.reshape(batch, pooled_len * width, channels)
+    if pooled_len * width == length:
+        return dblocks  # no tail: a second zeroed array and its copy would double the cost
     dx = np.zeros(x_shape)
-    dx[:, : pooled_len * width, :] = dblocks.reshape(batch, pooled_len * width, channels)
+    dx[:, : pooled_len * width, :] = dblocks
     return dx
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DataFormatError, check_range, open_text
+from ..errors import ConfigError, DataFormatError, check_range, format_floats, open_text
 from . import layers
 
 logger = logging.getLogger(__name__)
@@ -239,7 +239,7 @@ def save_model(model: _Classifier, path) -> None:
             fh.write(f"{key} {value}\n")
         for name, p in model.params.items():
             fh.write(f"param {name} {p.size}\n")
-            fh.write(" ".join(f"{v:.17g}" for v in p.ravel()) + "\n")
+            fh.write(format_floats(p.ravel()) + "\n")
 
 
 def load_model(path) -> _Classifier:

@@ -71,7 +71,8 @@ def _sentence(rng, topic: int, word_indices, contamination: float, length_range)
         t = topic
         if contamination > 0 and rng.random() < contamination:
             t = int((topic + 1 + rng.integers(TOPIC_COUNT - 1)) % TOPIC_COUNT)
-        tokens.append(topic_word(t, int(rng.choice(word_indices))))
+        # the draw rng.choice makes, without its per-call overhead
+        tokens.append(topic_word(t, int(word_indices[rng.integers(len(word_indices))])))
     return " ".join(tokens)
 
 

@@ -59,23 +59,40 @@ loss, which the finite-difference checks differentiate.
 gradient_check compares a classifier's analytic gradients with central
 differences, bumping each entry of model.params in place and putting it back.
 
+window_conv1d_forward and window_conv1d_backward are the convolution as it
+was before its columns were copied into one contiguous array: the forward
+multiplies a strided sliding-window view, and the backward copies it to rows.
+argmax_maxpool1d_forward and argmax_maxpool1d_backward are the max pool as it
+was before its cache became a first-max mask: the forward caches each block's
+argmax, and the backward scatters into zeros with put_along_axis. All four are
+verbatim apart from their names, and are the bit-for-bit reference for the
+layers' outputs and gradients.
+
 full_cnn_loss_and_grads is CnnClassifier.loss_and_grads as it was before the
 convolution's backward was split: full_conv1d_backward forms every layer's
-input gradient, and the first layer's is discarded; take_maxpool1d_forward
-reads each block's max through its argmax. It is the bit-for-bit reference
-for the loss, probabilities and gradients. loop_conv1d_backward and
-loop_conv1d_input_grad are per-window loops for the split functions.
+input gradient, and the first layer's is discarded. It runs on the four
+functions above and on layers code that none of them replaced (ReLU, dense,
+softmax, cross entropy), so it is the bit-for-bit reference for the loss,
+probabilities and gradients. loop_conv1d_backward and loop_conv1d_input_grad
+are per-window loops for the split functions.
 
 fstring_write_vector_file is write_vector_file as it was before each row was
 formatted with one "%.17g" template: it formats every value with its own
 f-string. It is the reference for the bytes of every vector file.
+fstring_save_model is save_model as it was before it shared that template; it
+is the reference for the bytes of every model file.
+
+choice_sentence is synthetic's sentence generator as it was before each word
+index was drawn with rng.integers: it draws with rng.choice. It is the
+reference for every generated planted benchmark.
 """
 
 import numpy as np
 
 from semexpand.embedding import MODE_EXACT, MODE_NEGATIVE, EmbeddingMatrix, corpus_objective
 from semexpand.errors import DataFormatError, NumericError
-from semexpand.nn import layers
+from semexpand.nn import CHECKPOINT_TAG, layers
+from semexpand.synthetic import TOPIC_COUNT, topic_word
 
 
 def pair_similarity(u, v) -> float:
@@ -558,27 +575,62 @@ def full_conv1d_backward(dout, cache, w, kernel_width: int):
     return dx, dw, db
 
 
-def take_maxpool1d_forward(x, width: int):
+def window_conv1d_forward(x, w, b, kernel_width: int):
+    """Valid 1-D convolution along the sequence axis.
+
+    x: (B, L, C); w: (kernel_width * C, F); b: (F,). Output (B, L-k+1, F).
+    Each window is flattened (time-major, then channel) to match w's layout.
+    """
+    batch, length, channels = x.shape
+    out_len = length - kernel_width + 1
+    if out_len < 1:
+        raise ValueError(f"sequence length {length} shorter than kernel {kernel_width}")
+    windows = np.lib.stride_tricks.sliding_window_view(x, kernel_width, axis=1)
+    # (B, out_len, C, k) -> (B, out_len, k*C)
+    cols = windows.transpose(0, 1, 3, 2).reshape(batch, out_len, kernel_width * channels)
+    out = cols @ w + b
+    return out, (cols, x.shape)
+
+
+def window_conv1d_backward(dout, cache):
+    """(dw, db) of conv1d_forward for the upstream gradient dout (B, L-k+1, F)."""
+    cols, _ = cache
+    dw = cols.reshape(-1, cols.shape[-1]).T @ dout.reshape(-1, dout.shape[-1])
+    db = dout.sum(axis=(0, 1))
+    return dw, db
+
+
+def argmax_maxpool1d_forward(x, width: int):
     """Non-overlapping max pooling along the sequence axis; floor on odd tails."""
     batch, length, channels = x.shape
     pooled_len = length // width
     if pooled_len < 1:
         raise ValueError(f"sequence length {length} shorter than pool width {width}")
     blocks = x[:, : pooled_len * width, :].reshape(batch, pooled_len, width, channels)
-    idx = blocks.argmax(axis=2)
-    out = np.take_along_axis(blocks, idx[:, :, None, :], axis=2).squeeze(2)
-    return out, (idx, x.shape, width)
+    # argmax is the first index of each block's max, where the backward sends the gradient
+    return blocks.max(axis=2), (blocks.argmax(axis=2), x.shape, width)
+
+
+def argmax_maxpool1d_backward(dout, cache):
+    idx, x_shape, width = cache
+    batch, length, channels = x_shape
+    pooled_len = length // width
+    dblocks = np.zeros((batch, pooled_len, width, channels))
+    np.put_along_axis(dblocks, idx[:, :, None, :], dout[:, :, None, :], axis=2)
+    dx = np.zeros(x_shape)
+    dx[:, : pooled_len * width, :] = dblocks.reshape(batch, pooled_len * width, channels)
+    return dx
 
 
 def _full_cnn_forward_cache(model, x):
     p = model.params
     kw = model.kernel_width
-    c1, c1_cache = layers.conv1d_forward(x, p["conv1_w"], p["conv1_b"], kw)
+    c1, c1_cache = window_conv1d_forward(x, p["conv1_w"], p["conv1_b"], kw)
     r1, r1_mask = layers.relu_forward(c1)
-    p1, p1_cache = take_maxpool1d_forward(r1, model.pool_width)
-    c2, c2_cache = layers.conv1d_forward(p1, p["conv2_w"], p["conv2_b"], kw)
+    p1, p1_cache = argmax_maxpool1d_forward(r1, model.pool_width)
+    c2, c2_cache = window_conv1d_forward(p1, p["conv2_w"], p["conv2_b"], kw)
     r2, r2_mask = layers.relu_forward(c2)
-    p2, p2_cache = take_maxpool1d_forward(r2, model.pool_width)
+    p2, p2_cache = argmax_maxpool1d_forward(r2, model.pool_width)
     flat = p2.reshape(len(x), -1)
     logits, fc_cache = layers.dense_forward(flat, p["fc_w"], p["fc_b"])
     probs = layers.softmax(logits)
@@ -597,10 +649,10 @@ def full_cnn_loss_and_grads(model, x, mask, y):
     dlogits = layers.softmax_cross_entropy_grad(probs, y)
     dflat, dfc_w, dfc_b = layers.dense_backward(dlogits, fc_cache, p["fc_w"])
     dp2 = dflat.reshape(p2_shape)
-    dr2 = layers.maxpool1d_backward(dp2, p2_cache)
+    dr2 = argmax_maxpool1d_backward(dp2, p2_cache)
     dc2 = layers.relu_backward(dr2, r2_mask)
     dp1, dconv2_w, dconv2_b = full_conv1d_backward(dc2, c2_cache, p["conv2_w"], kw)
-    dr1 = layers.maxpool1d_backward(dp1, p1_cache)
+    dr1 = argmax_maxpool1d_backward(dp1, p1_cache)
     dc1 = layers.relu_backward(dr1, r1_mask)
     _, dconv1_w, dconv1_b = full_conv1d_backward(dc1, c1_cache, p["conv1_w"], kw)
     grads = {
@@ -643,3 +695,25 @@ def fstring_write_vector_file(path, words, matrix) -> None:
         for word, row in zip(words, matrix):
             vals = " ".join(f"{x:.17g}" for x in row)
             fh.write(f"{word} {vals}\n")
+
+
+def fstring_save_model(model, path) -> None:
+    """Write the architecture descriptor and flat parameter arrays as text."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(CHECKPOINT_TAG + "\n")
+        for key, value in model.arch().items():
+            fh.write(f"{key} {value}\n")
+        for name, p in model.params.items():
+            fh.write(f"param {name} {p.size}\n")
+            fh.write(" ".join(f"{v:.17g}" for v in p.ravel()) + "\n")
+
+
+def choice_sentence(rng, topic: int, word_indices, contamination: float, length_range) -> str:
+    length = int(rng.integers(length_range[0], length_range[1] + 1))
+    tokens = []
+    for _ in range(length):
+        t = topic
+        if contamination > 0 and rng.random() < contamination:
+            t = int((topic + 1 + rng.integers(TOPIC_COUNT - 1)) % TOPIC_COUNT)
+        tokens.append(topic_word(t, int(rng.choice(word_indices))))
+    return " ".join(tokens)

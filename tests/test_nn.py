@@ -1,3 +1,4 @@
+import functools
 import math
 from pathlib import Path
 
@@ -19,15 +20,27 @@ from semexpand.nn import (
 )
 from helpers import make_separable_toyset
 from oracles import (
+    argmax_maxpool1d_backward,
+    argmax_maxpool1d_forward,
+    fstring_save_model,
     full_cnn_loss_and_grads,
     gradient_check,
     loop_conv1d_backward,
     loop_conv1d_input_grad,
     step_lstm_backward,
     step_lstm_forward,
+    window_conv1d_backward,
+    window_conv1d_forward,
 )
 
 CHECKPOINTS = Path(__file__).resolve().parent / "data"
+
+
+def assert_same_bits(a, b, label=""):
+    """Equal shapes and bytes: np.array_equal, but -0.0 is not +0.0 and NaN is itself."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.shape, a.dtype) == (b.shape, b.dtype), label
+    assert a.tobytes() == b.tobytes(), label
 
 
 class TestConvAndPool:
@@ -92,6 +105,47 @@ class TestConvAndPool:
         # ties (2, 2) and (3, 3) send the gradient to the block's first index;
         # the floor-tail row gets none
         assert dx[0].tolist() == [[10.0, 0.0], [0.0, 20.0], [0.0, 40.0], [30.0, 0.0], [0.0, 0.0]]
+
+    @pytest.mark.parametrize(
+        "batch, length, channels, filters, kw",
+        [
+            (32, 12, 64, 32, 3),  # wide-vocab's first layer
+            (32, 5, 32, 32, 3),  # and its second
+            (50, 20, 100, 64, 5),  # k*C = 500, where a flattened 2-D product rounds differently
+            (128, 20, 100, 64, 5),  # TREC-like
+            (3, 8, 2, 5, 1),  # a kernel of width 1
+        ],
+    )
+    def test_conv_bit_identical_to_window_view(self, batch, length, channels, filters, kw):
+        rng = np.random.default_rng(length * channels + kw)
+        x = rng.normal(size=(batch, length, channels))
+        x[:, length - 4 :] = 0.0
+        w = rng.normal(size=(kw * channels, filters))
+        b = rng.normal(size=filters)
+        out, cache = layers.conv1d_forward(x, w, b, kw)
+        ref_out, ref_cache = window_conv1d_forward(x, w, b, kw)
+        assert_same_bits(out, ref_out)
+        dout = rng.normal(size=out.shape)
+        grads = zip(layers.conv1d_backward(dout, cache), window_conv1d_backward(dout, ref_cache))
+        for got, ref in grads:
+            assert_same_bits(got, ref)
+
+    @pytest.mark.parametrize("length, width", [(10, 2), (11, 2), (15, 3), (17, 4), (5, 1)])
+    def test_maxpool_bit_identical_to_argmax_under_ties(self, length, width):
+        rng = np.random.default_rng(length + width)
+        # small whole numbers, after a ReLU: most blocks hold a tie, many a tie at zero
+        x = np.maximum(rng.integers(-2, 3, size=(6, length, 5)), 0).astype(float)
+        out, cache = layers.maxpool1d_forward(x, width)
+        ref_out, ref_cache = argmax_maxpool1d_forward(x, width)
+        assert_same_bits(out, ref_out)
+        blocks = x[:, : (length // width) * width].reshape(6, length // width, width, 5)
+        if width > 1:
+            assert ((blocks == out[:, :, None, :]).sum(axis=2) > 1).any()
+        dout = rng.normal(size=out.shape)
+        dout[0, 0, 0] = -0.0
+        assert_same_bits(
+            layers.maxpool1d_backward(dout, cache), argmax_maxpool1d_backward(dout, ref_cache)
+        )
 
     def test_stage_lengths(self):
         assert cnn_output_lengths(20, 5, 2) == (16, 8, 4, 2)
@@ -352,17 +406,24 @@ class TestCnnModel:
 
 
 class TestCnnParity:
-    """loss_and_grads against the version that formed conv1's input gradient too."""
+    """The CNN against its earlier layers, which tests/oracles.py keeps verbatim.
 
-    @pytest.mark.parametrize(
-        "batch, max_len, width, kernels, kw, pool",
-        [
-            (32, 12, 64, 32, 3, 2),  # wide-vocab sizes; conv2's 3 rows pool with a tail of 1
-            (4, 20, 3, 5, 5, 2),  # every stage even
-            (5, 15, 4, 6, 2, 3),  # tails of 2 rows and 0 rows
-        ],
-    )
-    def test_bit_identical_to_full_backward(self, batch, max_len, width, kernels, kw, pool):
+    The reference forms conv1's input gradient too, multiplies a strided
+    window view and pools through argmax indices. Every loss, probability,
+    gradient and trained parameter must be bit-identical to it.
+    """
+
+    SHAPES = [
+        (32, 12, 64, 32, 3, 2),  # wide-vocab sizes; conv2's 3 rows pool with a tail of 1
+        (4, 20, 3, 5, 5, 2),  # every stage even
+        (5, 15, 4, 6, 2, 3),  # tails of 2 rows and 0 rows
+        (50, 20, 100, 64, 5, 2),  # k*C = 500
+        (128, 20, 100, 64, 5, 2),  # k*C = 500, TREC-like
+        (6, 10, 3, 4, 3, 2),  # conv1's last block lies wholly in the padding: a tie
+    ]
+
+    @staticmethod
+    def _problem(batch, max_len, width, kernels, kw, pool, examples):
         rng = np.random.default_rng(max_len)
         shape = ClassifierConfig(
             "cnn", max_len=max_len, kernels=kernels, kernel_width=kw, pool_width=pool
@@ -370,18 +431,37 @@ class TestCnnParity:
         model = build_model(shape, width, 3, seed=7)
         for name in ("conv1_b", "conv2_b", "fc_b"):
             model.params[name] = rng.normal(scale=0.1, size=model.params[name].shape)
-        x = rng.normal(size=(batch, max_len, width))
+        x = rng.normal(size=(examples, max_len, width))
         x[:, max_len - 4 :, :] = 0.0  # trailing padding, as embed_dataset writes it
-        y = rng.integers(3, size=batch)
-        mask = np.ones((batch, max_len))
+        y = rng.integers(3, size=examples)
+        mask = np.ones((examples, max_len))
         mask[:, max_len - 4 :] = 0.0
+        return model, x, mask, y
+
+    @pytest.mark.parametrize("batch, max_len, width, kernels, kw, pool", SHAPES)
+    def test_bit_identical_to_full_backward(self, batch, max_len, width, kernels, kw, pool):
+        model, x, mask, y = self._problem(batch, max_len, width, kernels, kw, pool, batch)
         loss, grads, probs = model.loss_and_grads(x, mask, y)
         ref_loss, ref_grads, ref_probs = full_cnn_loss_and_grads(model, x, mask, y)
         assert loss == ref_loss
-        assert np.array_equal(probs, ref_probs)
+        assert_same_bits(probs, ref_probs)
         assert list(grads) == list(ref_grads)
         for name, g in grads.items():
-            assert np.array_equal(g, ref_grads[name]), name
+            assert_same_bits(g, ref_grads[name], name)
+
+    @pytest.mark.parametrize("batch, max_len, width, kernels, kw, pool", SHAPES)
+    def test_trained_parameters_bit_identical(self, batch, max_len, width, kernels, kw, pool):
+        # two full batches and a short one per epoch
+        problem = (batch, max_len, width, kernels, kw, pool, 2 * batch + 3)
+        model, x, mask, y = self._problem(*problem)
+        ref, _, _, _ = self._problem(*problem)
+        ref.loss_and_grads = functools.partial(full_cnn_loss_and_grads, ref)
+        config = TrainConfig(batch_size=batch, epochs=3, learning_rate=0.1, seed=2)
+        log = train_classifier(model, x, mask, y, config)
+        ref_log = train_classifier(ref, x, mask, y, config)
+        assert log.epoch_losses == ref_log.epoch_losses
+        for name, p in model.params.items():
+            assert_same_bits(p, ref.params[name], name)
 
 
 class TestGradientChecks:
@@ -568,6 +648,21 @@ class TestCheckpoints:
         rng = np.random.default_rng(31)
         x, mask = rng.normal(size=(2, 14, 3)), np.ones((2, 14))
         assert np.abs(model.forward(x, mask) - loaded.forward(x, mask)).max() < 1e-12
+
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        rng = np.random.default_rng(14)
+        special = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 1e16, 99999999.5, 5e300]
+        for kind in ("cnn", "lstm"):
+            shape = ClassifierConfig(kind, max_len=10, kernel_width=3, hidden=3)
+            model = build_model(shape, 4, 3, seed=0)
+            for i, p in enumerate(model.params.values()):
+                p *= 10.0 ** rng.integers(-300, 300, size=p.shape)
+                p.flat[: len(special)] = special[: p.size]
+                p.flat[-1] = -special[i % len(special)]
+            new, old = tmp_path / f"{kind}-new.txt", tmp_path / f"{kind}-old.txt"
+            save_model(model, new)
+            fstring_save_model(model, old)
+            assert new.read_bytes() == old.read_bytes()
 
     def test_wrong_tag_rejected(self, tmp_path):
         path = tmp_path / "model.txt"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import assert_no_child_left, make_separable_toyset, write_benchmark
+from oracles import choice_sentence
 from semexpand import clustering, sidebyside, synthetic
 from semexpand.corpus import load_labeled_file, load_sentence_file, tokenize
 from semexpand.errors import NumericError
@@ -76,6 +77,12 @@ class TestBenchmarkGenerator:
         a = synthetic.make_benchmark(seed=7)
         b = synthetic.make_benchmark(seed=7)
         assert a.unlabeled == b.unlabeled and a.train == b.train and a.test == b.test
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 1000, 1001, 1002, 1003, 1004])
+    def test_equal_to_choice_draws(self, seed, monkeypatch):
+        bench = synthetic.make_benchmark(seed)
+        monkeypatch.setattr(synthetic, "_sentence", choice_sentence)
+        assert bench == synthetic.make_benchmark(seed)
 
     def test_written_files_load_back(self, tmp_path):
         bench = synthetic.make_benchmark(seed=5)
