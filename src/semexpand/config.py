@@ -24,7 +24,7 @@ logger = logging.getLogger(__name__)
 
 # Keys that config files and overrides may still name; they are skipped with a
 # warning, so snapshots written before their retirement still load.
-RETIRED_KEYS = ("synonyms", "test_fraction")
+RETIRED_KEYS = ("synonyms", "test_fraction", "pool_width")
 
 # The ExperimentConfig key of each stage-config field whose name differs; the
 # same map builds the stage config and names the key in its errors.
@@ -70,7 +70,6 @@ class ExperimentConfig:
     hidden: int = ClassifierConfig.hidden
     kernels: int = ClassifierConfig.kernels
     kernel_width: int = ClassifierConfig.kernel_width
-    pool_width: int = ClassifierConfig.pool_width
     max_len: int = ClassifierConfig.max_len
 
     # classifier training

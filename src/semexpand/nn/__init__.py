@@ -7,7 +7,6 @@ from .models import (
     CnnClassifier,
     LstmClassifier,
     build_model,
-    cnn_output_lengths,
     load_model,
     save_model,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "layers",
     "LstmClassifier",
     "build_model",
-    "cnn_output_lengths",
     "load_model",
     "save_model",
     "EvalResult",

@@ -1,10 +1,9 @@
 """Forward/backward primitives for the from-scratch classifiers.
 
 Every forward returns (output, cache); the matching backward consumes the
-upstream gradient plus that cache. The convolution's backward is split in
-two: conv1d_backward returns the weight and bias gradients, and
-conv1d_input_grad the input gradient, which a caller forms only where
-something upstream learns (the first conv layer reads static embeddings).
+upstream gradient plus that cache. The convolution's backward returns only
+the weight and bias gradients: its input is the static embeddings, which
+never learn.
 
 conv1d_forward copies its windows into one C-contiguous (B, L-k+1, k*C)
 column array. A product on a strided window view pays numpy's overhead for
@@ -13,8 +12,10 @@ contiguous array multiplies as it is, and conv1d_backward reads it as rows
 through a free reshape. The forward product stays batched (3-D @ 2-D): one
 flattened 2-D product is faster still, but it rounds differently once k*C is
 large (500 at a TREC-like shape), and every output here is bit-identical to
-the window-view form. maxpool1d_forward caches a mask of each block's first
-max instead of argmax indices, which cost about four times the max itself.
+the window-view form. max_over_time_forward caches a mask of each channel's
+first max instead of argmax indices: at a TREC-like (128, 16, 64), the mask's
+forward and backward took 0.43 ms together, and argmax with put_along_axis
+0.58 ms.
 
 Arrays are float64 throughout so finite difference checks resolve below 1e-4
 relative error.
@@ -56,7 +57,7 @@ def conv1d_forward(x, w, b, kernel_width: int):
     x: (B, L, C); w: (kernel_width * C, F); b: (F,). Output (B, L-k+1, F).
     Each window is flattened (time-major, then channel) to match w's layout.
     The windows are copied into one C-contiguous column array, a slice of x
-    per kernel offset, which the cache keeps for conv1d_backward.
+    per kernel offset, which is the cache conv1d_backward reads.
     """
     batch, length, channels = x.shape
     out_len = length - kernel_width + 1
@@ -68,66 +69,39 @@ def conv1d_forward(x, w, b, kernel_width: int):
         by_offset[:, :, j] = x[:, j : j + out_len]
     out = cols @ w  # batched: see the module docstring
     out += b
-    return out, (cols, x.shape)
+    return out, cols
 
 
-def conv1d_backward(dout, cache):
+def conv1d_backward(dout, cols):
     """(dw, db) of conv1d_forward for the upstream gradient dout (B, L-k+1, F).
 
     The cached columns are contiguous, so they reshape to (B * (L-k+1), k*C)
     rows without a copy.
     """
-    cols, _ = cache
     dw = cols.reshape(-1, cols.shape[-1]).T @ dout.reshape(-1, dout.shape[-1])
     db = dout.sum(axis=(0, 1))
     return dw, db
 
 
-def conv1d_input_grad(dout, cache, w, kernel_width: int):
-    """d(loss)/dx of conv1d_forward: each window's gradient added back at its offsets."""
-    _, x_shape = cache
-    batch, length, channels = x_shape
-    out_len = dout.shape[1]
-    dcols = (dout @ w.T).reshape(batch, out_len, kernel_width, channels)
-    dx = np.zeros(x_shape)
-    for j in range(kernel_width):
-        dx[:, j : j + out_len, :] += dcols[:, :, j, :]
-    return dx
+def max_over_time_forward(x):
+    """Max of each channel over the sequence axis: (B, L, C) -> (B, C).
 
-
-def maxpool1d_forward(x, width: int):
-    """Non-overlapping max pooling along the sequence axis; floor on odd tails.
-
-    The cache holds a mask of each block's first max, where the backward sends
+    The cache is a mask of each channel's first max, where the backward sends
     the gradient: a later position equal to the max is cleared once an earlier
     one has been taken.
     """
-    batch, length, channels = x.shape
-    pooled_len = length // width
-    if pooled_len < 1:
-        raise ValueError(f"sequence length {length} shorter than pool width {width}")
-    blocks = x[:, : pooled_len * width, :].reshape(batch, pooled_len, width, channels)
-    out = blocks.max(axis=2)
-    first = blocks == out[:, :, None, :]
-    taken = first[:, :, 0].copy()
-    for j in range(1, width):
-        first[:, :, j] &= ~taken
-        taken |= first[:, :, j]
-    return out, (first, x.shape, width)
+    out = x.max(axis=1)
+    first = x == out[:, None, :]
+    taken = first[:, 0].copy()
+    for t in range(1, x.shape[1]):
+        first[:, t] &= ~taken
+        taken |= first[:, t]
+    return out, first
 
 
-def maxpool1d_backward(dout, cache):
-    first, x_shape, width = cache
-    batch, length, channels = x_shape
-    pooled_len = length // width
-    # every position that is not its block's first max, the tail included, stays +0.0
-    dblocks = np.where(first, dout[:, :, None, :], 0.0)
-    dblocks = dblocks.reshape(batch, pooled_len * width, channels)
-    if pooled_len * width == length:
-        return dblocks  # no tail: a second zeroed array and its copy would double the cost
-    dx = np.zeros(x_shape)
-    dx[:, : pooled_len * width, :] = dblocks
-    return dx
+def max_over_time_backward(dout, first):
+    # every position that is not its channel's first max stays +0.0
+    return np.where(first, dout[:, None, :], 0.0)
 
 
 def softmax(logits):

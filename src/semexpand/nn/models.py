@@ -2,8 +2,9 @@
 
 Both models consume pre-embedded inputs of shape (B, max_len, input_width)
 with a parallel validity mask; embeddings are static inputs, never trained.
-The CNN stacks two valid convolutions with ReLU and width-2 max pooling, then
-a fully connected softmax layer. The LSTM runs one recurrent layer, mean-pools
+The CNN is Kim's short-text CNN with one kernel width: a valid convolution,
+ReLU, a max over all its positions (padding positions included) and a fully
+connected softmax layer. The LSTM runs one recurrent layer, mean-pools
 hidden states over valid positions and classifies the pooled state.
 """
 
@@ -24,15 +25,6 @@ CHECKPOINT_TAG = "semexpand-model v1"
 MODEL_KINDS = ("cnn", "lstm")
 
 
-def cnn_output_lengths(max_len: int, kernel_width: int, pool_width: int):
-    """Sequence lengths after each conv/pool stage."""
-    conv1 = max_len - kernel_width + 1
-    pool1 = conv1 // pool_width
-    conv2 = pool1 - kernel_width + 1
-    pool2 = conv2 // pool_width if conv2 >= 1 else 0
-    return conv1, pool1, conv2, pool2
-
-
 @dataclass
 class ClassifierConfig:
     """Classifier kind and sizes; ``max_len`` is the padded input length.
@@ -45,19 +37,17 @@ class ClassifierConfig:
     hidden: int = 300
     kernels: int = 64
     kernel_width: int = 5
-    pool_width: int = 2
     max_len: int = 20
 
     def __post_init__(self):
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"must be one of {MODEL_KINDS}, got {self.model!r}", "model")
-        for key in ("hidden", "kernels", "kernel_width", "pool_width", "max_len"):
+        for key in ("hidden", "kernels", "kernel_width", "max_len"):
             check_range(key, getattr(self, key), 1)
-        lengths = cnn_output_lengths(self.max_len, self.kernel_width, self.pool_width)
-        if self.model == "cnn" and min(lengths) < 1:
+        if self.model == "cnn" and self.max_len < self.kernel_width:
             raise ConfigError(
-                f"max_len={self.max_len} too short for kernel_width={self.kernel_width}, "
-                f"pool_width={self.pool_width}: stage lengths {lengths} must all be >= 1"
+                f"max_len={self.max_len} too short for kernel_width={self.kernel_width}: "
+                "the convolution needs one whole window"
             )
 
 
@@ -123,49 +113,33 @@ class _Classifier:
 
 class CnnClassifier(_Classifier):
     kind = "cnn"
-    size_names = ("max_len", "kernels", "kernel_width", "pool_width")
+    size_names = ("max_len", "kernels", "kernel_width")
 
     @staticmethod
     def param_shapes(shape, input_width, num_classes):
-        kernels, kw = shape.kernels, shape.kernel_width
-        flat_width = cnn_output_lengths(shape.max_len, kw, shape.pool_width)[3] * kernels
         return {
-            "conv1_w": (kw * input_width, kernels),
-            "conv1_b": (kernels,),
-            "conv2_w": (kw * kernels, kernels),
-            "conv2_b": (kernels,),
-            "fc_w": (flat_width, num_classes),
+            "conv_w": (shape.kernel_width * input_width, shape.kernels),
+            "conv_b": (shape.kernels,),
+            "fc_w": (shape.kernels, num_classes),
             "fc_b": (num_classes,),
         }
 
     def _forward_cache(self, x, mask):
         p = self.params
-        kw = self.kernel_width
-        c1, c1_cache = layers.conv1d_forward(x, p["conv1_w"], p["conv1_b"], kw)
-        r1, r1_mask = layers.relu_forward(c1)
-        p1, p1_cache = layers.maxpool1d_forward(r1, self.pool_width)
-        c2, c2_cache = layers.conv1d_forward(p1, p["conv2_w"], p["conv2_b"], kw)
-        r2, r2_mask = layers.relu_forward(c2)
-        p2, p2_cache = layers.maxpool1d_forward(r2, self.pool_width)
-        flat = p2.reshape(len(x), -1)
-        logits, fc_cache = layers.dense_forward(flat, p["fc_w"], p["fc_b"])
-        cache = (c1_cache, r1_mask, p1_cache, c2_cache, r2_mask, p2_cache, p2.shape, fc_cache)
-        return logits, cache
+        conv, conv_cache = layers.conv1d_forward(x, p["conv_w"], p["conv_b"], self.kernel_width)
+        relu, relu_mask = layers.relu_forward(conv)
+        pooled, pool_cache = layers.max_over_time_forward(relu)
+        logits, fc_cache = layers.dense_forward(pooled, p["fc_w"], p["fc_b"])
+        return logits, (conv_cache, relu_mask, pool_cache, fc_cache)
 
     def _backward(self, dlogits, cache):
-        c1_cache, r1_mask, p1_cache, c2_cache, r2_mask, p2_cache, p2_shape, fc_cache = cache
-        p = self.params
-        dflat, dfc_w, dfc_b = layers.dense_backward(dlogits, fc_cache, p["fc_w"])
-        dp2 = dflat.reshape(p2_shape)
-        dr2 = layers.maxpool1d_backward(dp2, p2_cache)
-        dc2 = layers.relu_backward(dr2, r2_mask)
-        dconv2_w, dconv2_b = layers.conv1d_backward(dc2, c2_cache)
-        dp1 = layers.conv1d_input_grad(dc2, c2_cache, p["conv2_w"], self.kernel_width)
-        dr1 = layers.maxpool1d_backward(dp1, p1_cache)
-        dc1 = layers.relu_backward(dr1, r1_mask)
-        # x is static embeddings, so conv1's input gradient is never formed
-        dconv1_w, dconv1_b = layers.conv1d_backward(dc1, c1_cache)
-        return dconv1_w, dconv1_b, dconv2_w, dconv2_b, dfc_w, dfc_b
+        conv_cache, relu_mask, pool_cache, fc_cache = cache
+        dpooled, dfc_w, dfc_b = layers.dense_backward(dlogits, fc_cache, self.params["fc_w"])
+        drelu = layers.max_over_time_backward(dpooled, pool_cache)
+        dconv = layers.relu_backward(drelu, relu_mask)
+        # x is static embeddings, so the convolution's input gradient is never formed
+        dconv_w, dconv_b = layers.conv1d_backward(dconv, conv_cache)
+        return dconv_w, dconv_b, dfc_w, dfc_b
 
 
 class LstmClassifier(_Classifier):

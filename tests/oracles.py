@@ -68,13 +68,12 @@ argmax, and the backward scatters into zeros with put_along_axis. All four are
 verbatim apart from their names, and are the bit-for-bit reference for the
 layers' outputs and gradients.
 
-full_cnn_loss_and_grads is CnnClassifier.loss_and_grads as it was before the
-convolution's backward was split: full_conv1d_backward forms every layer's
-input gradient, and the first layer's is discarded. It runs on the four
-functions above and on layers code that none of them replaced (ReLU, dense,
-softmax, cross entropy), so it is the bit-for-bit reference for the loss,
-probabilities and gradients. loop_conv1d_backward and loop_conv1d_input_grad
-are per-window loops for the split functions.
+window_argmax_cnn_loss_and_grads is CnnClassifier.loss_and_grads, a
+convolution, a ReLU and a max over all positions, built on the window-view
+convolution and on the argmax pool with one block as wide as the sequence. It
+uses no other layers code than ReLU, dense, softmax and cross entropy, so it
+is the bit-for-bit reference for the loss, probabilities and gradients.
+loop_conv1d_backward is a per-window loop for the convolution's gradients.
 
 fstring_write_vector_file is write_vector_file as it was before each row was
 formatted with one "%.17g" template: it formats every value with its own
@@ -562,19 +561,6 @@ def gradient_check(model, x, mask, y, step: float = 1e-4) -> float:
     return float(max_error)
 
 
-def full_conv1d_backward(dout, cache, w, kernel_width: int):
-    cols, x_shape = cache
-    batch, length, channels = x_shape
-    out_len = dout.shape[1]
-    dw = cols.reshape(-1, cols.shape[-1]).T @ dout.reshape(-1, dout.shape[-1])
-    db = dout.sum(axis=(0, 1))
-    dcols = (dout @ w.T).reshape(batch, out_len, kernel_width, channels)
-    dx = np.zeros(x_shape)
-    for j in range(kernel_width):
-        dx[:, j : j + out_len, :] += dcols[:, :, j, :]
-    return dx, dw, db
-
-
 def window_conv1d_forward(x, w, b, kernel_width: int):
     """Valid 1-D convolution along the sequence axis.
 
@@ -622,47 +608,22 @@ def argmax_maxpool1d_backward(dout, cache):
     return dx
 
 
-def _full_cnn_forward_cache(model, x):
-    p = model.params
-    kw = model.kernel_width
-    c1, c1_cache = window_conv1d_forward(x, p["conv1_w"], p["conv1_b"], kw)
-    r1, r1_mask = layers.relu_forward(c1)
-    p1, p1_cache = argmax_maxpool1d_forward(r1, model.pool_width)
-    c2, c2_cache = window_conv1d_forward(p1, p["conv2_w"], p["conv2_b"], kw)
-    r2, r2_mask = layers.relu_forward(c2)
-    p2, p2_cache = argmax_maxpool1d_forward(r2, model.pool_width)
-    flat = p2.reshape(len(x), -1)
-    logits, fc_cache = layers.dense_forward(flat, p["fc_w"], p["fc_b"])
-    probs = layers.softmax(logits)
-    cache = (c1_cache, r1_mask, p1_cache, c2_cache, r2_mask, p2_cache, p2.shape, fc_cache)
-    return probs, cache
-
-
-def full_cnn_loss_and_grads(model, x, mask, y):
+def window_argmax_cnn_loss_and_grads(model, x, mask, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
-    probs, cache = _full_cnn_forward_cache(model, x)
-    c1_cache, r1_mask, p1_cache, c2_cache, r2_mask, p2_cache, p2_shape, fc_cache = cache
-    loss = layers.cross_entropy(probs, y)
     p = model.params
-    kw = model.kernel_width
+    conv, conv_cache = window_conv1d_forward(x, p["conv_w"], p["conv_b"], model.kernel_width)
+    relu, relu_mask = layers.relu_forward(conv)
+    pooled, pool_cache = argmax_maxpool1d_forward(relu, relu.shape[1])
+    logits, fc_cache = layers.dense_forward(pooled[:, 0], p["fc_w"], p["fc_b"])
+    probs = layers.softmax(logits)
+    loss = layers.cross_entropy(probs, y)
     dlogits = layers.softmax_cross_entropy_grad(probs, y)
-    dflat, dfc_w, dfc_b = layers.dense_backward(dlogits, fc_cache, p["fc_w"])
-    dp2 = dflat.reshape(p2_shape)
-    dr2 = argmax_maxpool1d_backward(dp2, p2_cache)
-    dc2 = layers.relu_backward(dr2, r2_mask)
-    dp1, dconv2_w, dconv2_b = full_conv1d_backward(dc2, c2_cache, p["conv2_w"], kw)
-    dr1 = argmax_maxpool1d_backward(dp1, p1_cache)
-    dc1 = layers.relu_backward(dr1, r1_mask)
-    _, dconv1_w, dconv1_b = full_conv1d_backward(dc1, c1_cache, p["conv1_w"], kw)
-    grads = {
-        "conv1_w": dconv1_w,
-        "conv1_b": dconv1_b,
-        "conv2_w": dconv2_w,
-        "conv2_b": dconv2_b,
-        "fc_w": dfc_w,
-        "fc_b": dfc_b,
-    }
+    dpooled, dfc_w, dfc_b = layers.dense_backward(dlogits, fc_cache, p["fc_w"])
+    drelu = argmax_maxpool1d_backward(dpooled[:, None], pool_cache)
+    dconv = layers.relu_backward(drelu, relu_mask)
+    dconv_w, dconv_b = window_conv1d_backward(dconv, conv_cache)
+    grads = {"conv_w": dconv_w, "conv_b": dconv_b, "fc_w": dfc_w, "fc_b": dfc_b}
     return loss, grads, probs
 
 
@@ -676,16 +637,6 @@ def loop_conv1d_backward(dout, x, kernel_width: int):
             dw += np.outer(x[bi, t : t + kernel_width, :].reshape(-1), dout[bi, t])
             db += dout[bi, t]
     return dw, db
-
-
-def loop_conv1d_input_grad(dout, x_shape, w, kernel_width: int):
-    """d(loss)/dx of a valid 1-D convolution, one window at a time."""
-    batch, length, channels = x_shape
-    dx = np.zeros(x_shape)
-    for bi in range(batch):
-        for t in range(dout.shape[1]):
-            dx[bi, t : t + kernel_width, :] += (w @ dout[bi, t]).reshape(kernel_width, channels)
-    return dx
 
 
 def fstring_write_vector_file(path, words, matrix) -> None:

@@ -188,7 +188,7 @@ def test_criterion_3_gradients_match_finite_differences():
                 ) / (2 * h)
                 worst = max(worst, relerr(grad_out[i, j], numeric))
 
-        shape = ClassifierConfig("cnn", max_len=10, kernels=4, kernel_width=3, pool_width=2)
+        shape = ClassifierConfig("cnn", max_len=10, kernels=4, kernel_width=3)
         cnn = build_model(shape, 3, 3, seed=3)
         x = rng.normal(size=(4, 10, 3))
         y = np.array([0, 1, 2, 1])
@@ -253,7 +253,7 @@ def test_criterion_5_expansion_beats_ablation_on_benchmark():
 def test_criterion_6_classifiers_overfit_toy_set():
     with criterion(6, "both classifiers reach 100% training accuracy on the toy set"):
         x, mask, y = make_separable_toyset()
-        shape = ClassifierConfig("cnn", max_len=20, kernels=8, kernel_width=5, pool_width=2)
+        shape = ClassifierConfig("cnn", max_len=20, kernels=8, kernel_width=5)
         cnn = build_model(shape, 8, 2, seed=0)
         train_classifier(
             cnn, x, mask, y, TrainConfig(batch_size=4, epochs=200, learning_rate=0.05, seed=0)

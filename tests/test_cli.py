@@ -199,6 +199,15 @@ class TestFullRuns:
         for name in ("embeddings", "assignment", "expanded", "model", "report"):
             assert (out / ARTIFACT_NAMES[name]).is_file(), name
 
+    def test_toy_config_trains_the_cnn_at_the_default_kernel_width(self, tmp_path, capsys):
+        # the toy config's max_len of 12 leaves 8 positions for a width-5 kernel
+        out = tmp_path / "out"
+        code = run_cli("run", "--config", DATA / "config.txt", "--model", "cnn", "--output-dir", out)
+        assert code == 0
+        model = load_model(out / ARTIFACT_NAMES["model"])
+        assert (model.kind, model.max_len, model.kernel_width) == ("cnn", 12, 5)
+        assert "test accuracy" in capsys.readouterr().out
+
     def test_summary_printed(self, toy_run, capsys):
         out, _, _ = toy_run
         report = load_report(out / ARTIFACT_NAMES["report"])
@@ -266,6 +275,11 @@ class TestExitCodes:
         # test_fraction is retired: the test part is what the other two leave
         assert run_cli("run", "--config", DATA / "config.txt", "--test-fraction", 0.1) == 1
         assert capsys.readouterr().err == "error: unrecognized arguments: --test-fraction 0.1\n"
+        # pool_width is retired: the CNN takes one max over time
+        train = ["train", DATA / "dataset.tsv", "--vectors", DATA / "absent.txt", "--output", "m"]
+        for argv in (["run", "--config", DATA / "config.txt"], train):
+            assert run_cli(*argv, "--pool-width", 2) == 1
+            assert capsys.readouterr().err == "error: unrecognized arguments: --pool-width 2\n"
 
     def test_config_error_is_one(self, tiny, tmp_path, capsys):
         code = run_cli(
@@ -518,6 +532,18 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"error: {dataset}: dataset has 3 classes, but {model} expects 2\n"
+
+    def test_stacked_cnn_checkpoint_is_two(self, stage_inputs, capsys):
+        vectors, _ = stage_inputs
+        stacked = REPO / "tests" / "data" / "cnn-model-v1.txt"
+        capsys.readouterr()
+        code = run_cli(
+            "evaluate", DATA / "dataset.tsv", "--vectors", vectors, "--model-file", stacked
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {stacked}: architecture key 'pool_width' is not used by kind 'cnn'\n"
+        )
 
     def test_evaluate_max_len_is_an_unrecognized_argument(self, stage_inputs, capsys):
         vectors, model = stage_inputs
@@ -814,7 +840,7 @@ _RUN_FLAGS = {
         (
             "--min-count", "--window", "--dim", "--embed-epochs", "--embed-learning-rate",
             "--negative-samples", "--k", "--k-steps", "--hidden", "--kernels",
-            "--kernel-width", "--pool-width", "--max-len", "--batch-size", "--train-epochs",
+            "--kernel-width", "--max-len", "--batch-size", "--train-epochs",
             "--learning-rate", "--train-fraction", "--validation-fraction",
         ),
         POSITIVE,
@@ -836,8 +862,8 @@ NUMERIC_FLAGS = {
     "train": {
         **dict.fromkeys(
             (
-                "--max-len", "--hidden", "--kernels", "--kernel-width", "--pool-width",
-                "--batch-size", "--epochs", "--learning-rate",
+                "--max-len", "--hidden", "--kernels", "--kernel-width", "--batch-size",
+                "--epochs", "--learning-rate",
             ),
             POSITIVE,
         ),

@@ -111,7 +111,9 @@ class TestValidation:
 
     def test_cnn_stage_lengths_checked_before_any_stage(self):
         with pytest.raises(ConfigError, match="too short"):
-            make_config(model="cnn", max_len=8, kernel_width=3, pool_width=2)
+            make_config(model="cnn", max_len=4, kernel_width=5)
+        # one whole window is enough: the max over time then has one position
+        assert make_config(model="cnn", max_len=5, kernel_width=5).max_len == 5
 
     def test_defaults_come_from_the_stage_configs(self):
         cfg = make_config()
@@ -219,19 +221,30 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize(
         ("key", "in_file", "override"),
-        [("synonyms", "data/toy/synonyms.tsv", "syn.tsv"), ("test_fraction", "0.1", 0.2)],
-        ids=["synonyms", "test_fraction"],
+        [
+            ("synonyms", "data/toy/synonyms.tsv", "syn.tsv"),
+            ("test_fraction", "0.1", 0.2),
+            ("pool_width", "2", 2),
+        ],
+        ids=["synonyms", "test_fraction", "pool_width"],
     )
     def test_retired_key_skipped_with_one_warning(self, key, in_file, override, tmp_path, caplog):
         path = tmp_path / "config.txt"
         path.write_text(f"k = 4\n{key} = {in_file}\n")
-        for source, overrides in ((path, None), (None, {"k": 4, key: override})):
+        # a config.txt snapshot written while the key was live, which named it
+        # among the other keys: today's snapshot with the key's line put back
+        snapshot = make_config(model="cnn", k=4).snapshot_lines()
+        snapshot.insert(snapshot.index("kernel_width = 5") + 1, f"{key} = {in_file}")
+        written = tmp_path / "snapshot.txt"
+        written.write_text("\n".join(snapshot) + "\n")
+        for source, overrides in ((path, None), (None, {"k": 4, key: override}), (written, None)):
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="semexpand.config"):
                 cfg = load_config(source, overrides)
             assert cfg.k == 4 and not hasattr(cfg, key)
             assert len(caplog.records) == 1
             assert f"retired config key {key!r}" in caplog.records[0].getMessage()
+        assert cfg == make_config(model="cnn", k=4)
 
     def test_override_values_are_converted_and_checked(self):
         cfg = load_config(None, {"k": "4", "learning_rate": 1, "no_expansion": "yes"})
