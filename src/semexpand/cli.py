@@ -71,7 +71,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_expand(args) -> int:
     emb = embedding.load_embeddings(args.embeddings)
-    assignment = clustering.load_assignment(args.assignment, emb.vocabulary)
+    assignment = clustering.load_assignment(args.assignment, emb)
     expanded = expansion.expand(emb, assignment)
     expansion.save_expanded(emb.vocabulary.words, expanded, args.output)
     print(f"wrote {len(emb.vocabulary)} x {expanded.shape[1]} expanded vectors -> {args.output}")

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# read only by perfbench's TRACED_CALLS; the benchmark change dropping them deletes this line
 from .embedding import read_vector_file, write_vector_file
 from .errors import DataFormatError, open_text
 
@@ -240,27 +241,21 @@ def hac_cluster(vectors, k: int, words) -> ClusterAssignment:
     return assignment_from_cut(cut_dendrogram(build_dendrogram(vectors), k), vectors, words)
 
 
-def centroid_path_for(path) -> str:
-    return str(path) + ".centroids"
-
-
 def save_assignment(assignment: ClusterAssignment, path) -> None:
-    """Write ``word<TAB>cluster_id`` lines plus a companion centroid file."""
+    """Write one ``word<TAB>cluster_id`` line per clustered word."""
     with open(path, "w", encoding="utf-8") as fh:
         for word, cid in zip(assignment.words, assignment.assign):
             fh.write(f"{word}\t{int(cid)}\n")
-    labels = [f"cluster_{c}" for c in range(len(assignment.centroids))]
-    write_vector_file(centroid_path_for(path), labels, assignment.centroids)
 
 
-def load_assignment(path, vocabulary) -> ClusterAssignment:
-    """Read an assignment and its companion centroid file, as ``save_assignment`` writes them.
+def load_assignment(path, emb) -> ClusterAssignment:
+    """Read an assignment as ``save_assignment`` writes it, with centroids from ``emb``.
 
-    Words absent from ``vocabulary`` are rejected. With k distinct cluster ids,
-    every id must be spelled ``0`` .. ``<k-1>`` exactly, so no cluster is empty
-    and no other spelling (``01``, ``+1``, a space, other digits) reads as an id.
-    The centroid file must hold the rows ``cluster_0`` .. ``cluster_<k-1>`` in
-    that order.
+    Words absent from ``emb.vocabulary`` are rejected. With k distinct cluster
+    ids, every id must be spelled ``0`` .. ``<k-1>`` exactly, so no cluster is
+    empty and no other spelling (``01``, ``+1``, a space, other digits) reads
+    as an id. Each centroid is the mean of its words' rows of
+    ``emb.input_vectors``, taken in file order.
     """
     words: list[str] = []
     seen: set[str] = set()
@@ -276,7 +271,7 @@ def load_assignment(path, vocabulary) -> ClusterAssignment:
             if parts[0] in seen:
                 raise DataFormatError(f"{path}:{lineno}: duplicate word {parts[0]!r}")
             seen.add(parts[0])
-            if parts[0] not in vocabulary:
+            if parts[0] not in emb.vocabulary:
                 raise DataFormatError(f"{path}:{lineno}: unknown word {parts[0]!r}")
             words.append(parts[0])
             lines_ids.append((lineno, parts[1]))
@@ -289,15 +284,6 @@ def load_assignment(path, vocabulary) -> ClusterAssignment:
             raise DataFormatError(
                 f"{path}:{lineno}: cluster id must be an integer in 0..{k - 1}, got {cid!r}"
             )
-
-    cpath = centroid_path_for(path)
-    labels, centroids = read_vector_file(cpath)
-    names = [f"cluster_{c}" for c in range(k)]
-    if labels != names:
-        # the first row that differs, or the first row past the shorter list
-        c = min(len(labels), k)
-        c = next((i for i in range(c) if labels[i] != names[i]), c)
-        if c < len(labels):
-            raise DataFormatError(f"{cpath}: unexpected centroid token {labels[c]!r}")
-        raise DataFormatError(f"{cpath}: missing centroid row for cluster {c}")
-    return ClusterAssignment(words, np.array([ids[cid] for _, cid in lines_ids]), centroids)
+    assign = np.array([ids[cid] for _, cid in lines_ids])
+    rows = [emb.vocabulary.index_of(word) for word in words]
+    return ClusterAssignment(words, assign, compute_centroids(assign, emb.input_vectors[rows], k))

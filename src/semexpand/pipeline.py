@@ -237,7 +237,9 @@ def run_pipeline(cfg: ExperimentConfig) -> ExperimentReport:
         )
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {name: out / fname for name, fname in ARTIFACT_NAMES.items()}
+    # a run without expansion writes no clusters.tsv or expanded.txt
+    skipped = ("assignment", "expanded") if cfg.no_expansion else ()
+    paths = {name: out / fname for name, fname in ARTIFACT_NAMES.items() if name not in skipped}
     timings: dict = {}
     total_start = time.perf_counter()
 

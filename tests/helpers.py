@@ -4,8 +4,9 @@ make_separable_toyset is a tiny two-class set that either classifier can
 overfit; write_benchmark puts a planted-topic benchmark on disk in the
 pipeline's input formats; split_dataset applies the pipeline's stratified
 split to a whole dataset; word_names names vectors that come from no
-vocabulary; assert_no_child_left checks that a side-by-side run reaped every
-process it forked.
+vocabulary; embeddings_of gives words the vectors that load_assignment and
+expand read; assert_no_child_left checks that a side-by-side run reaped
+every process it forked.
 """
 
 import os
@@ -14,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semexpand.corpus import LabeledDataset
+from semexpand.corpus import LabeledDataset, Vocabulary
+from semexpand.embedding import EmbeddingMatrix
 from semexpand.pipeline import _subset, stratified_split_indices
 from semexpand.synthetic import SyntheticBenchmark
 
@@ -69,6 +71,12 @@ def split_dataset(dataset: LabeledDataset, fractions, seed: int):
 def word_names(count: int) -> list:
     """The words w0, w1, ... of ``count`` vectors, for a ClusterAssignment."""
     return [f"w{i}" for i in range(count)]
+
+
+def embeddings_of(words, vectors=None) -> EmbeddingMatrix:
+    """The EmbeddingMatrix of ``words`` with input ``vectors``, one zero each if None."""
+    vectors = np.zeros((len(words), 1)) if vectors is None else np.asarray(vectors, dtype=float)
+    return EmbeddingMatrix(Vocabulary(words), vectors, np.zeros_like(vectors))
 
 
 def assert_no_child_left():

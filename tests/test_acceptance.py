@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import make_separable_toyset, word_names
+from helpers import embeddings_of, make_separable_toyset, word_names
 from oracles import (
     average_linkage,
     gradient_check,
@@ -33,7 +33,7 @@ from semexpand.clustering import (
     save_assignment,
 )
 from semexpand.config import ExperimentConfig, load_config
-from semexpand.corpus import Vocabulary, build_vocabulary, encode_corpus
+from semexpand.corpus import build_vocabulary, encode_corpus
 from semexpand.embedding import (
     MODE_EXACT,
     SkipGramConfig,
@@ -313,7 +313,7 @@ def test_criterion_8_round_trips_and_named_errors(tmp_path):
         assignment = hac_cluster(vectors, 3, word_names(6))
         assign_path = tmp_path / "clusters.tsv"
         save_assignment(assignment, assign_path)
-        restored = load_assignment(assign_path, Vocabulary(assignment.words))
+        restored = load_assignment(assign_path, embeddings_of(assignment.words, vectors))
         assert restored.assign.tolist() == assignment.assign.tolist()
         assert restored.words == assignment.words
         assert np.max(np.abs(restored.centroids - assignment.centroids)) < 1e-6
@@ -338,9 +338,8 @@ def test_criterion_8_round_trips_and_named_errors(tmp_path):
 
         bad_id = tmp_path / "bad_id.tsv"
         bad_id.write_text("w0\tzero\n")
-        (tmp_path / "bad_id.tsv.centroids").write_text("1 1\ncluster_0 0.0\n")
         with pytest.raises(DataFormatError, match="cluster id must be an integer"):
-            load_assignment(bad_id, Vocabulary(["w0"]))
+            load_assignment(bad_id, embeddings_of(["w0"]))
 
         bad_tag = tmp_path / "bad_tag.ckpt"
         bad_tag.write_text("some other format\n")

@@ -18,9 +18,9 @@ OWNER = Path("nn") / "models.py"
 FIT_CALLS = {"build_model", "train_classifier", "evaluate"}
 FITTER = Path("pipeline.py")
 # The planted benchmark's two arms still build, train and score their own
-# classifiers. ROADMAP direction 3 moves them onto pipeline.fit and
-# pipeline.score once the benchmark's layer trace stops counting
-# synthetic.train_classifier and synthetic.evaluate.
+# classifiers. ROADMAP direction 9 moves them onto pipeline.fit and
+# pipeline.score; the move waits for perfbench's TRACED_CALLS to drop the
+# synthetic names (synthetic.train_classifier and synthetic.evaluate).
 PLANTED = "synthetic.py"
 RUNNER = Path("sidebyside.py")
 PARALLEL_MODULES = ("multiprocessing", "concurrent.futures", "subprocess", "threading")

@@ -1,11 +1,11 @@
 """Byte-level mutations of the files a run reads or writes never end in a traceback.
 
-One tiny run writes model.txt, a vector file, clusters.tsv with its centroids
-file, and report.json; its copy also holds the toy labeled dataset and
-dictionary. Each property mutates one of these files and feeds it to the
-subcommand that reads it: ``cli.main`` must return an exit code from 0 to 3,
-and a failure must end in one ``error:`` line. config.txt is left out,
-because its sizes are user settings that may legitimately ask for much memory.
+One tiny run writes model.txt, a vector file, clusters.tsv and report.json;
+its copy also holds the toy labeled dataset and dictionary. Each property
+mutates one of these files and feeds it to the subcommand that reads it:
+``cli.main`` must return an exit code from 0 to 3, and a failure must end in
+one ``error:`` line. config.txt is left out, because its sizes are user
+settings that may legitimately ask for much memory.
 """
 
 import contextlib
@@ -120,15 +120,6 @@ def test_mutated_assignment_exits_cleanly(run_dir, edits):
 def test_mutated_report_exits_cleanly(run_dir, edits):
     exits_cleanly(run_dir, ARTIFACT_NAMES["report"], edits, lambda run: [
         "compare", run_dir / ARTIFACT_NAMES["report"], artifact(run, "report"),
-    ])
-
-
-@FUZZ
-@given(edits=EDITS)
-def test_mutated_centroids_file_exits_cleanly(run_dir, edits):
-    exits_cleanly(run_dir, ARTIFACT_NAMES["assignment"] + ".centroids", edits, lambda run: [
-        "expand", artifact(run, "embeddings"), artifact(run, "assignment"),
-        "--output", run / "expanded-again.txt",
     ])
 
 

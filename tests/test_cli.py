@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from semexpand import cli, corpus, embedding, expansion
+from semexpand.clustering import compute_centroids
 from semexpand.config import ExperimentConfig
 from semexpand.embedding import read_vector_file, write_vector_file
 from semexpand.nn import evaluate, load_model
@@ -77,7 +78,7 @@ class TestStageCommands:
         clusters = tmp_path / "clusters.tsv"
         assert run_cli("cluster", vectors, "--k", 3, "--output", clusters) == 0
         assert clusters.is_file()
-        assert Path(str(clusters) + ".centroids").is_file()
+        assert not Path(f"{clusters}.centroids").exists()
 
         expanded = tmp_path / "expanded.txt"
         assert run_cli("expand", vectors, clusters, "--output", expanded) == 0
@@ -151,8 +152,8 @@ class TestStageCommands:
         assert capsys.readouterr().out.splitlines() == at_three
 
     def test_stage_chain_reproduces_run_vectors_and_clusters(self, tmp_path, capsys):
-        # vector files read back exactly, so the centroids that `cluster` computes
-        # from one, and `expand`'s vectors, are the run's, computed in memory
+        # vector files read back exactly, so the centroids that `expand` computes
+        # from one, and its vectors, are the run's, computed in memory
         run = tmp_path / "run"
         inputs = ("--corpus", DATA / "corpus.txt", "--dataset", DATA / "dataset.tsv")
         code = run_cli(
@@ -177,9 +178,57 @@ class TestStageCommands:
         run_clusters = run / ARTIFACT_NAMES["assignment"]
         assert vectors.read_bytes() == (run / ARTIFACT_NAMES["embeddings"]).read_bytes()
         assert clusters.read_bytes() == run_clusters.read_bytes()
-        centroids = Path(f"{clusters}.centroids").read_bytes()
-        assert centroids == Path(f"{run_clusters}.centroids").read_bytes()
         assert expanded.read_bytes() == (run / ARTIFACT_NAMES["expanded"]).read_bytes()
+
+    def test_expand_takes_the_centroids_of_the_vectors_it_is_given(
+        self, stage_inputs, tmp_path, capsys
+    ):
+        vectors, _ = stage_inputs
+        clusters = tmp_path / "clusters.tsv"
+        assert run_cli("cluster", vectors, "--k", 5, "--output", clusters) == 0
+        words, matrix = read_vector_file(vectors)
+        # the same words in another order, with other values
+        order = np.random.default_rng(8).permutation(len(words))
+        other_words = [words[i] for i in order]
+        other_matrix = np.random.default_rng(9).normal(size=matrix.shape)
+        other = tmp_path / "other.txt"
+        write_vector_file(other, other_words, other_matrix)
+        expanded = tmp_path / "expanded.txt"
+        assert run_cli("expand", other, clusters, "--output", expanded) == 0
+        capsys.readouterr()
+        rows = [line.split("\t") for line in clusters.read_text(encoding="utf-8").splitlines()]
+        assign = np.array([int(cid) for _, cid in rows])
+        index = {word: i for i, word in enumerate(other_words)}
+        members = other_matrix[[index[word] for word, _ in rows]]
+        centroids = compute_centroids(assign, members, k=5)
+        out_words, table = read_vector_file(expanded)
+        assert out_words == other_words
+        assert np.array_equal(table[:, :4], other_matrix)
+        for (word, _), cid in zip(rows, assign):
+            assert np.array_equal(table[index[word], 4:], centroids[cid])
+        assert not np.array_equal(centroids, compute_centroids(assign, matrix, k=5))
+
+    # a centroid file that an earlier version wrote beside clusters.tsv, one of
+    # another k, and bytes that are no vector file at all
+    @pytest.mark.parametrize("left_over", ["stale", "other_k", "garbage"])
+    def test_centroid_file_beside_clusters_changes_nothing(
+        self, left_over, stage_inputs, tmp_path, capsys
+    ):
+        vectors, _ = stage_inputs
+        clusters = tmp_path / "clusters.tsv"
+        assert run_cli("cluster", vectors, "--k", 3, "--output", clusters) == 0
+        alone, beside = tmp_path / "alone.txt", tmp_path / "beside.txt"
+        assert run_cli("expand", vectors, clusters, "--output", alone) == 0
+        centroids = Path(f"{clusters}.centroids")
+        if left_over == "garbage":
+            centroids.write_bytes(b"\xff not a vector file\n")
+        else:
+            k = 3 if left_over == "stale" else 7
+            labels = [f"cluster_{c}" for c in range(k)]
+            write_vector_file(centroids, labels, np.full((k, 4), 99.0))
+        assert run_cli("expand", vectors, clusters, "--output", beside) == 0
+        capsys.readouterr()
+        assert beside.read_bytes() == alone.read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -600,65 +649,6 @@ class TestExitCodes:
         field = f"per_class[{len(rows) - 1}].label"
         message = f"error: {bad}: report field {field} must be unique, but {label!r} repeats\n"
         assert capsys.readouterr() == ("", message)
-
-    # a row save_assignment never writes: a second spelling of cluster 1, and
-    # cluster 1 spelled with an Arabic-Indic digit in place of its own row
-    @pytest.mark.parametrize("token, replaces", [("cluster_01", False), ("cluster_\u0661", True)])
-    def test_centroid_row_of_another_name_is_two(self, token, replaces, tiny, tmp_path, capsys):
-        vectors = tmp_path / "vectors.txt"
-        assert run_cli(
-            "train-embeddings", tiny["corpus"], "--output", vectors, "--dim", 4, "--epochs", 1
-        ) == 0
-        clusters = tmp_path / "clusters.tsv"
-        assert run_cli("cluster", vectors, "--k", 2, "--output", clusters) == 0
-        centroids = Path(f"{clusters}.centroids")
-        header, first, second = centroids.read_text(encoding="utf-8").splitlines()
-        assert second.startswith("cluster_1 ")
-        values = first.split(" ", 1)[1]
-        rows = [first, f"{token} {values}"] if replaces else [first, second, f"{token} {values}"]
-        dim = header.split()[1]
-        text = f"{len(rows)} {dim}\n" + "".join(f"{row}\n" for row in rows)
-        centroids.write_text(text, encoding="utf-8")
-        capsys.readouterr()
-        output = tmp_path / "expanded.txt"
-        assert run_cli("expand", vectors, clusters, "--output", output) == 2
-        assert capsys.readouterr().err == f"error: {centroids}: unexpected centroid token {token!r}\n"
-        assert not output.exists()
-
-    def test_centroid_rows_out_of_order_are_two(self, tiny, tmp_path, capsys):
-        vectors = tmp_path / "vectors.txt"
-        assert run_cli(
-            "train-embeddings", tiny["corpus"], "--output", vectors, "--dim", 4, "--epochs", 1
-        ) == 0
-        clusters = tmp_path / "clusters.tsv"
-        assert run_cli("cluster", vectors, "--k", 2, "--output", clusters) == 0
-        centroids = Path(f"{clusters}.centroids")
-        header, first, second = centroids.read_text(encoding="utf-8").splitlines()
-        centroids.write_text(f"{header}\n{second}\n{first}\n", encoding="utf-8")
-        capsys.readouterr()
-        output = tmp_path / "expanded.txt"
-        assert run_cli("expand", vectors, clusters, "--output", output) == 2
-        assert capsys.readouterr().err == (
-            f"error: {centroids}: unexpected centroid token 'cluster_1'\n"
-        )
-        assert not output.exists()
-
-    def test_centroids_of_wrong_width_are_two(self, tiny, tmp_path, capsys):
-        wide = tmp_path / "v4.txt"
-        narrow = tmp_path / "v3.txt"
-        for path, dim in ((wide, 4), (narrow, 3)):
-            assert run_cli(
-                "train-embeddings", tiny["corpus"], "--output", path, "--dim", dim,
-                "--epochs", 1,
-            ) == 0
-        clusters = tmp_path / "c3.tsv"
-        assert run_cli("cluster", narrow, "--k", 2, "--output", clusters) == 0
-        capsys.readouterr()
-        output = tmp_path / "e.txt"
-        assert run_cli("expand", wide, clusters, "--output", output) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "width 3" in err and "width 4" in err
-        assert not output.exists()
 
     def test_non_finite_checkpoint_is_two(self, tiny, tmp_path, capsys):
         vectors = tmp_path / "vectors.txt"

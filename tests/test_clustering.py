@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import word_names
+from helpers import embeddings_of, word_names
 from oracles import (
     average_linkage,
     loop_similarity_matrix,
@@ -22,7 +22,6 @@ from semexpand.clustering import (
     save_assignment,
     similarity_matrix,
 )
-from semexpand.corpus import Vocabulary
 from semexpand.errors import DataFormatError
 
 
@@ -329,62 +328,68 @@ class TestBuildDendrogramInput:
 
 
 class TestAssignmentFiles:
-    def _sample_assignment(self):
+    def _sample(self):
         rng = np.random.default_rng(11)
         vectors = rng.normal(size=(5, 3))
         words = ["alpha", "beta", "gamma", "delta", "epsilon"]
-        return hac_cluster(vectors, 2, words)
+        return hac_cluster(vectors, 2, words), embeddings_of(words, vectors)
 
     def test_round_trip(self, tmp_path):
-        assignment = self._sample_assignment()
+        assignment, emb = self._sample()
         path = tmp_path / "clusters.tsv"
         save_assignment(assignment, path)
-        loaded = load_assignment(path, Vocabulary(assignment.words))
+        loaded = load_assignment(path, emb)
         assert len(loaded.centroids) == len(assignment.centroids) == 2
         assert loaded.words == assignment.words
         assert np.array_equal(loaded.assign, assignment.assign)
         assert np.array_equal(loaded.centroids, assignment.centroids)
 
-    def test_missing_centroid_row_named(self, tmp_path):
-        assignment = self._sample_assignment()
+    def test_only_clusters_tsv_is_written(self, tmp_path):
+        assignment, _ = self._sample()
+        save_assignment(assignment, tmp_path / "clusters.tsv")
+        assert [p.name for p in tmp_path.iterdir()] == ["clusters.tsv"]
+
+    def test_centroids_average_the_listed_words_in_file_order(self, tmp_path):
+        # a subset of the vocabulary, listed in another order than the vectors;
+        # 0.3 + 0.2 + 0.1 and 0.1 + 0.2 + 0.3 differ in the last bit
+        vectors = np.array([[0.1, 1.0], [0.2, 2.0], [5.0, 5.0], [0.3, 3.0], [9.0, 9.0]])
+        emb = embeddings_of(["a", "b", "c", "d", "e"], vectors)
         path = tmp_path / "clusters.tsv"
-        save_assignment(assignment, path)
-        centroid_path = clustering.centroid_path_for(path)
-        lines = open(centroid_path, encoding="utf-8").read().splitlines()
-        header = lines[0].split()
-        trimmed = [f"{int(header[0]) - 1} {header[1]}"] + lines[1:-1]
-        open(centroid_path, "w", encoding="utf-8").write("\n".join(trimmed) + "\n")
-        with pytest.raises(DataFormatError, match="cluster 1"):
-            load_assignment(path, Vocabulary(assignment.words))
+        path.write_text("c\t1\nd\t0\nb\t0\na\t0\n", encoding="utf-8")
+        loaded = load_assignment(path, emb)
+        assert loaded.words == ["c", "d", "b", "a"]
+        assert loaded.assign.tolist() == [1, 0, 0, 0]
+        in_file_order = vectors[[3, 1, 0]].mean(axis=0)
+        assert not np.array_equal(in_file_order, vectors[[0, 1, 3]].mean(axis=0))
+        assert np.array_equal(loaded.centroids, [in_file_order, vectors[2]])
 
     def test_unknown_word_rejected_against_vocabulary(self, tmp_path):
-        assignment = self._sample_assignment()
+        assignment, _ = self._sample()
         path = tmp_path / "clusters.tsv"
         save_assignment(assignment, path)
-        vocab = Vocabulary(["alpha", "beta"])
         with pytest.raises(DataFormatError, match="gamma"):
-            load_assignment(path, vocab)
+            load_assignment(path, embeddings_of(["alpha", "beta"]))
 
     def test_duplicate_word_rejected(self, tmp_path):
         path = tmp_path / "clusters.tsv"
         path.write_text("a\t0\na\t0\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match="duplicate"):
-            load_assignment(path, Vocabulary(["a"]))
+            load_assignment(path, embeddings_of(["a"]))
 
     def test_negative_and_noninteger_ids_rejected(self, tmp_path):
         path = tmp_path / "clusters.tsv"
         path.write_text("a\t-1\n", encoding="utf-8")
         with pytest.raises(DataFormatError):
-            load_assignment(path, Vocabulary(["a"]))
+            load_assignment(path, embeddings_of(["a"]))
         path.write_text("a\tx\n", encoding="utf-8")
         with pytest.raises(DataFormatError):
-            load_assignment(path, Vocabulary(["a"]))
+            load_assignment(path, embeddings_of(["a"]))
 
     def test_gap_in_cluster_ids_rejected(self, tmp_path):
         path = tmp_path / "clusters.tsv"
         path.write_text("a\t0\nb\t2\n", encoding="utf-8")
         with pytest.raises(DataFormatError):
-            load_assignment(path, Vocabulary(["a", "b"]))
+            load_assignment(path, embeddings_of(["a", "b"]))
 
 
 class TestClusterAssignmentType:

@@ -229,6 +229,20 @@ class TestRunPipeline:
         for fname in ARTIFACT_NAMES.values():
             assert (out / fname).is_file(), fname
 
+    def test_report_lists_exactly_the_files_the_run_wrote(self, base_run, tmp_path):
+        # a run without expansion writes no clusters.tsv or expanded.txt, and no
+        # run writes a centroid file beside clusters.tsv
+        cfg, report = base_run
+        embeddings = str(Path(cfg.output_dir) / ARTIFACT_NAMES["embeddings"])
+        plain_cfg = fast_config(tmp_path / "plain", embeddings=embeddings, no_expansion=True)
+        plain = run_pipeline(plain_cfg)
+        runs = [(cfg, report, set()), (plain_cfg, plain, {"assignment", "expanded"})]
+        for run_cfg, run, unwritten in runs:
+            assert set(run.artifacts) == set(ARTIFACT_NAMES) - unwritten
+            # so every listed path exists, and nothing else was written
+            written = sorted(Path(run_cfg.output_dir).iterdir())
+            assert written == sorted(Path(path) for path in run.artifacts.values())
+
     def test_report_contents(self, base_run):
         cfg, report = base_run
         assert report.chosen_k == 6
@@ -614,7 +628,6 @@ class TestFinalFitBesideTheTrial:
                 name: (out / ARTIFACT_NAMES[name]).read_bytes()
                 for name in ("model", "assignment", "expanded", "embeddings", "config")
             }
-            files["centroids"] = (out / (ARTIFACT_NAMES["assignment"] + ".centroids")).read_bytes()
             report = json.loads((out / ARTIFACT_NAMES["report"]).read_text(encoding="utf-8"))
             del report["timings"]
             summary = (out / ARTIFACT_NAMES["summary"]).read_text(encoding="utf-8").splitlines()

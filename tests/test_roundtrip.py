@@ -11,12 +11,17 @@ import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from helpers import embeddings_of
 from semexpand import cli
-from semexpand.clustering import ClusterAssignment, load_assignment, save_assignment
+from semexpand.clustering import (
+    ClusterAssignment,
+    compute_centroids,
+    load_assignment,
+    save_assignment,
+)
 from semexpand.config import ExperimentConfig, parse_config_lines
 from semexpand.corpus import (
     UserDictionary,
-    Vocabulary,
     load_dictionary_file,
     load_sentence_file,
     tokenize,
@@ -86,21 +91,22 @@ def test_finite_matrices_round_trip_through_vector_files(tmp_path_factory, matri
 @given(texts_with_dictionaries(), st.data())
 def test_tokens_round_trip_through_cluster_assignments(tmp_path_factory, case, data):
     """The `cluster` -> `expand` chain: words read from a vector file, clustered,
-    saved, then loaded against the tokens' own vocabulary."""
+    saved, then loaded against the tokens' own vocabulary and vectors."""
     tokens = distinct_tokens(*case)
     if not tokens:
         return
     work = tmp_path_factory.mktemp("clusters")
-    write_vector_file(work / "vectors.txt", tokens, np.zeros((len(tokens), 1)))
+    n = len(tokens)
+    eighths = data.draw(st.lists(st.integers(-999, 999), min_size=2 * n, max_size=2 * n))
+    vectors = np.array(eighths).reshape(n, 2) / 8
+    write_vector_file(work / "vectors.txt", tokens, vectors)
     words = read_vector_file(work / "vectors.txt")[0]
-    n = len(words)
     k = data.draw(st.integers(1, n))
     rest = data.draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
     assign = np.array(list(range(k)) + rest)
-    eighths = data.draw(st.lists(st.integers(-999, 999), min_size=2 * k, max_size=2 * k))
-    centroids = np.array(eighths).reshape(k, 2) / 8
+    centroids = compute_centroids(assign, vectors, k)
     save_assignment(ClusterAssignment(words, assign, centroids), work / "clusters.tsv")
-    loaded = load_assignment(work / "clusters.tsv", Vocabulary(tokens))
+    loaded = load_assignment(work / "clusters.tsv", embeddings_of(tokens, vectors))
     assert loaded.words == tokens
     assert np.array_equal(loaded.assign, assign)
     assert np.array_equal(loaded.centroids, centroids)
